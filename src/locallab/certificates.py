@@ -234,52 +234,80 @@ def _from_canon(payload):
     return payload
 
 
+_NONE = type(None)
+
+
+def _fields(cert, **types):
+    """The named fields of `cert`, each checked to be present and of its
+    type (a type or a tuple of types; a bool never passes for an int).
+
+    Raises LocalLabError on a missing or mistyped field, so a malformed
+    certificate is an input error, never a crash or a failed check.
+    """
+    values = []
+    for key, kind in types.items():
+        if key not in cert:
+            raise LocalLabError(f"{cert.get('type')} certificate has no {key!r} field")
+        value = cert[key]
+        kinds = kind if isinstance(kind, tuple) else (kind,)
+        if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+            raise LocalLabError(
+                f"{cert.get('type')} certificate field {key!r} is a {type(value).__name__}"
+            )
+        values.append(value)
+    return values
+
+
 def _verify_verdict(cert, g: EdgeColoring, messages):
-    fresh = check_local_property(
-        g, cert["k"], cert["l"], mode=cert["mode"],
-        trials=cert["trials"], seed=cert["seed"],
+    k, l, mode, trials, seed, holds, witness, min_colors = _fields(
+        cert, k=int, l=int, mode=str, trials=(int, _NONE), seed=(int, _NONE),
+        holds=bool, witness=(list, _NONE), min_colors_seen=int,
     )
-    if fresh.holds != cert["holds"]:
-        messages.append(f"re-check says holds={fresh.holds}, certificate says {cert['holds']}")
-    stored = None if cert["witness"] is None else tuple(cert["witness"])
+    fresh = check_local_property(g, k, l, mode=mode, trials=trials, seed=seed)
+    if fresh.holds != holds:
+        messages.append(f"re-check says holds={fresh.holds}, certificate says {holds}")
+    stored = None if witness is None else tuple(witness)
     if fresh.witness != stored:
         messages.append(f"re-check witness {fresh.witness} differs from {stored}")
-    if fresh.min_colors_seen != cert["min_colors_seen"]:
-        messages.append(
-            f"re-check min colors {fresh.min_colors_seen} differs from {cert['min_colors_seen']}"
-        )
+    if fresh.min_colors_seen != min_colors:
+        messages.append(f"re-check min colors {fresh.min_colors_seen} differs from {min_colors}")
 
 
 def _verify_oracle_f(cert, messages):
-    if cert["status"] == "infeasible":
-        if cert["l"] <= cert["k"] * (cert["k"] - 1) // 2:
+    n, k, l, status = _fields(cert, n=int, k=int, l=int, status=str)
+    if status == "infeasible":
+        if l <= k * (k - 1) // 2:
             messages.append("infeasible status but l <= C(k,2)")
         return
-    g = coloring_from_dict(cert["witness"])
-    if g.n != cert["n"]:
-        messages.append(f"witness is on {g.n} vertices, certificate says {cert['n']}")
+    value, witness = _fields(cert, value=int, witness=dict)
+    g = coloring_from_dict(witness)
+    if g.n != n:
+        messages.append(f"witness is on {g.n} vertices, certificate says {n}")
         return
-    if g.num_colors != cert["value"]:
-        messages.append(f"witness uses {g.num_colors} colors, certificate says {cert['value']}")
-    verdict = check_local_property(g, cert["k"], cert["l"])
+    if g.num_colors != value:
+        messages.append(f"witness uses {g.num_colors} colors, certificate says {value}")
+    verdict = check_local_property(g, k, l)
     if not verdict.holds:
-        messages.append(f"witness coloring violates the ({cert['k']},{cert['l']}) property")
+        messages.append(f"witness coloring violates the ({k},{l}) property")
 
 
 def _verify_oracle_g(cert, messages):
-    if cert["status"] == "infeasible":
+    n, k, l, max_value, status = _fields(cert, n=int, k=int, l=int, max_value=int,
+                                         status=str)
+    if status == "infeasible":
         return
-    A = real_set_from_dict(cert["witness"])
-    if len(A.elements) != cert["n"]:
-        messages.append(f"witness has {len(A.elements)} elements, certificate says {cert['n']}")
+    value, witness = _fields(cert, value=int, witness=dict)
+    A = real_set_from_dict(witness)
+    if len(A.elements) != n:
+        messages.append(f"witness has {len(A.elements)} elements, certificate says {n}")
         return
-    if min(A.elements) != 0 or max(A.elements) > cert["max_value"]:
-        messages.append(f"witness leaves the normalized range 0..{cert['max_value']}")
+    if min(A.elements) != 0 or max(A.elements) > max_value:
+        messages.append(f"witness leaves the normalized range 0..{max_value}")
     size = len(difference_set(A))
-    if size != cert["value"]:
-        messages.append(f"witness difference set has {size} values, certificate says {cert['value']}")
-    if not check_g_property(A, cert["k"], cert["l"]).holds:
-        messages.append(f"witness set violates the ({cert['k']},{cert['l']}) property")
+    if size != value:
+        messages.append(f"witness difference set has {size} values, certificate says {value}")
+    if not check_g_property(A, k, l).holds:
+        messages.append(f"witness set violates the ({k},{l}) property")
 
 
 def verify_certificate(cert: dict, coloring: EdgeColoring | None = None,
@@ -288,7 +316,9 @@ def verify_certificate(cert: dict, coloring: EdgeColoring | None = None,
 
     witness-set and property-verdict certificates need the coloring they
     were issued for; arith-clique needs the element set; oracle
-    certificates embed their witness and need nothing.
+    certificates embed their witness and need nothing.  A verdict or
+    oracle certificate with a missing or mistyped field raises
+    LocalLabError.
     """
     messages = []
     ctype = cert.get("type")

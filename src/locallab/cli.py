@@ -343,6 +343,8 @@ def _cmd_sweep(args) -> int:
     palette_sizes = _parse_range(args.c)
     if len(palette_sizes) == 0:
         raise LocalLabError(f"empty palette range {args.c!r}")
+    if args.seeds < 1:
+        raise LocalLabError(f"--seeds must be at least 1, got {args.seeds}")
     rows = []
     for c in palette_sizes:
         violations = 0

@@ -14,12 +14,17 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
+from . import config
 from .errors import (
+    BudgetExceededError,
     ColoringError,
     DuplicatePairError,
     MissingPairError,
@@ -189,25 +194,106 @@ def color_multiplicities(g: EdgeColoring) -> ColorStats:
     return ColorStats(counts, g.n * (g.n - 1))
 
 
-def _scan_subsets(g, k, cap, subsets):
-    """Return (best_count, first subset attaining it) over `subsets`.
+# Subsets are scanned in blocks of at most this many rows.
+_CHUNK_ROWS = 4096
+# Largest lexicographic subset table materialized for the exhaustive scan.
+_TABLE_ROWS = 1 << 18
 
-    Counting within a subset stops once `cap` distinct colors are seen,
-    which never changes whether best_count >= cap.
+
+def _lex_table(n, width, dtype):
+    """Every `width`-subset of range(n), one per row, in lexicographic order.
+
+    The C(n - a - 1, w) rows whose first entry exceeds a form the tail of
+    the width-w table, so each width is the previous table's tails,
+    stacked in order of a and headed by a.
     """
-    mat = g.color_matrix()
+    table = np.arange(n, dtype=dtype)[:, None]
+    for w in range(2, width + 1):
+        wider = np.empty((math.comb(n, w), w), dtype=dtype)
+        row = 0
+        for a in range(n - w + 1):
+            tail = table[len(table) - math.comb(n - a - 1, w - 1):]
+            wider[row:row + len(tail), 0] = a
+            wider[row:row + len(tail), 1:] = tail
+            row += len(tail)
+        table = wider
+    return table
+
+
+def _lex_chunks(n, k, dtype):
+    """Yield every k-subset of range(n) in lexicographic order, as row blocks.
+
+    Each subset is a prefix (from itertools) joined to the tail of a
+    subset table whose first entry exceeds the prefix's last vertex; the
+    suffix is as wide as the _TABLE_ROWS cap allows, so for most inputs
+    the prefix is a single vertex or empty.
+    """
+    width = k
+    while width > 1 and math.comb(n, width) > _TABLE_ROWS:
+        width -= 1
+    table = _lex_table(n, width, dtype)
+    for prefix in itertools.combinations(range(n - width), k - width):
+        last = prefix[-1] if prefix else -1
+        tail = table[len(table) - math.comb(n - last - 1, width):]
+        for start in range(0, len(tail), _CHUNK_ROWS):
+            block = tail[start:start + _CHUNK_ROWS]
+            rows = np.empty((len(block), k), dtype=dtype)
+            rows[:, :k - width] = prefix
+            rows[:, k - width:] = block
+            yield rows
+
+
+def _sampled_chunks(n, k, trials, seed, dtype):
+    """Yield `trials` sorted uniform k-subsets drawn from random.Random(seed)."""
+    rng = random.Random(seed)
+    for start in range(0, trials, _CHUNK_ROWS):
+        rows = min(_CHUNK_ROWS, trials - start)
+        yield np.array([sorted(rng.sample(range(n), k)) for _ in range(rows)], dtype=dtype)
+
+
+def _scan(g, k, cap, trials=None, seed=None):
+    """Return (fewest colors, first subset spanning that many).
+
+    Scans all k-subsets in lexicographic order, or `trials` sampled ones
+    when `trials` is given.  Counts are capped at `cap` (when not None),
+    which never changes whether the minimum reaches `cap`.  The scan is
+    checked against SUBSET_SCAN_BUDGET before it starts.
+    """
+    total = math.comb(g.n, k) if trials is None else trials
+    ceiling = config.budget(config.SUBSET_SCAN_BUDGET)
+    if total > ceiling:
+        raise BudgetExceededError(
+            f"scanning {total} {k}-subsets exceeds the {ceiling} subset budget"
+        )
+    vertex = np.min_scalar_type(g.n - 1)
+    if trials is None:
+        chunks = _lex_chunks(g.n, k, vertex)
+    else:
+        chunks = _sampled_chunks(g.n, k, trials, seed, vertex)
+    # color of {u, v}, u < v, at u * n + v
+    matrix = np.zeros((g.n, g.n), dtype=np.min_scalar_type(g.num_colors - 1))
+    matrix[np.triu_indices(g.n, 1)] = g.colors
+    matrix = matrix.ravel()
+    first, second = np.triu_indices(k, 1)
     best = None
     best_subset = None
-    for subset in subsets:
-        seen = set()
-        for i, j in itertools.combinations(subset, 2):
-            seen.add(mat[i][j])
-            if cap is not None and len(seen) >= cap:
+    slot = np.min_scalar_type(g.n * g.n - 1)
+    for rows in chunks:
+        wide = rows.astype(slot)
+        slots = wide[:, first]
+        slots *= g.n
+        slots += wide[:, second]
+        spans = matrix[slots]
+        spans.sort(axis=1)
+        counts = 1 + np.count_nonzero(spans[:, 1:] != spans[:, :-1], axis=1)
+        if cap is not None:
+            np.minimum(counts, cap, out=counts)
+        i = int(np.argmin(counts))
+        if best is None or counts[i] < best:
+            best = int(counts[i])
+            best_subset = tuple(rows[i].tolist())
+            if best == 1:  # no subset spans fewer colors
                 break
-        count = len(seen)
-        if best is None or count < best:
-            best = count
-            best_subset = tuple(subset)
     return best, best_subset
 
 
@@ -235,15 +321,12 @@ def check_local_property(
     """
     _validate_k_l(g, k, l)
     if mode == "exhaustive":
-        subsets = itertools.combinations(range(g.n), k)
-        best, subset = _scan_subsets(g, k, l, subsets)
+        best, subset = _scan(g, k, l)
         return PropertyVerdict(best >= l, subset, best, k, l, "exhaustive")
     if mode == "sampled":
         if trials is None or trials < 1:
             raise ColoringError("sampled mode needs trials >= 1")
-        rng = random.Random(seed)
-        subsets = [tuple(sorted(rng.sample(range(g.n), k))) for _ in range(trials)]
-        best, subset = _scan_subsets(g, k, l, subsets)
+        best, subset = _scan(g, k, l, trials, seed)
         return PropertyVerdict(best >= l, subset, best, k, l, "sampled", trials, seed)
     raise ColoringError(f"unknown mode {mode!r}")
 
@@ -253,8 +336,7 @@ def min_colors_over_k_subsets(g: EdgeColoring, k: int):
     lexicographically least subset attaining it."""
     if not 2 <= k <= g.n:
         raise ColoringError(f"k={k} must satisfy 2 <= k <= n={g.n}")
-    best, subset = _scan_subsets(g, k, None, itertools.combinations(range(g.n), k))
-    return best, subset
+    return _scan(g, k, None)
 
 
 def max_monochromatic_degree(g: EdgeColoring):

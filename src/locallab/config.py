@@ -13,6 +13,9 @@ BRUTE_FORCE_TUPLE_BUDGET = 10**9
 # edges materialized when building an energy graph
 ENERGY_GRAPH_EDGE_BUDGET = 10**7
 
+# k-subsets (or sampled trials) visited by one local-property scan
+SUBSET_SCAN_BUDGET = 10**9
+
 # search nodes in the exact minimization oracles
 ORACLE_NODE_BUDGET = 10**8
 

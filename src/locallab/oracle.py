@@ -61,24 +61,18 @@ def exact_f(n: int, k: int, l: int) -> OracleResult:
         return OracleResult(None, None, 0, 0, True, "infeasible")
 
     edges = [(u, v) for v in range(n) for u in range(v)]
+    pair_of = {e: i for i, e in enumerate(edges)}
+    # each k-subset as the tuple of its edge slots, filed under the slot
+    # of its last edge
     finished_at = {}
     for subset in itertools.combinations(range(n), k):
-        u, v = subset[-2], subset[-1]
-        finished_at.setdefault(edges.index((u, v)), []).append(subset)
+        slots = tuple(pair_of[e] for e in itertools.combinations(subset, 2))
+        finished_at.setdefault(pair_of[subset[-2:]], []).append(slots)
 
-    pair_of = {e: i for i, e in enumerate(edges)}
     node_budget = config.budget(config.ORACLE_NODE_BUDGET)
     assignment = [0] * len(edges)
     best = {"value": len(edges) + 1, "witness": None}
     stats = {"nodes": 0, "classes": 0}
-
-    def subset_ok(subset):
-        seen = set()
-        for a, b in itertools.combinations(subset, 2):
-            seen.add(assignment[pair_of[(a, b)]])
-            if len(seen) >= l:
-                return True
-        return False
 
     def place(i, used):
         stats["nodes"] += 1
@@ -97,7 +91,10 @@ def exact_f(n: int, k: int, l: int) -> OracleResult:
             if color == used and used + 1 >= best["value"]:
                 break
             assignment[i] = color
-            if all(subset_ok(s) for s in finished_at.get(i, ())):
+            for slots in finished_at.get(i, ()):
+                if len({assignment[s] for s in slots}) < l:
+                    break
+            else:
                 place(i + 1, used + (1 if color == used else 0))
 
     place(0, 0)
@@ -133,6 +130,11 @@ def exact_g_integers(n: int, k: int, l: int, max_value: int) -> OracleResult:
     best = {"value": max_value * (max_value + 1), "witness": None}
     stats = {"nodes": 0, "classes": 0}
     chosen = [0]
+    # each k-subset of positions as the tuple of its pair slots; at a leaf,
+    # differences[pair_of[(i, j)]] == chosen[j] - chosen[i]
+    pair_of = {e: i for i, e in enumerate(itertools.combinations(range(n), 2))}
+    subsets = [tuple(pair_of[e] for e in itertools.combinations(subset, 2))
+               for subset in itertools.combinations(range(n), k)]
 
     def extend():
         stats["nodes"] += 1
@@ -140,13 +142,17 @@ def exact_g_integers(n: int, k: int, l: int, max_value: int) -> OracleResult:
             raise BudgetExceededError(
                 f"exact_g_integers({n},{k},{l},{max_value}) exceeded the {node_budget} node budget"
             )
-        diffs = {b - a for a, b in itertools.combinations(chosen, 2)}
-        if len(diffs) >= best["value"]:
+        differences = [b - a for a, b in itertools.combinations(chosen, 2)]
+        size = len(set(differences))
+        if size >= best["value"]:
             return
         if len(chosen) == n:
             stats["classes"] += 1
-            if check_g_property(RealSet(tuple(chosen)), k, l).holds:
-                best["value"] = len(diffs)
+            for slots in subsets:
+                if len({differences[s] for s in slots}) < l:
+                    break
+            else:
+                best["value"] = size
                 best["witness"] = tuple(chosen)
             return
         for x in range(chosen[-1] + 1, max_value + 1):
@@ -161,6 +167,8 @@ def exact_g_integers(n: int, k: int, l: int, max_value: int) -> OracleResult:
         return OracleResult(None, None, stats["nodes"], stats["classes"], True,
                             "infeasible")
     witness = RealSet(best["witness"])
+    if not check_g_property(witness, k, l).holds:
+        raise LocalLabError("oracle witness failed re-validation")
     return OracleResult(best["value"], witness, stats["nodes"], stats["classes"],
                         True, "optimal")
 

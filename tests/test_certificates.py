@@ -1,7 +1,10 @@
 import copy
 import json
 
+import pytest
+
 from locallab import (
+    LocalLabError,
     build_rth_energy_graph,
     build_second_energy_graph,
     check_local_property,
@@ -172,3 +175,47 @@ def test_unknown_certificate_type():
     assert not ok and any("mystery" in m for m in messages)
     ok, messages = verify_certificate({})
     assert not ok and messages
+
+
+# every field the verdict and oracle verifiers read
+READ_FIELDS = {
+    "property-verdict": ["k", "l", "mode", "trials", "seed", "holds", "witness",
+                         "min_colors_seen"],
+    "oracle-f": ["n", "k", "l", "status", "value", "witness"],
+    "oracle-g": ["n", "k", "l", "max_value", "status", "value", "witness"],
+}
+FIELD_CASES = [(ctype, key) for ctype, keys in READ_FIELDS.items() for key in keys]
+
+
+def issued(ctype):
+    """A valid certificate of `ctype` and the keyword arguments verifying it."""
+    if ctype == "property-verdict":
+        g = random_coloring(9, 4, seed=2)
+        return verdict_certificate(check_local_property(g, 4, 3)), {"coloring": g}
+    if ctype == "oracle-f":
+        return oracle_f_certificate(exact_f(5, 3, 3), 5, 3, 3), {}
+    return oracle_g_certificate(exact_g_integers(4, 4, 3, 6), 4, 4, 3, 6), {}
+
+
+@pytest.mark.parametrize("ctype,key", FIELD_CASES)
+def test_missing_field_is_an_input_error(ctype, key):
+    cert, context = issued(ctype)
+    assert verify_certificate(cert, **context)[0]
+    del cert[key]
+    with pytest.raises(LocalLabError, match=f"'{key}'"):
+        verify_certificate(cert, **context)
+
+
+@pytest.mark.parametrize("ctype,key", FIELD_CASES)
+def test_mistyped_field_is_an_input_error(ctype, key):
+    cert, context = issued(ctype)
+    cert[key] = 7 if isinstance(cert[key], str) else "7"
+    with pytest.raises(LocalLabError, match=f"'{key}'"):
+        verify_certificate(cert, **context)
+
+
+def test_bool_is_not_an_integer_field():
+    cert, context = issued("property-verdict")
+    cert["k"] = True
+    with pytest.raises(LocalLabError, match="'k'"):
+        verify_certificate(cert, **context)

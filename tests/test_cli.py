@@ -128,6 +128,34 @@ def test_sweep_writes_csv(tmp_path):
     assert out.read_bytes() == first
 
 
+def test_sweep_rejects_fewer_than_one_seed(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    for seeds in ("0", "-1"):
+        assert run(["sweep", "--n", "8", "--c", "2..4", "--k", "4", "--l", "3",
+                    "--seeds", seeds, "--out", str(out)]) == 2
+        assert "--seeds" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_check_over_subset_budget_exits_3(tmp_path, monkeypatch):
+    mono = mono_file(tmp_path, 10)  # C(10, 4) = 210 subsets
+    monkeypatch.setenv("LOCALLAB_BUDGET", "209")
+    assert run(["check", "--input", str(mono), "--k", "4", "--l", "2"]) == 3
+    assert run(["check", "--input", str(mono), "--k", "4", "--l", "2",
+                "--mode", "sampled", "--trials", "210"]) == 3
+
+
+def test_verify_malformed_verdict_is_usage_error(tmp_path):
+    mono = mono_file(tmp_path, 6)
+    cert = tmp_path / "verdict.json"
+    assert run(["check", "--input", str(mono), "--k", "3", "--l", "2",
+                "--cert", str(cert)]) == 1
+    payload = json.loads(cert.read_text())
+    del payload["min_colors_seen"]
+    cert.write_text(json.dumps(payload))
+    assert run(["verify", "--cert", str(cert), "--input", str(mono)]) == 2
+
+
 def test_repeated_runs_are_byte_identical(tmp_path):
     mono = mono_file(tmp_path, 12)
     a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -142,3 +142,12 @@ def test_upper_bound_exponent():
     assert upper_bound_exponent(100, 2, 1).exponent == 0
     with pytest.raises(LocalLabError):
         upper_bound_exponent(100, 1, 1)
+
+
+def test_search_accounting_is_pinned():
+    # the leaf checks may get faster, but the search trees stay node for node
+    res = exact_f(6, 5, 7)
+    assert (res.value, res.nodes_explored, res.canonical_classes) == (7, 29878, 3)
+    res = exact_g_integers(7, 4, 5, 18)
+    assert res.status == "infeasible"
+    assert (res.nodes_explored, res.canonical_classes) == (27132, 18564)

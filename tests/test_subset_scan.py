@@ -1,0 +1,110 @@
+"""The chunked k-subset scan against a brute-force reference.
+
+The reference walks the same subsets with itertools and counts colors
+with a set, so any difference in the count, the cap or the witness
+(the first subset in scan order attaining the minimum) shows up.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+from unittest import mock
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import locallab.coloring as coloring_module
+from locallab import (
+    BudgetExceededError,
+    check_local_property,
+    min_colors_over_k_subsets,
+    new_coloring,
+    random_coloring,
+)
+
+LABELS = {
+    "int": lambda i: 10 * i - 7,
+    "str": lambda i: f"c{i}",
+    "fraction": lambda i: Fraction(i + 1, 3),
+}
+
+
+def reference_scan(g, k, cap, subsets):
+    best = best_subset = None
+    for subset in subsets:
+        count = len({g.color_of(u, v) for u, v in itertools.combinations(subset, 2)})
+        if cap is not None:
+            count = min(count, cap)
+        if best is None or count < best:
+            best, best_subset = count, tuple(subset)
+    return best, best_subset
+
+
+def reference_samples(n, k, trials, seed):
+    rng = random.Random(seed)
+    return [tuple(sorted(rng.sample(range(n), k))) for _ in range(trials)]
+
+
+@st.composite
+def scans(draw):
+    """A coloring with int, string or Fraction labels, then k, l, trials
+    and seed for one scan; k is drawn as 2, as n, or in between."""
+    n = draw(st.integers(2, 9))
+    label = LABELS[draw(st.sampled_from(sorted(LABELS)))]
+    palette = draw(st.integers(1, 6))
+    pairs = list(itertools.combinations(range(n), 2))
+    ids = draw(st.lists(st.integers(0, palette - 1), min_size=len(pairs), max_size=len(pairs)))
+    g = new_coloring(n, [(u, v, label(c)) for (u, v), c in zip(pairs, ids)])
+    k = draw(st.sampled_from([2, n, draw(st.integers(2, n))]))
+    l = draw(st.integers(1, k * (k - 1) // 2))
+    return g, k, l, draw(st.integers(1, 40)), draw(st.integers(0, 1000))
+
+
+# chunk and table sizes small enough that even tiny inputs cross chunk
+# boundaries and need a multi-vertex prefix
+SIZES = [(4096, 1 << 18), (3, 4), (1, 1)]
+
+
+@pytest.mark.parametrize("chunk_rows,table_rows", SIZES)
+@settings(max_examples=60, deadline=None, database=None)
+@given(case=scans())
+@example(case=(random_coloring(7, 3, seed=1), 2, 1, 25, 3))
+@example(case=(random_coloring(7, 3, seed=1), 7, 21, 25, 3))
+@example(case=(new_coloring(5, [(u, v, "m") for u, v in itertools.combinations(range(5), 2)]),
+               3, 2, 5, 0))
+def test_scan_matches_reference(chunk_rows, table_rows, case):
+    g, k, l, trials, seed = case
+    everything = list(itertools.combinations(range(g.n), k))
+    samples = reference_samples(g.n, k, trials, seed)
+    with mock.patch.object(coloring_module, "_CHUNK_ROWS", chunk_rows), \
+            mock.patch.object(coloring_module, "_TABLE_ROWS", table_rows):
+        assert min_colors_over_k_subsets(g, k) == reference_scan(g, k, None, everything)
+        v = check_local_property(g, k, l)
+        best, subset = reference_scan(g, k, l, everything)
+        assert (v.min_colors_seen, v.witness, v.holds) == (best, subset, best >= l)
+        v = check_local_property(g, k, l, mode="sampled", trials=trials, seed=seed)
+        best, subset = reference_scan(g, k, l, samples)
+        assert (v.min_colors_seen, v.witness, v.holds) == (best, subset, best >= l)
+
+
+def test_lex_table_lists_every_subset_in_order():
+    for n in range(1, 9):
+        for width in range(1, n + 1):
+            table = coloring_module._lex_table(n, width, coloring_module.np.uint8)
+            assert [tuple(row) for row in table.tolist()] == list(
+                itertools.combinations(range(n), width))
+
+
+def test_scan_respects_subset_budget(monkeypatch):
+    g = random_coloring(10, 3, seed=0)  # C(10, 4) = 210 subsets
+    monkeypatch.setenv("LOCALLAB_BUDGET", "209")
+    with pytest.raises(BudgetExceededError):
+        check_local_property(g, 4, 2)
+    with pytest.raises(BudgetExceededError):
+        min_colors_over_k_subsets(g, 4)
+    with pytest.raises(BudgetExceededError):
+        check_local_property(g, 4, 2, mode="sampled", trials=210, seed=0)
+    assert check_local_property(g, 4, 2, mode="sampled", trials=209, seed=0).trials == 209
+    monkeypatch.setenv("LOCALLAB_BUDGET", "210")
+    assert check_local_property(g, 4, 2).mode == "exhaustive"
