@@ -53,7 +53,6 @@ from .partition import (
     RPartition,
     balanced_bipartition,
     partition_for_rth_energy,
-    r_partition_preserving_tuples,
 )
 from .energy_graph import (
     EnergyGraph,

@@ -10,15 +10,14 @@ than random baselines.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .coloring import EdgeColoring, PropertyVerdict, check_local_property, new_coloring
 from .errors import LocalLabError
+from .jsonio import exact, exact_to_json, fields, read_json, write_json
 
 # Enumerating digit vectors stays cheap as long as d**m is capped.
 _VECTOR_CAP = 4 * 10**6
@@ -44,26 +43,9 @@ class RealSet:
         return iter(self.elements)
 
 
-def _exact(x):
-    if isinstance(x, bool):
-        raise LocalLabError(f"{x!r} is not an exact number")
-    if isinstance(x, int):
-        return x
-    if isinstance(x, Fraction):
-        return int(x) if x.denominator == 1 else x
-    if isinstance(x, str):
-        try:
-            return _exact(Fraction(x))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise LocalLabError(f"cannot parse {x!r} as an exact number") from exc
-    raise LocalLabError(
-        f"{type(x).__name__} values are not exact; use int, Fraction, or 'p/q'"
-    )
-
-
 def real_set(values) -> RealSet:
     """Normalize arbitrary exact inputs into a sorted, distinct RealSet."""
-    elements = sorted(_exact(x) for x in values)
+    elements = sorted(exact(x) for x in values)
     if not elements:
         raise LocalLabError("a real set needs at least one element")
     for a, b in zip(elements, elements[1:]):
@@ -249,26 +231,17 @@ def _base3_digits(x: int):
 
 
 def real_set_to_dict(A: RealSet) -> dict:
-    return {
-        "elements": [
-            x if isinstance(x, int) else f"{x.numerator}/{x.denominator}"
-            for x in A.elements
-        ]
-    }
+    return {"elements": [exact_to_json(x) for x in A.elements]}
 
 
 def real_set_from_dict(payload: dict) -> RealSet:
-    if "elements" not in payload:
-        raise LocalLabError("payload has no 'elements' field")
-    return real_set(payload["elements"])
+    (elements,) = fields(payload, elements=list)
+    return real_set(elements)
 
 
 def save_real_set(A: RealSet, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(real_set_to_dict(A), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(real_set_to_dict(A), path)
 
 
 def load_real_set(path) -> RealSet:
-    with open(path) as fh:
-        return real_set_from_dict(json.load(fh))
+    return real_set_from_dict(read_json(path))

@@ -10,13 +10,10 @@ or element set supplied by the caller.
 from __future__ import annotations
 
 import itertools
-import json
-from fractions import Fraction
 
 from .coloring import (
     EdgeColoring,
     PropertyVerdict,
-    _label_to_json,
     check_local_property,
     coloring_from_dict,
     coloring_to_dict,
@@ -29,6 +26,7 @@ from .arithmetic import (
 )
 from .errors import LocalLabError
 from .forbidden import CliqueWitness, WitnessSet, _UnionFind
+from .jsonio import exact, exact_to_json, fields, read_json, write_json
 from .oracle import OracleResult
 
 
@@ -43,7 +41,7 @@ def witness_set_certificate(ws: WitnessSet) -> dict:
             {
                 "edge1": list(eq.edge1),
                 "edge2": list(eq.edge2),
-                "color": _label_to_json(eq.color),
+                "color": exact_to_json(eq.color),
                 "kind": eq.kind,
             }
             for eq in ws.equalities
@@ -64,7 +62,7 @@ def clique_certificate(cw: CliqueWitness) -> dict:
             {
                 "edge1": list(eq.edge1),
                 "edge2": list(eq.edge2),
-                "difference": _label_to_json(eq.difference),
+                "difference": exact_to_json(eq.difference),
                 "kind": eq.kind,
                 "rows": list(eq.rows),
                 "coordinates": list(eq.coordinates),
@@ -119,30 +117,30 @@ def oracle_g_certificate(res: OracleResult, n: int, k: int, l: int,
 
 
 def save_certificate(cert: dict, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(cert, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(cert, path)
 
 
 def load_certificate(path) -> dict:
-    with open(path) as fh:
-        cert = json.load(fh)
-    if not isinstance(cert, dict) or "type" not in cert:
-        raise LocalLabError("not a certificate: missing 'type'")
+    cert = read_json(path)
+    fields(cert, type=str)
     return cert
 
 
-def _canon(label):
-    return _label_to_json(label)
+def _equality(eq, **claim):
+    """(edge1, edge2, claimed value) of one equality record."""
+    e1, e2, value = fields(eq, edge1=[int], edge2=[int], **claim)
+    if len(e1) != 2 or len(e2) != 2:
+        raise LocalLabError(f"equality edges {e1} and {e2} are not vertex pairs")
+    return tuple(e1), tuple(e2), value
 
 
-def _check_repetition_edges(cert, g: EdgeColoring, messages):
+def _check_repetition_edges(vertices, claimed, equalities, g: EdgeColoring, messages):
     """Re-check every equality record and recount its independence."""
-    vertex_set = set(cert["vertices"])
+    vertex_set = set(vertices)
     forests = {}
     independent = 0
-    for idx, eq in enumerate(cert["equalities"]):
-        e1, e2 = tuple(eq["edge1"]), tuple(eq["edge2"])
+    for idx, eq in enumerate(equalities):
+        e1, e2, color = _equality(eq, color=(int, str))
         for u, v in (e1, e2):
             if not (0 <= u < v < g.n):
                 messages.append(f"equality {idx}: pair ({u},{v}) is not an edge")
@@ -152,116 +150,94 @@ def _check_repetition_edges(cert, g: EdgeColoring, messages):
         if e1 == e2:
             messages.append(f"equality {idx}: the two edges coincide")
             continue
-        c1 = _canon(g.label_of(g.color_of(*e1)))
-        c2 = _canon(g.label_of(g.color_of(*e2)))
-        if not c1 == c2 == _canon(eq["color"]):
+        c1 = exact_to_json(g.label_of(g.color_of(*e1)))
+        c2 = exact_to_json(g.label_of(g.color_of(*e2)))
+        if not c1 == c2 == color:
             messages.append(
-                f"equality {idx}: colors {c1!r} and {c2!r} do not match the claim {eq['color']!r}"
+                f"equality {idx}: colors {c1!r} and {c2!r} do not match the claim {color!r}"
             )
             continue
         forest = forests.setdefault(c1, _UnionFind())
         if forest.union(e1, e2):
             independent += 1
-    if independent < cert["claimed_repetitions"]:
+    if independent < claimed:
         messages.append(
-            f"only {independent} independent repetitions re-verify, {cert['claimed_repetitions']} claimed"
+            f"only {independent} independent repetitions re-verify, {claimed} claimed"
         )
 
 
 def _verify_witness_set(cert, g: EdgeColoring, messages):
-    vertices = cert["vertices"]
-    if len(vertices) != cert["target_k"] or len(set(vertices)) != len(vertices):
-        messages.append(f"vertex list is not a {cert['target_k']}-set")
+    k, vertices, claimed, spanned_claim, equalities = fields(
+        cert, target_k=int, vertices=[int], claimed_repetitions=int,
+        colors_spanned=int, equalities=[dict],
+    )
+    if len(vertices) != k or len(set(vertices)) != len(vertices):
+        messages.append(f"vertex list is not a {k}-set")
         return
     if any(not 0 <= v < g.n for v in vertices):
         messages.append("witness vertex out of range")
         return
-    _check_repetition_edges(cert, g, messages)
+    _check_repetition_edges(vertices, claimed, equalities, g, messages)
     mat = g.color_matrix()
     spanned = len({mat[u][v] for u, v in itertools.combinations(vertices, 2)})
-    if spanned != cert["colors_spanned"]:
-        messages.append(f"set spans {spanned} colors, certificate says {cert['colors_spanned']}")
-    k = cert["target_k"]
-    budget = k * (k - 1) // 2 - cert["claimed_repetitions"]
+    if spanned != spanned_claim:
+        messages.append(f"set spans {spanned} colors, certificate says {spanned_claim}")
+    budget = k * (k - 1) // 2 - claimed
     if spanned > budget:
         messages.append(f"set spans {spanned} colors, more than the implied bound {budget}")
 
 
 def _verify_clique(cert, elements, messages):
+    k, r, clique, base, repetitions, independent_claim, equalities = fields(
+        cert, k=int, r=int, clique=[[int]], base_vertices=[int], repetitions=int,
+        independent_repetitions=int, equalities=[dict],
+    )
     vals = list(getattr(elements, "elements", elements))
-    rows = [tuple(row) for row in cert["clique"]]
-    k, r = cert["k"], cert["r"]
+    rows = [tuple(row) for row in clique]
     if len(rows) != 2 * k or any(len(row) != r for row in rows):
         messages.append(f"clique shape is not {2 * k} rows of width {r}")
         return
     flat = [v for row in rows for v in row]
-    if sorted(flat) != sorted(cert["base_vertices"]) or len(set(flat)) != len(flat):
+    if sorted(flat) != sorted(base) or len(set(flat)) != len(flat):
         messages.append("base vertices do not match the clique rows or repeat")
         return
     if any(not 0 <= v < len(vals) for v in flat):
         messages.append("base vertex out of range of the element set")
         return
     expected = (k * (2 * k - 1)) * (r - 1 + r * (r - 1) // 2)
-    if cert["repetitions"] != expected or len(cert["equalities"]) != expected:
+    if repetitions != expected or len(equalities) != expected:
         messages.append(
-            f"expected {expected} listed repetitions, certificate has {cert['repetitions']}"
+            f"expected {expected} listed repetitions, certificate has {repetitions}"
         )
     forests = {}
     independent = 0
-    for idx, eq in enumerate(cert["equalities"]):
-        e1, e2 = tuple(eq["edge1"]), tuple(eq["edge2"])
+    for idx, eq in enumerate(equalities):
+        e1, e2, claim = _equality(eq, difference=(int, str))
+        difference = exact(claim)
+        if any(not 0 <= v < len(vals) for v in e1 + e2):
+            messages.append(f"equality {idx}: an edge leaves the element set")
+            continue
         d1 = abs(vals[e1[0]] - vals[e1[1]])
         d2 = abs(vals[e2[0]] - vals[e2[1]])
-        if not d1 == d2 == _from_canon(eq["difference"]):
+        if not d1 == d2 == difference:
             messages.append(
-                f"equality {idx}: differences {d1} and {d2} do not match the claim {eq['difference']!r}"
+                f"equality {idx}: differences {d1} and {d2} do not match the claim {claim!r}"
             )
             continue
         if e1 != e2:
             forest = forests.setdefault(d1, _UnionFind())
             if forest.union(e1, e2):
                 independent += 1
-    if independent != cert["independent_repetitions"]:
+    if independent != independent_claim:
         messages.append(
-            f"{independent} independent repetitions re-verify, certificate says {cert['independent_repetitions']}"
+            f"{independent} independent repetitions re-verify, certificate says {independent_claim}"
         )
 
 
-def _from_canon(payload):
-    if isinstance(payload, str):
-        value = Fraction(payload)
-        return int(value) if value.denominator == 1 else value
-    return payload
-
-
-_NONE = type(None)
-
-
-def _fields(cert, **types):
-    """The named fields of `cert`, each checked to be present and of its
-    type (a type or a tuple of types; a bool never passes for an int).
-
-    Raises LocalLabError on a missing or mistyped field, so a malformed
-    certificate is an input error, never a crash or a failed check.
-    """
-    values = []
-    for key, kind in types.items():
-        if key not in cert:
-            raise LocalLabError(f"{cert.get('type')} certificate has no {key!r} field")
-        value = cert[key]
-        kinds = kind if isinstance(kind, tuple) else (kind,)
-        if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
-            raise LocalLabError(
-                f"{cert.get('type')} certificate field {key!r} is a {type(value).__name__}"
-            )
-        values.append(value)
-    return values
-
-
 def _verify_verdict(cert, g: EdgeColoring, messages):
-    k, l, mode, trials, seed, holds, witness, min_colors = _fields(
-        cert, k=int, l=int, mode=str, trials=(int, _NONE), seed=(int, _NONE),
-        holds=bool, witness=(list, _NONE), min_colors_seen=int,
+    k, l, mode, trials, seed, holds, witness, min_colors = fields(
+        cert, k=int, l=int, mode=str, trials=(int, None), seed=(int, None),
+        holds=bool, witness=([int], None), min_colors_seen=int,
     )
     fresh = check_local_property(g, k, l, mode=mode, trials=trials, seed=seed)
     if fresh.holds != holds:
@@ -274,12 +250,12 @@ def _verify_verdict(cert, g: EdgeColoring, messages):
 
 
 def _verify_oracle_f(cert, messages):
-    n, k, l, status = _fields(cert, n=int, k=int, l=int, status=str)
+    n, k, l, status = fields(cert, n=int, k=int, l=int, status=str)
     if status == "infeasible":
         if l <= k * (k - 1) // 2:
             messages.append("infeasible status but l <= C(k,2)")
         return
-    value, witness = _fields(cert, value=int, witness=dict)
+    value, witness = fields(cert, value=int, witness=dict)
     g = coloring_from_dict(witness)
     if g.n != n:
         messages.append(f"witness is on {g.n} vertices, certificate says {n}")
@@ -292,11 +268,11 @@ def _verify_oracle_f(cert, messages):
 
 
 def _verify_oracle_g(cert, messages):
-    n, k, l, max_value, status = _fields(cert, n=int, k=int, l=int, max_value=int,
-                                         status=str)
+    n, k, l, max_value, status = fields(cert, n=int, k=int, l=int, max_value=int,
+                                        status=str)
     if status == "infeasible":
         return
-    value, witness = _fields(cert, value=int, witness=dict)
+    value, witness = fields(cert, value=int, witness=dict)
     A = real_set_from_dict(witness)
     if len(A.elements) != n:
         messages.append(f"witness has {len(A.elements)} elements, certificate says {n}")
@@ -316,9 +292,8 @@ def verify_certificate(cert: dict, coloring: EdgeColoring | None = None,
 
     witness-set and property-verdict certificates need the coloring they
     were issued for; arith-clique needs the element set; oracle
-    certificates embed their witness and need nothing.  A verdict or
-    oracle certificate with a missing or mistyped field raises
-    LocalLabError.
+    certificates embed their witness and need nothing.  A certificate
+    with a missing or mistyped field raises LocalLabError.
     """
     messages = []
     ctype = cert.get("type")

@@ -12,19 +12,15 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .arithmetic import (
-    RealSet,
     behrend_set,
     coloring_from_set,
     difference_set,
     is_3ap_free,
     load_real_set,
-    real_set_to_dict,
     save_real_set,
 )
 from .certificates import (
@@ -60,6 +56,7 @@ from .forbidden import (
     witness_from_cycle_2nd,
     witness_from_cycle_3rd,
 )
+from .jsonio import exact_to_json, label_from_json, read_json, write_json
 from .oracle import exact_f, exact_g_integers, upper_bound_exponent
 from .partition import partition_for_rth_energy
 
@@ -68,30 +65,16 @@ def _parse_label(text: str):
     try:
         return int(text)
     except ValueError:
-        pass
-    if "/" in text:
-        try:
-            value = Fraction(text)
-            return int(value) if value.denominator == 1 else value
-        except (ValueError, ZeroDivisionError):
-            pass
-    return text
-
-
-def _write_json(payload: dict, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {path}")
+        return label_from_json(text)
 
 
 def _save_graph(eg, path: str) -> None:
-    _write_json(energy_graph_to_dict(eg), path)
+    write_json(energy_graph_to_dict(eg), path)
+    print(f"wrote {path}")
 
 
 def _load_graph(path: str):
-    with open(path) as fh:
-        return energy_graph_from_dict(json.load(fh))
+    return energy_graph_from_dict(read_json(path))
 
 
 def _cmd_check(args) -> int:
@@ -179,7 +162,11 @@ def _cmd_energy_graph(args) -> int:
         elif token == "rare":
             eg = prune_rare_colors(eg, ln_ceiling(g.n))
         elif token.startswith("rare:"):
-            eg = prune_rare_colors(eg, int(token[len("rare:"):]))
+            try:
+                threshold = int(token[len("rare:"):])
+            except ValueError:
+                raise LocalLabError(f"stage {token!r} needs an integer threshold") from None
+            eg = prune_rare_colors(eg, threshold)
         elif token == "halve":
             eg = halve_parts_prune(eg, seed=args.seed)
         elif token == "coordinate":
@@ -326,8 +313,8 @@ def _cmd_diffset(args) -> int:
     suffix = " ..." if len(diffs) > 20 else ""
     print("differences: " + ", ".join(str(d) for d in shown) + suffix)
     if args.out:
-        payload = {"differences": real_set_to_dict(RealSet(diffs.values))["elements"]}
-        _write_json(payload, args.out)
+        write_json({"differences": [exact_to_json(d) for d in diffs.values]}, args.out)
+        print(f"wrote {args.out}")
     return 0
 
 
@@ -501,7 +488,7 @@ def run(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (LocalLabError, FileNotFoundError) as exc:
+    except (LocalLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,12 +13,9 @@ be shared freely between threads.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import random
-import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -31,6 +28,7 @@ from .errors import (
     SelfLoopError,
     VertexRangeError,
 )
+from .jsonio import exact_to_json, fields, label_from_json, read_json, write_json
 
 
 def pair_index(n: int, u: int, v: int) -> int:
@@ -361,39 +359,16 @@ def max_monochromatic_degree(g: EdgeColoring):
 # ---------------------------------------------------------------------------
 # JSON interchange: {"n": int, "edges": [[u, v, color], ...]}
 
-def _label_to_json(label):
-    if isinstance(label, Fraction):
-        if label.denominator == 1:
-            return int(label)
-        return f"{label.numerator}/{label.denominator}"
-    if isinstance(label, (int, str)):
-        return label
-    raise ColoringError(f"color label {label!r} is not JSON-portable")
-
-
 def coloring_to_dict(g: EdgeColoring) -> dict:
-    edges = [[u, v, _label_to_json(g.color_names[c])] for u, v, c in g.edge_items()]
-    return {"n": g.n, "edges": edges}
-
-
-_FRACTION_RE = re.compile(r"-?\d+/\d+\Z")
-
-
-def _label_from_json(label):
-    if isinstance(label, str) and _FRACTION_RE.match(label):
-        return Fraction(label)
-    return label
+    names = [exact_to_json(label) for label in g.color_names]
+    return {"n": g.n, "edges": [[u, v, names[c]] for u, v, c in g.edge_items()]}
 
 
 def coloring_from_dict(data: dict) -> EdgeColoring:
     """Parse the JSON shape.  Strings of the form p/q decode to exact
     rationals (the inverse of serialization); other strings are kept
     verbatim."""
-    try:
-        n = data["n"]
-        edges = data["edges"]
-    except (TypeError, KeyError):
-        raise ColoringError("coloring JSON needs keys 'n' and 'edges'") from None
+    n, edges = fields(data, n=int, edges=list)
     triples = []
     for entry in edges:
         if not isinstance(entry, (list, tuple)) or len(entry) != 3:
@@ -401,16 +376,13 @@ def coloring_from_dict(data: dict) -> EdgeColoring:
         u, v, label = entry
         if not isinstance(label, (int, str)):
             raise ColoringError(f"color label {label!r} must be int or string")
-        triples.append((u, v, _label_from_json(label)))
+        triples.append((u, v, label_from_json(label)))
     return new_coloring(n, triples)
 
 
 def save_coloring(g: EdgeColoring, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(coloring_to_dict(g), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(coloring_to_dict(g), path)
 
 
 def load_coloring(path) -> EdgeColoring:
-    with open(path) as fh:
-        return coloring_from_dict(json.load(fh))
+    return coloring_from_dict(read_json(path))

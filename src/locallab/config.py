@@ -7,6 +7,8 @@ integer, overrides all of them at once.
 
 import os
 
+from .errors import LocalLabError
+
 # ordered 2r-tuple enumeration in the brute-force energy count
 BRUTE_FORCE_TUPLE_BUDGET = 10**9
 
@@ -28,4 +30,4 @@ def budget(default):
     try:
         return int(raw)
     except ValueError:
-        raise ValueError("LOCALLAB_BUDGET must be an integer") from None
+        raise LocalLabError(f"LOCALLAB_BUDGET must be an integer, got {raw!r}") from None

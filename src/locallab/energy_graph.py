@@ -34,6 +34,7 @@ from .errors import (
     PartitionError,
     SignConsistencyError,
 )
+from .jsonio import fields
 from .partition import RPartition
 
 
@@ -60,11 +61,6 @@ class EnergyGraph:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def vertices(self):
-        if self.parts is None:
-            return itertools.product(range(self.n), repeat=self.r)
-        return itertools.product(*self.parts)
-
     @property
     def num_vertices(self) -> int:
         if self.parts is None:
@@ -73,14 +69,6 @@ class EnergyGraph:
         for part in self.parts:
             total *= len(part)
         return total
-
-    def edge_set(self) -> frozenset:
-        return frozenset((x, y) for x, y, _ in self.edges)
-
-    def has_edge(self, x, y) -> bool:
-        if x > y:
-            x, y = y, x
-        return (x, y) in self.edge_set()
 
     def adjacency(self) -> dict:
         """Vertex -> sorted list of (neighbor, color id); only vertices
@@ -359,22 +347,18 @@ def energy_graph_to_dict(eg: EnergyGraph) -> dict:
 
 
 def energy_graph_from_dict(data: dict) -> EnergyGraph:
-    try:
-        r = data["r"]
-        n = data["n"]
-        parts = data["parts"]
-        edges = data["edges"]
-        counts = data["color_base_edges"]
-        provenance = data["provenance"]
-    except (TypeError, KeyError):
-        raise EnergyGraphError(
-            "energy graph JSON needs r, n, parts, edges, color_base_edges, provenance"
-        ) from None
-    return EnergyGraph(
-        r,
-        n,
-        None if parts is None else tuple(tuple(p) for p in parts),
-        tuple(sorted((tuple(x), tuple(y), c) for x, y, c in edges)),
-        {int(c): m for c, m in counts.items()},
-        tuple(provenance),
+    r, n, parts, edges, counts, provenance = fields(
+        data, r=int, n=int, parts=([list], None), edges=list, color_base_edges=dict,
+        provenance=list,
     )
+    try:
+        return EnergyGraph(
+            r,
+            n,
+            None if parts is None else tuple(tuple(p) for p in parts),
+            tuple(sorted((tuple(x), tuple(y), c) for x, y, c in edges)),
+            {int(c): m for c, m in counts.items()},
+            tuple(provenance),
+        )
+    except (TypeError, ValueError):
+        raise EnergyGraphError("energy graph JSON has a malformed part, edge or count") from None

@@ -3,7 +3,8 @@
 Both procedures draw balanced random partitions until a certified
 counting threshold is met: a balanced bipartition keeps at least a third
 of the edges crossing, and an r-partition keeps at least a (4r)^(-2r)
-fraction of a tuple family within its indexed parts.  The thresholds are
+fraction of the 2r-tuples behind the r-th energy within its indexed
+parts.  The thresholds are
 existence guarantees, so rejection sampling terminates; results carry
 the trial count and an explicit flag instead of a silent failure when a
 small instance runs out of trials.
@@ -33,8 +34,9 @@ class Bipartition:
 @dataclass(frozen=True)
 class RPartition:
     """parts are r disjoint vertex groups of size ceil(n/r) or floor(n/r)
-    covering 0..n-1; within_tuple_count counts surviving tuples per the
-    caller's rule; met_threshold records the (4r)^(-2r) acceptance."""
+    covering 0..n-1; within_tuple_count counts the ordered 2r-tuples
+    behind E_r whose j-th pair lies inside part j; met_threshold records
+    the (4r)^(-2r) acceptance."""
 
     parts: tuple
     within_tuple_count: int
@@ -86,56 +88,6 @@ def balanced_bipartition(edges, n: int, seed: int, max_trials: int = 1000) -> Bi
             return Bipartition(part1, part2, cross, trial, True)
         if n < 100 and trial >= max_trials:
             return best
-
-
-def _count_within(tuples, part_of, r: int) -> int:
-    count = 0
-    for t in tuples:
-        ok = True
-        for j in range(r):
-            u, v = t[j]
-            if part_of[u] != j or part_of[v] != j:
-                ok = False
-                break
-        if ok:
-            count += 1
-    return count
-
-
-def r_partition_preserving_tuples(
-    n: int, r: int, tuples, seed: int, max_trials: int = 1000
-) -> RPartition:
-    """Balanced r-partition keeping many tuples aligned with their parts.
-
-    Each element of `tuples` is an r-tuple of edges; it survives a
-    partition when its j-th edge has both endpoints in part j.  A trial
-    is accepted once survivors * (4r)^(2r) >= |tuples|; otherwise the
-    best of max_trials is returned, flagged.
-    """
-    if r < 2:
-        raise PartitionError(f"need r >= 2, got {r}")
-    if n < r:
-        raise PartitionError(f"need n >= r, got n={n}, r={r}")
-    tuples = [tuple(tuple(e) for e in t) for t in tuples]
-    for t in tuples:
-        if len(t) != r:
-            raise PartitionError(f"tuple {t!r} does not have {r} edges")
-    rng = random.Random(seed)
-    scale = (4 * r) ** (2 * r)
-    best = None
-    for trial in range(1, max_trials + 1):
-        parts = _balanced_parts(n, r, rng)
-        part_of = [0] * n
-        for j, part in enumerate(parts):
-            for v in part:
-                part_of[v] = j
-        count = _count_within(tuples, part_of, r)
-        met = count * scale >= len(tuples)
-        if best is None or count > best.within_tuple_count:
-            best = RPartition(tuple(parts), count, trial, met)
-        if met:
-            return RPartition(tuple(parts), count, trial, True)
-    return best
 
 
 def partition_for_rth_energy(g, r: int, seed: int, max_trials: int = 1000) -> RPartition:

@@ -113,6 +113,14 @@ def test_clique_certificate_detects_tampering():
     assert not ok and any("element" in m for m in messages)
 
 
+def test_clique_equalities_outside_the_element_set_fail():
+    A, cert = clique_pair()
+    for eq in cert["equalities"]:
+        eq["edge1"] = eq["edge2"] = [-1, -2]
+    ok, messages = verify_certificate(cert, elements=A)
+    assert not ok and any("leaves the element set" in m for m in messages)
+
+
 def test_verdict_certificate_round_trip():
     g = random_coloring(9, 4, seed=2)
     v = check_local_property(g, 4, 3)
@@ -177,8 +185,12 @@ def test_unknown_certificate_type():
     assert not ok and messages
 
 
-# every field the verdict and oracle verifiers read
+# every top-level field each verifier reads
 READ_FIELDS = {
+    "witness-set": ["target_k", "vertices", "claimed_repetitions", "colors_spanned",
+                    "equalities"],
+    "arith-clique": ["k", "r", "clique", "base_vertices", "repetitions",
+                     "independent_repetitions", "equalities"],
     "property-verdict": ["k", "l", "mode", "trials", "seed", "holds", "witness",
                          "min_colors_seen"],
     "oracle-f": ["n", "k", "l", "status", "value", "witness"],
@@ -189,6 +201,12 @@ FIELD_CASES = [(ctype, key) for ctype, keys in READ_FIELDS.items() for key in ke
 
 def issued(ctype):
     """A valid certificate of `ctype` and the keyword arguments verifying it."""
+    if ctype == "witness-set":
+        g, cert = witness_pair()
+        return cert, {"coloring": g}
+    if ctype == "arith-clique":
+        A, cert = clique_pair()
+        return cert, {"elements": A}
     if ctype == "property-verdict":
         g = random_coloring(9, 4, seed=2)
         return verdict_certificate(check_local_property(g, 4, 3)), {"coloring": g}
@@ -211,6 +229,17 @@ def test_mistyped_field_is_an_input_error(ctype, key):
     cert, context = issued(ctype)
     cert[key] = 7 if isinstance(cert[key], str) else "7"
     with pytest.raises(LocalLabError, match=f"'{key}'"):
+        verify_certificate(cert, **context)
+
+
+@pytest.mark.parametrize("ctype,key,value", [
+    ("witness-set", "edge1", [0]),
+    ("arith-clique", "difference", "abc"),
+])
+def test_malformed_equality_record_is_an_input_error(ctype, key, value):
+    cert, context = issued(ctype)
+    cert["equalities"][0][key] = value
+    with pytest.raises(LocalLabError):
         verify_certificate(cert, **context)
 
 

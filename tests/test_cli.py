@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from locallab import new_coloring, random_coloring, real_set, save_coloring, save_real_set
 from locallab.cli import run
 
@@ -198,3 +200,57 @@ def test_arith_witness_pipeline(tmp_path, capsys):
     assert run(["verify", "--cert", str(cert), "--values", str(values)]) == 0
     out = capsys.readouterr().out
     assert "12" in out  # repetition count
+
+
+# every subcommand slot that reads a file; BAD is replaced by the bad file
+READERS = {
+    "check-input": ["check", "--input", "BAD", "--k", "3", "--l", "2"],
+    "energy-input": ["energy", "--input", "BAD"],
+    "energy-graph-input": ["energy-graph", "--input", "BAD", "--out", "OUT"],
+    "energy-graph-values": ["energy-graph", "--values", "BAD", "--out", "OUT"],
+    "find-graph": ["find", "--graph", "BAD", "--length", "4"],
+    "witness-graph": ["witness", "--kind", "pair", "--graph", "BAD", "--input", "GOOD",
+                      "--k", "8"],
+    "diffset-input": ["diffset", "--input", "BAD"],
+    "verify-cert": ["verify", "--cert", "BAD"],
+    "verify-input": ["verify", "--cert", "CERT", "--input", "BAD"],
+    "verify-values": ["verify", "--cert", "CERT", "--values", "BAD"],
+}
+BAD_FILES = {
+    "not-json": "{'n': 3,",
+    "directory": None,
+    "json-list": "[1, 2]",
+    "too-deep": "[" * 100_000 + "]" * 100_000,
+    "edges-not-a-list": '{"n": 3, "edges": 5}',
+    "zero-denominator": '{"n": 2, "edges": [[0, 1, "1/0"]]}',
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_FILES))
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_malformed_input_files_exit_2(tmp_path, capsys, reader, kind):
+    bad = tmp_path / "bad"
+    if BAD_FILES[kind] is None:
+        bad.mkdir()
+    else:
+        bad.write_text(BAD_FILES[kind])
+    cert = tmp_path / "cert.json"
+    assert run(["oracle-f", "--n", "4", "--k", "3", "--l", "2", "--cert", str(cert)]) == 0
+    paths = {"BAD": bad, "GOOD": mono_file(tmp_path, 6), "CERT": cert,
+             "OUT": tmp_path / "out.json"}
+    assert run([str(paths.get(a, a)) for a in READERS[reader]]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_non_integer_rare_threshold_exits_2(tmp_path, capsys):
+    mono = mono_file(tmp_path, 6)
+    assert run(["energy-graph", "--input", str(mono), "--stages", "rare:x",
+                "--out", str(tmp_path / "g.json")]) == 2
+    assert "rare:x" in capsys.readouterr().err
+
+
+def test_non_integer_budget_exits_2(tmp_path, monkeypatch, capsys):
+    mono = mono_file(tmp_path, 6)
+    monkeypatch.setenv("LOCALLAB_BUDGET", "lots")
+    assert run(["check", "--input", str(mono), "--k", "3", "--l", "2"]) == 2
+    assert "LOCALLAB_BUDGET" in capsys.readouterr().err

@@ -8,7 +8,6 @@ from locallab import (
     energy,
     new_coloring,
     partition_for_rth_energy,
-    r_partition_preserving_tuples,
     random_coloring,
 )
 
@@ -56,32 +55,12 @@ def test_bipartition_handles_odd_and_tiny_inputs():
         balanced_bipartition([(0, 5)], 4, seed=0)
 
 
-def test_r_partition_survivor_count_is_exact():
-    # tuples of r=2 edges; survivor means edge j lies inside part j
-    tuples = [((0, 1), (2, 3)), ((0, 2), (1, 3)), ((4, 5), (6, 7)), ((0, 4), (1, 5))]
-    rp = r_partition_preserving_tuples(8, 2, tuples, seed=1)
-    assert sorted(v for part in rp.parts for v in part) == list(range(8))
-    assert {len(p) for p in rp.parts} == {4}
-    part_of = {}
-    for j, part in enumerate(rp.parts):
-        for v in part:
-            part_of[v] = j
-    survivors = 0
-    for t in tuples:
-        if all(part_of[u] == j and part_of[v] == j for j, (u, v) in enumerate(t)):
-            survivors += 1
-    assert survivors == rp.within_tuple_count
-    # acceptance rule: survivors * (4r)^(2r) >= |tuples|
-    assert rp.met_threshold == (rp.within_tuple_count * 8**4 >= len(tuples))
-
-
-def test_r_partition_rejects_bad_parameters():
+def test_partition_for_rth_energy_rejects_bad_parameters():
+    g = random_coloring(8, 2, seed=0)
     with pytest.raises(PartitionError):
-        r_partition_preserving_tuples(8, 1, [], seed=0)
+        partition_for_rth_energy(g, 1, seed=0)
     with pytest.raises(PartitionError):
-        r_partition_preserving_tuples(2, 3, [], seed=0)
-    with pytest.raises(PartitionError):
-        r_partition_preserving_tuples(8, 2, [((0, 1),)], seed=0)
+        partition_for_rth_energy(random_coloring(2, 2, seed=0), 3, seed=0)
 
 
 def test_partition_for_rth_energy_acceptance():
