@@ -21,8 +21,9 @@ from .jsonio import exact, exact_to_json, fields, read_json, write_json
 
 # Enumerating digit vectors stays cheap as long as d**m is capped.
 _VECTOR_CAP = 4 * 10**6
-# Shell counting convolves arrays of length about d**2.
-_CONVOLUTION_CAP = 200
+# Largest digit range d that _best_d probes.  Together with _VECTOR_CAP it
+# decides which (m, d) behrend_set picks, so changing it changes the sets.
+_DIGIT_CAP = 200
 
 
 @dataclass(frozen=True)
@@ -117,29 +118,31 @@ def is_3ap_free(A) -> bool:
     return True
 
 
-def _shell_counts(m: int, d: int) -> np.ndarray:
-    """counts[k] = number of vectors in {0..d-1}^m with squared norm k."""
-    poly = np.zeros((d - 1) ** 2 + 1, dtype=np.int64)
-    for x in range(d):
-        poly[x * x] = 1
-    counts = poly
-    for _ in range(m - 1):
-        counts = np.convolve(counts, poly)
-    return counts
+def _shell_tables(m: int, d: int) -> list:
+    """tables[j-1][k] = number of vectors in {0..d-1}^j of squared norm k, j = 1..m;
+    each pass adds the last table at the d offsets x**2: O(m * L * d) for length L."""
+    tables = [np.ones(1, dtype=np.int64)]
+    for _ in range(m):
+        prev = tables[-1]
+        nxt = np.zeros(len(prev) + (d - 1) ** 2, dtype=np.int64)
+        for x in range(d):
+            nxt[x * x:x * x + len(prev)] += prev
+        tables.append(nxt)
+    return tables[1:]
 
 
 def _best_d(n: int, m: int):
     """Smallest d whose richest shell holds >= n vectors, or None.
 
     Shell maxima are monotone in d, so an exponential probe followed by
-    bisection needs only O(log d) convolutions.
+    bisection needs only O(log d) shell tables.
     """
 
     def shell_max(d):
-        return int(_shell_counts(m, d).max())
+        return int(_shell_tables(m, d)[-1].max())
 
     def cap(d):
-        return d**m <= _VECTOR_CAP and d <= _CONVOLUTION_CAP
+        return d**m <= _VECTOR_CAP and d <= _DIGIT_CAP
 
     d = 1
     while cap(d) and shell_max(d) < n:
@@ -158,13 +161,10 @@ def _best_d(n: int, m: int):
     return lo
 
 
-def _shell_vectors(m: int, d: int, radius: int):
+def _shell_vectors(tables, d: int, radius: int):
     """All digit vectors in {0..d-1}^m with squared norm `radius`, by DFS
-    pruned through suffix shell tables."""
-    tables = [None] * (m + 1)
-    tables[1] = _shell_counts(1, d)
-    for j in range(2, m + 1):
-        tables[j] = _shell_counts(j, d)
+    pruned through the suffix shell tables of _shell_tables(m, d)."""
+    m = len(tables)
     vectors = []
     digits = [0] * m
 
@@ -181,7 +181,7 @@ def _shell_vectors(m: int, d: int, radius: int):
             if suffix == 0:
                 if rest != 0:
                     continue
-            elif rest >= len(tables[suffix]) or tables[suffix][rest] == 0:
+            elif rest >= len(tables[suffix - 1]) or tables[suffix - 1][rest] == 0:
                 continue
             digits[pos] = x
             descend(pos + 1, rest)
@@ -207,12 +207,12 @@ def behrend_set(n: int) -> RealSet:
         d = _best_d(n, m)
         if d is None:
             continue
-        counts = _shell_counts(m, d)
-        radius = int(np.argmax(counts))
+        tables = _shell_tables(m, d)
+        radius = int(np.argmax(tables[-1]))
         base = 2 * d - 1
         values = sorted(
             sum(x * base**i for i, x in enumerate(vec)) + 1
-            for vec in _shell_vectors(m, d, radius)
+            for vec in _shell_vectors(tables, d, radius)
         )
         return RealSet(tuple(values[:n]))
     values = []

@@ -10,6 +10,7 @@ or element set supplied by the caller.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 from .coloring import (
     EdgeColoring,
@@ -24,8 +25,9 @@ from .arithmetic import (
     real_set_from_dict,
     real_set_to_dict,
 )
-from .errors import LocalLabError
-from .forbidden import CliqueWitness, WitnessSet, _UnionFind
+from .energy_graph import edge_sign_vector
+from .errors import LocalLabError, SignConsistencyError
+from .forbidden import CliqueWitness, WitnessSet, _UnionFind, clique_equality_edges
 from .jsonio import exact, exact_to_json, fields, read_json, write_json
 from .oracle import OracleResult
 
@@ -194,8 +196,8 @@ def _verify_clique(cert, elements, messages):
     )
     vals = list(getattr(elements, "elements", elements))
     rows = [tuple(row) for row in clique]
-    if len(rows) != 2 * k or any(len(row) != r for row in rows):
-        messages.append(f"clique shape is not {2 * k} rows of width {r}")
+    if k < 2 or r < 1 or len(rows) != 2 * k or any(len(row) != r for row in rows):
+        messages.append(f"clique shape is not {2 * k} rows of width {r}, k >= 2, r >= 1")
         return
     flat = [v for row in rows for v in row]
     if sorted(flat) != sorted(base) or len(set(flat)) != len(flat):
@@ -204,15 +206,23 @@ def _verify_clique(cert, elements, messages):
     if any(not 0 <= v < len(vals) for v in flat):
         messages.append("base vertex out of range of the element set")
         return
+    try:
+        signs = edge_sign_vector(rows[0], rows[1], vals)
+    except SignConsistencyError as exc:
+        messages.append(f"clique rows 0 and 1 are not an energy edge: {exc}")
+        return
     expected = (k * (2 * k - 1)) * (r - 1 + r * (r - 1) // 2)
     if repetitions != expected or len(equalities) != expected:
         messages.append(
             f"expected {expected} listed repetitions, certificate has {repetitions}"
         )
+    implied = Counter((e1, e2) for *_, e1, e2 in clique_equality_edges(rows, signs))
+    listed = Counter()
     forests = {}
     independent = 0
     for idx, eq in enumerate(equalities):
         e1, e2, claim = _equality(eq, difference=(int, str))
+        listed[e1, e2] += 1
         difference = exact(claim)
         if any(not 0 <= v < len(vals) for v in e1 + e2):
             messages.append(f"equality {idx}: an edge leaves the element set")
@@ -228,6 +238,8 @@ def _verify_clique(cert, elements, messages):
             forest = forests.setdefault(d1, _UnionFind())
             if forest.union(e1, e2):
                 independent += 1
+    if listed != implied:
+        messages.append("listed equalities are not the pairs the clique rows imply")
     if independent != independent_claim:
         messages.append(
             f"{independent} independent repetitions re-verify, certificate says {independent_claim}"

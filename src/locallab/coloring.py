@@ -153,7 +153,7 @@ def new_coloring(n: int, assignments) -> EdgeColoring:
     ids = {}
     for u, v, label in assignments:
         for w in (u, v):
-            if not isinstance(w, int) or not 0 <= w < n:
+            if type(w) is not int or not 0 <= w < n:
                 raise VertexRangeError(f"vertex {w!r} outside 0..{n - 1}")
         if u == v:
             raise SelfLoopError(f"assignment colors the loop ({u}, {v})")

@@ -349,10 +349,10 @@ def energy_graph_to_dict(eg: EnergyGraph) -> dict:
 def energy_graph_from_dict(data: dict) -> EnergyGraph:
     r, n, parts, edges, counts, provenance = fields(
         data, r=int, n=int, parts=([list], None), edges=list, color_base_edges=dict,
-        provenance=list,
+        provenance=[str],
     )
     try:
-        return EnergyGraph(
+        eg = EnergyGraph(
             r,
             n,
             None if parts is None else tuple(tuple(p) for p in parts),
@@ -360,5 +360,30 @@ def energy_graph_from_dict(data: dict) -> EnergyGraph:
             {int(c): m for c, m in counts.items()},
             tuple(provenance),
         )
+        _check_vertices_and_colors(eg)
+    except EnergyGraphError:
+        raise
     except (TypeError, ValueError):
         raise EnergyGraphError("energy graph JSON has a malformed part, edge or count") from None
+    return eg
+
+
+def _check_vertices_and_colors(eg: EnergyGraph) -> None:
+    """Each distinct edge vertex is r non-bool ints in 0..n-1, coordinate j
+    inside part j when parts are set; each edge color has a base edge
+    count, and every count is a non-negative int."""
+    if any(type(m) is not int or m < 0 for m in eg.color_base_edges.values()):
+        raise EnergyGraphError("color base edge counts must be non-negative ints")
+    allowed = [range(eg.n)] * eg.r if eg.parts is None else [set(p) for p in eg.parts]
+    if len(allowed) != eg.r:
+        raise EnergyGraphError(f"{len(allowed)} parts for an order-{eg.r} graph")
+    for v in {e[0] for e in eg.edges} | {e[1] for e in eg.edges}:
+        if len(v) != eg.r or not all(
+            type(x) is int and 0 <= x < eg.n and x in part for x, part in zip(v, allowed)
+        ):
+            raise EnergyGraphError(
+                f"vertex {list(v)} is not {eg.r} ints in 0..{eg.n - 1}, each in its part"
+            )
+    for c in {e[2] for e in eg.edges}:
+        if type(c) is not int or c not in eg.color_base_edges:
+            raise EnergyGraphError(f"edge color {c!r} has no base edge count")

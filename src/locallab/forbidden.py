@@ -453,6 +453,24 @@ class CliqueWitness:
     independent_repetitions: int
 
 
+def clique_equality_edges(rows, signs):
+    """Yield (p, q, kind, coordinates, edge1, edge2) for every difference
+    repetition asserted by clique rows whose edges have sign pattern
+    `signs`: per row pair p < q, the r-1 direct pairs (0, l) and the
+    C(r,2) regrouped pairs (l, m), in the order certificates list them."""
+    sgn = [1] + [1 if s == "+" else -1 for s in signs]
+    for p, q in itertools.combinations(range(len(rows)), 2):
+        a, b = rows[p], rows[q]
+        for l in range(1, len(sgn)):
+            yield p, q, "direct", (0, l), _base_pair(a[0], b[0]), _base_pair(a[l], b[l])
+        for l, m in itertools.combinations(range(len(sgn)), 2):
+            if sgn[l] * sgn[m] == 1:
+                e1, e2 = _base_pair(a[l], a[m]), _base_pair(b[l], b[m])
+            else:
+                e1, e2 = _base_pair(a[l], b[m]), _base_pair(b[l], a[m])
+            yield p, q, "regrouped", (l, m), e1, e2
+
+
 def clique_from_cycle_arith(sub: EnergyGraph, cycle: CyclePath, k: int,
                             values) -> CliqueWitness:
     """Expand a 2k-cycle in one sign class into a full clique witness.
@@ -481,39 +499,20 @@ def clique_from_cycle_arith(sub: EnergyGraph, cycle: CyclePath, k: int,
             raise SignConsistencyError(f"edge {x}-{y} is not in the {signs} class")
 
     equalities = []
-    for p, q in itertools.combinations(range(2 * k), 2):
-        a, b = rows[p], rows[q]
-        lead = vals[a[0]] - vals[b[0]]
-        for l in range(1, r):
-            if vals[a[l]] - vals[b[l]] != sgn[l] * lead:
+    for p, q, kind, coords, e1, e2 in clique_equality_edges(rows, signs):
+        d1 = abs(vals[e1[0]] - vals[e1[1]])
+        l, m = coords
+        if kind == "direct":
+            a, b = rows[p], rows[q]
+            if vals[a[m]] - vals[b[m]] != sgn[m] * (vals[a[0]] - vals[b[0]]):
                 raise SignConsistencyError(
-                    f"rows {p} and {q} break the sign identity in coordinate {l}"
+                    f"rows {p} and {q} break the sign identity in coordinate {m}"
                 )
-            equalities.append(
-                DifferenceEquality(
-                    _base_pair(a[0], b[0]),
-                    _base_pair(a[l], b[l]),
-                    abs(lead),
-                    "direct",
-                    (p, q),
-                    (0, l),
-                )
+        elif d1 != abs(vals[e2[0]] - vals[e2[1]]):
+            raise SignConsistencyError(
+                f"regrouped repetition fails for rows {p},{q} coordinates {l},{m}"
             )
-        for l, m in itertools.combinations(range(r), 2):
-            if sgn[l] * sgn[m] == 1:
-                e1 = _base_pair(a[l], a[m])
-                e2 = _base_pair(b[l], b[m])
-            else:
-                e1 = _base_pair(a[l], b[m])
-                e2 = _base_pair(b[l], a[m])
-            d1 = abs(vals[e1[0]] - vals[e1[1]])
-            if d1 != abs(vals[e2[0]] - vals[e2[1]]):
-                raise SignConsistencyError(
-                    f"regrouped repetition fails for rows {p},{q} coordinates {l},{m}"
-                )
-            equalities.append(
-                DifferenceEquality(e1, e2, d1, "regrouped", (p, q), (l, m))
-            )
+        equalities.append(DifferenceEquality(e1, e2, d1, kind, (p, q), coords))
 
     expected = (k * (2 * k - 1)) * (r - 1 + r * (r - 1) // 2)
     if len(equalities) != expected:

@@ -1,6 +1,9 @@
+import hashlib
+import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from locallab import (
@@ -16,6 +19,7 @@ from locallab import (
     real_set_to_dict,
     save_real_set,
 )
+from locallab.arithmetic import _shell_tables
 
 
 def brute_3ap_free(values):
@@ -143,6 +147,34 @@ def test_behrend_small_values_match_bruteforce():
         assert brute_3ap_free(behrend_set(n).elements)
     with pytest.raises(LocalLabError):
         behrend_set(0)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_shell_tables_match_bruteforce_counts(m):
+    for d in range(1, 13):
+        tables = _shell_tables(m, d)
+        assert len(tables) == m
+        for j, table in enumerate(tables, start=1):
+            norms = [sum(x * x for x in v) for v in itertools.product(range(d), repeat=j)]
+            expected = np.bincount(norms, minlength=j * (d - 1) ** 2 + 1)
+            assert table.tolist() == expected.tolist(), (j, d)
+
+
+# first 16 hex digits of the sha256 of the comma-joined elements, as
+# produced by the dense-convolution shell counts this kernel replaced
+BEHREND_DIGESTS = {
+    30: "b824dedc0bfe340f",
+    100: "20912570aa895aa9",
+    200: "ccab93ab6e9a2756",
+    1000: "520d88675406c208",
+    5000: "38b04ed34825adeb",
+}
+
+
+@pytest.mark.parametrize("n", sorted(BEHREND_DIGESTS))
+def test_behrend_sets_are_pinned(n):
+    joined = ",".join(map(str, behrend_set(n).elements))
+    assert hashlib.sha256(joined.encode()).hexdigest()[:16] == BEHREND_DIGESTS[n]
 
 
 def test_json_round_trip(tmp_path):

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import json
 
 import pytest
@@ -119,6 +120,26 @@ def test_clique_equalities_outside_the_element_set_fail():
         eq["edge1"] = eq["edge2"] = [-1, -2]
     ok, messages = verify_certificate(cert, elements=A)
     assert not ok and any("leaves the element set" in m for m in messages)
+
+
+def test_clique_equalities_must_come_from_the_clique_rows():
+    A, cert = clique_pair()
+    vals = A.elements
+    listed = {(tuple(eq["edge1"]), tuple(eq["edge2"])) for eq in cert["equalities"]}
+    pairs = list(itertools.combinations(range(len(vals)), 2))
+    swaps = [
+        (e1, e2) for e1, e2 in itertools.combinations(pairs, 2)
+        if vals[e1[1]] - vals[e1[0]] == vals[e2[1]] - vals[e2[0]] and (e1, e2) not in listed
+    ]
+    assert swaps
+    for e1, e2 in swaps:
+        bad = copy.deepcopy(cert)
+        bad["equalities"][0].update(
+            edge1=list(e1), edge2=list(e2), difference=vals[e1[1]] - vals[e1[0]]
+        )
+        ok, messages = verify_certificate(bad, elements=A)
+        assert not ok, (e1, e2)
+        assert "listed equalities are not the pairs the clique rows imply" in messages
 
 
 def test_verdict_certificate_round_trip():

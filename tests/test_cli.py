@@ -254,3 +254,49 @@ def test_non_integer_budget_exits_2(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("LOCALLAB_BUDGET", "lots")
     assert run(["check", "--input", str(mono), "--k", "3", "--l", "2"]) == 2
     assert "LOCALLAB_BUDGET" in capsys.readouterr().err
+
+
+def test_bool_vertex_in_coloring_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "bool.json"
+    path.write_text('{"n": 3, "edges": [[true, 2, 0], [0, 1, 0], [0, 2, 0]]}')
+    assert run(["check", "--input", str(path), "--k", "3", "--l", "1"]) == 2
+    assert "vertex True" in capsys.readouterr().err
+
+
+def graph_file(tmp_path, **fields):
+    """A well-formed order-2 graph file on n=3 with `fields` replaced."""
+    record = {"r": 2, "n": 3, "parts": None, "edges": [[[0, 1], [1, 2], 0]],
+              "color_base_edges": {"0": 1}, "provenance": ["build_partitioned"]}
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({**record, **fields}))
+    return path
+
+
+def test_well_formed_graph_file_loads(tmp_path):
+    path = graph_file(tmp_path, parts=[[0, 1], [1, 2]])
+    assert run(["find", "--graph", str(path), "--length", "4"]) == 0
+
+
+BAD_GRAPHS = {
+    "wide-vertex": {"edges": [[[0, 1], [1, 2, 5], 0]]},
+    "narrow-vertex": {"edges": [[[0, 1], [1], 0]]},
+    "entry-at-least-n": {"edges": [[[0, 1], [1, 99], 0]]},
+    "negative-entry": {"edges": [[[0, 1], [1, -1], 0]]},
+    "bool-entry": {"edges": [[[0, True], [1, 2], 0]]},
+    "float-entry": {"edges": [[[0, 1.0], [1, 2], 0]]},
+    "unhashable-entry": {"edges": [[[[0], 1], [1, 2], 0]]},
+    "entry-outside-part": {"edges": [[[0, 1], [1, 0], 0]], "parts": [[0, 1], [1, 2]]},
+    "fewer-parts-than-r": {"parts": [[0, 1]]},
+    "uncounted-color": {"edges": [[[0, 1], [1, 2], 7]]},
+    "bool-color": {"edges": [[[0, 1], [1, 2], True]]},
+    "string-count": {"color_base_edges": {"0": "x"}},
+    "negative-count": {"color_base_edges": {"0": -1}},
+    "int-provenance": {"provenance": [5]},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_GRAPHS))
+def test_malformed_graph_file_exits_2(tmp_path, capsys, kind):
+    path = graph_file(tmp_path, **BAD_GRAPHS[kind])
+    assert run(["find", "--graph", str(path), "--length", "4"]) == 2
+    assert "error:" in capsys.readouterr().err

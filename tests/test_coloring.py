@@ -44,6 +44,8 @@ def test_construction_rejects_bad_edges():
         new_coloring(3, [(0, 0, "a"), (0, 1, "a"), (0, 2, "a"), (1, 2, "a")])
     with pytest.raises(VertexRangeError):
         new_coloring(3, [(0, 3, "a"), (0, 1, "a"), (0, 2, "a"), (1, 2, "a")])
+    with pytest.raises(VertexRangeError):
+        new_coloring(3, [(True, 2, "a"), (0, 1, "a"), (0, 2, "a")])
     with pytest.raises(DuplicatePairError):
         new_coloring(3, [(0, 1, "a"), (1, 0, "b"), (0, 2, "a"), (1, 2, "a")])
     with pytest.raises(MissingPairError):
