@@ -109,7 +109,7 @@ def _cmd_energy(args) -> int:
     return 0
 
 
-def _stage_tokens(args, g) -> list:
+def _stage_tokens(args) -> list:
     if args.preset == "pair-cycle":
         if args.k is None:
             raise LocalLabError("the pair-cycle preset needs --k for its threshold")
@@ -118,10 +118,14 @@ def _stage_tokens(args, g) -> list:
         return ["rare", "halve", "coordinate"]
     if args.preset == "sign-split":
         return ["rare", "sign"]
-    return [t for t in (args.stages or "").split(",") if t]
+    tokens = [t for t in (args.stages or "").split(",") if t]
+    if "sign" in tokens[:-1]:
+        raise LocalLabError("the sign stage must be the last stage")
+    return tokens
 
 
 def _cmd_energy_graph(args) -> int:
+    tokens = _stage_tokens(args)
     values = load_real_set(args.values) if args.values else None
     if args.preset == "sign-split" and values is None:
         raise LocalLabError("the sign-split preset needs --values")
@@ -145,7 +149,7 @@ def _cmd_energy_graph(args) -> int:
         eg = build_rth_energy_graph(g, r, partition)
     print(f"built: {eg.num_vertices} vertices, {eg.num_edges} edges (r={r})")
 
-    for token in _stage_tokens(args, g):
+    for token in tokens:
         if token == "sign":
             if values is None:
                 raise LocalLabError("the sign stage needs --values")
@@ -406,8 +410,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input")
     p.add_argument("--values", help="element-set file for arithmetic colorings")
     p.add_argument("--r", type=int, default=2)
-    p.add_argument("--preset", choices=["pair-cycle", "triple-cycle", "sign-split"])
-    p.add_argument("--stages", help="comma list: diagonal,rare,rare:N,halve,coordinate,sign")
+    chain = p.add_mutually_exclusive_group()
+    chain.add_argument("--preset", choices=["pair-cycle", "triple-cycle", "sign-split"])
+    chain.add_argument("--stages",
+                       help="comma list: diagonal,rare,rare:N,halve,coordinate,sign (sign last)")
     p.add_argument("--partitioned", action="store_true",
                    help="use a vertex partition even for r=2")
     p.add_argument("--k", type=int, help="pair-cycle threshold parameter")

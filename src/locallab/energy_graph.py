@@ -23,6 +23,7 @@ provenance, in order:
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -71,58 +72,63 @@ class EnergyGraph:
         return total
 
     def adjacency(self) -> dict:
-        """Vertex -> sorted list of (neighbor, color id); only vertices
-        touching an edge appear as keys."""
-        adj = {}
-        for x, y, c in self.edges:
-            adj.setdefault(x, []).append((y, c))
-            adj.setdefault(y, []).append((x, c))
-        for v in adj:
-            adj[v].sort()
+        """Vertex -> sorted tuple of its neighbors; only vertices touching
+        an edge appear as keys.  Built on the first call and kept, so the
+        cycle search and its audits share one map: do not mutate it."""
+        adj = self.__dict__.get("_adjacency")
+        if adj is None:
+            lists = {}
+            for x, y, _ in self.edges:
+                lists.setdefault(x, []).append(y)
+                lists.setdefault(y, []).append(x)
+            adj = {v: tuple(sorted(ws)) for v, ws in lists.items()}
+            object.__setattr__(self, "_adjacency", adj)
         return adj
 
     def _replaced(self, edges, stage: str) -> "EnergyGraph":
+        """Same graph with a subsequence of its (sorted) edges kept."""
         return EnergyGraph(
             self.r,
             self.n,
             self.parts,
-            tuple(sorted(edges)),
+            tuple(edges),
             dict(self.color_base_edges),
             self.provenance + (stage,),
         )
 
 
-def _base_edge_counts(g: EdgeColoring) -> dict:
-    counts = {c: 0 for c in range(g.num_colors)}
-    for _, _, c in g.edge_items():
-        counts[c] += 1
-    return counts
+def _product_graph(g: EdgeColoring, r: int, parts, pools, stage: str) -> EnergyGraph:
+    """Energy graph whose color-c edges join X = (u_1[0], ..., u_r[0]) and
+    Y = (u_1[1], ..., u_r[1]) for each choice of ordered base pairs u_j
+    from pools[c][j], with X < Y.
+
+    Each unordered edge {X, Y} arises from exactly two ordered choices,
+    so keeping X < Y emits it once and the edge count is exactly half
+    the sum over colors of the product of pool sizes.
+    """
+    cap = budget(ENERGY_GRAPH_EDGE_BUDGET)
+    predicted = sum(math.prod(map(len, pool)) for pool in pools) // 2
+    if predicted > cap:
+        raise BudgetExceededError(f"{predicted} energy edges exceed the budget {cap}")
+    edges = []
+    for c, pool in enumerate(pools):
+        xs = itertools.product(*[[u[0] for u in pairs] for pairs in pool])
+        ys = itertools.product(*[[u[1] for u in pairs] for pairs in pool])
+        edges.extend((x, y, c) for x, y in zip(xs, ys) if x < y)
+    counts = {c: len(pairs) for c, pairs in enumerate(g.color_classes())}
+    return EnergyGraph(r, g.n, parts, tuple(sorted(edges)), counts, (stage,))
 
 
 def build_second_energy_graph(g: EdgeColoring) -> EnergyGraph:
-    """Full-form energy graph on V x V; 2 * |edges| = E_2 exactly.
-
-    Each unordered edge {X, Y} arises from exactly two ordered choices
-    of same-colored ordered base pairs, so keeping X < Y emits each edge
-    once without deduplication.
-    """
+    """Full-form energy graph on V x V; 2 * |edges| = E_2 exactly."""
     cap = budget(ENERGY_GRAPH_EDGE_BUDGET)
-    counts = _base_edge_counts(g)
-    predicted = sum((2 * m) ** 2 for m in counts.values()) // 2
-    if g.n**2 > cap or predicted > cap:
-        raise BudgetExceededError(
-            f"energy graph needs {g.n ** 2} vertices and {predicted} edges, budget {cap}"
-        )
-    edges = []
-    for c, pairs in enumerate(g.color_classes()):
-        ordered = [(u, v) for u, v in pairs] + [(v, u) for u, v in pairs]
-        for u in ordered:
-            for w in ordered:
-                x = (u[0], w[0])
-                y = (u[1], w[1])
-                if x < y:
-                    edges.append((x, y, c))
-    return EnergyGraph(2, g.n, None, tuple(sorted(edges)), counts, ("build_second",))
+    if g.n**2 > cap:
+        raise BudgetExceededError(f"energy graph needs {g.n ** 2} vertices, budget {cap}")
+    pools = []
+    for pairs in g.color_classes():
+        ordered = pairs + [(v, u) for u, v in pairs]
+        pools.append([ordered, ordered])
+    return _product_graph(g, 2, None, pools, "build_second")
 
 
 def build_rth_energy_graph(g: EdgeColoring, r: int, parts) -> EnergyGraph:
@@ -149,7 +155,6 @@ def build_rth_energy_graph(g: EdgeColoring, r: int, parts) -> EnergyGraph:
     for j, part in enumerate(part_tuples):
         for v in part:
             membership[v] = j
-    counts = _base_edge_counts(g)
     # ordered within-part pairs per color and coordinate
     within = [[[] for _ in range(r)] for _ in range(g.num_colors)]
     for u, v, c in g.edge_items():
@@ -157,28 +162,7 @@ def build_rth_energy_graph(g: EdgeColoring, r: int, parts) -> EnergyGraph:
         if membership[v] == j:
             within[c][j].append((u, v))
             within[c][j].append((v, u))
-    cap = budget(ENERGY_GRAPH_EDGE_BUDGET)
-    predicted = 0
-    for c in range(g.num_colors):
-        prod = 1
-        for j in range(r):
-            prod *= len(within[c][j])
-        predicted += prod
-    predicted //= 2
-    if predicted > cap:
-        raise BudgetExceededError(f"{predicted} energy edges exceed the budget {cap}")
-    edges = []
-    for c in range(g.num_colors):
-        if any(not within[c][j] for j in range(r)):
-            continue
-        for choice in itertools.product(*within[c]):
-            x = tuple(p[0] for p in choice)
-            y = tuple(p[1] for p in choice)
-            if x < y:
-                edges.append((x, y, c))
-    return EnergyGraph(
-        r, g.n, part_tuples, tuple(sorted(edges)), counts, ("build_partitioned",)
-    )
+    return _product_graph(g, r, part_tuples, within, "build_partitioned")
 
 
 def prune_diagonal(eg: EnergyGraph) -> EnergyGraph:
@@ -279,7 +263,7 @@ def coordinate_neighbor_violations(eg: EnergyGraph):
     for v, nbrs in sorted(eg.adjacency().items()):
         for j in range(eg.r):
             seen = {}
-            for w, _ in nbrs:
+            for w in nbrs:
                 if w[j] in seen and seen[w[j]] != w:
                     violations.append((v, j, w[j]))
                 seen.setdefault(w[j], w)

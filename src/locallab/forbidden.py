@@ -47,8 +47,9 @@ class CyclePath:
 
 
 def _plain_adjacency(graph) -> dict:
+    """Vertex -> sorted neighbors; an EnergyGraph's own shared map."""
     if isinstance(graph, EnergyGraph):
-        return {v: sorted(w for w, _ in nbrs) for v, nbrs in graph.adjacency().items()}
+        return graph.adjacency()
     if isinstance(graph, dict):
         adj = {}
         for v, nbrs in graph.items():
@@ -68,18 +69,18 @@ def find_cycle(graph, length: int):
     if length < 3:
         raise LocalLabError(f"cycle length {length} must be at least 3")
     adj = _plain_adjacency(graph)
-    adj_sets = {v: set(ws) for v, ws in adj.items()}
 
-    def extend(start, path, on_path):
+    # the adjacency is symmetric, so a path closes at a neighbor of its start
+    def extend(start, closers, path, on_path):
         v = path[-1]
         if len(path) == length:
-            return list(path) if start in adj_sets[v] else None
+            return list(path) if v in closers else None
         for w in adj[v]:
             if w <= start or w in on_path:
                 continue
             path.append(w)
             on_path.add(w)
-            found = extend(start, path, on_path)
+            found = extend(start, closers, path, on_path)
             if found:
                 return found
             path.pop()
@@ -89,7 +90,7 @@ def find_cycle(graph, length: int):
     for s in sorted(adj):
         if len(adj[s]) < 2:
             continue
-        found = extend(s, [s], {s})
+        found = extend(s, set(adj[s]), [s], {s})
         if found:
             return CyclePath(tuple(found), length)
     return None
@@ -101,7 +102,7 @@ def validate_cycle(graph, cycle: CyclePath) -> None:
     n = cycle.length
     for i, v in enumerate(cycle.vertices):
         w = cycle.vertices[(i + 1) % n]
-        if v not in adj or w not in set(adj[v]):
+        if w not in adj.get(v, ()):
             raise WitnessError(f"cycle step {v} -> {w} is not an edge")
 
 

@@ -300,3 +300,44 @@ def test_malformed_graph_file_exits_2(tmp_path, capsys, kind):
     path = graph_file(tmp_path, **BAD_GRAPHS[kind])
     assert run(["find", "--graph", str(path), "--length", "4"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_sign_stage_must_be_last(tmp_path, capsys):
+    values = tmp_path / "vals.json"
+    save_real_set(real_set([0, 1, 2, 3, 10, 11, 12, 13]), values)
+    out = tmp_path / "g.json"
+    assert run(["energy-graph", "--values", str(values), "--partitioned",
+                "--stages", "rare,sign,halve,coordinate", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "last" in captured.err
+    assert "built" not in captured.out  # rejected before building anything
+    assert list(tmp_path.iterdir()) == [values]
+    assert run(["energy-graph", "--values", str(values), "--partitioned",
+                "--stages", "rare,sign", "--out", str(out)]) == 0
+    assert (tmp_path / "g.p.json").exists() and (tmp_path / "g.m.json").exists()
+
+
+def test_preset_and_stages_exclude_each_other(tmp_path, capsys):
+    mono = mono_file(tmp_path, 9)
+    with pytest.raises(SystemExit) as exc:
+        run(["energy-graph", "--input", str(mono), "--preset", "triple-cycle",
+             "--stages", "diagonal", "--out", str(tmp_path / "g.json")])
+    assert exc.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
+    assert not (tmp_path / "g.json").exists()
+
+
+@pytest.mark.parametrize("form", [[], ["--partitioned"]])
+def test_energy_graph_budget_boundary(tmp_path, monkeypatch, capsys, form):
+    save_coloring(random_coloring(9, 3, seed=5), tmp_path / "c.json")
+    argv = ["energy-graph", "--input", str(tmp_path / "c.json"), *form,
+            "--out", str(tmp_path / "g.json")]
+    assert run(argv) == 0
+    built = capsys.readouterr().out.splitlines()[0]  # "built: V vertices, E edges (r=2)"
+    edges = int(built.split()[3])
+    assert form or edges > 9**2  # the full form's n^2 vertex check passes at E - 1
+    monkeypatch.setenv("LOCALLAB_BUDGET", str(edges))
+    assert run(argv) == 0
+    monkeypatch.setenv("LOCALLAB_BUDGET", str(edges - 1))
+    assert run(argv) == 3
+    assert f"{edges} energy edges exceed the budget {edges - 1}" in capsys.readouterr().err

@@ -242,3 +242,45 @@ def test_json_round_trip():
     eg2 = build_rth_energy_graph(g, 2, part.parts)
     back2 = energy_graph_from_dict(energy_graph_to_dict(eg2))
     assert back2.parts == eg2.parts and back2.edges == eg2.edges
+
+
+def strictly_increasing(edges):
+    return all(a < b for a, b in zip(edges, edges[1:]))
+
+
+def test_every_stage_keeps_edges_strictly_increasing():
+    # stages keep a subsequence of sorted edges and do not sort again
+    for seed in range(4):
+        g = random_coloring(10, 3, seed=seed)
+        full = build_second_energy_graph(g)
+        stages = [full, prune_diagonal(full), prune_rare_colors(full, 12)]
+        for r in (2, 3):
+            part = partition_for_rth_energy(g, r, seed=seed)
+            eg = build_rth_energy_graph(g, r, part.parts)
+            halved = halve_parts_prune(eg, seed=seed)
+            stages += [eg, prune_rare_colors(eg, 12), halved,
+                       prune_coordinate_neighbors(halved)]
+        values = real_set(sorted(random.Random(seed).sample(range(1, 60), 12)))
+        h = coloring_from_set(values)
+        for r in (2, 3):
+            eg = build_rth_energy_graph(h, r, partition_for_rth_energy(h, r, seed=seed).parts)
+            stages += list(sign_decompose(eg, values).values())
+        assert all(strictly_increasing(s.edges) for s in stages)
+        assert any(s.num_edges for s in stages)
+
+
+def test_adjacency_is_built_once_symmetric_and_sorted():
+    g = random_coloring(8, 3, seed=4)
+    part = partition_for_rth_energy(g, 3, seed=4)
+    for eg in (prune_diagonal(build_second_energy_graph(g)),
+               build_rth_energy_graph(g, 3, part.parts)):
+        adj = eg.adjacency()
+        assert adj is eg.adjacency()
+        assert sum(map(len, adj.values())) == 2 * eg.num_edges
+        for v, nbrs in adj.items():
+            assert isinstance(nbrs, tuple) and nbrs
+            assert strictly_increasing(nbrs)
+            assert all(v in adj[w] for w in nbrs)
+        assert {(x, y) for x, y, _ in eg.edges} == {
+            (v, w) for v, nbrs in adj.items() for w in nbrs if v < w
+        }

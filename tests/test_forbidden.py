@@ -94,6 +94,35 @@ def test_find_cycle_in_energy_graphs():
     assert find_cycle(empty, 4) is None
 
 
+def small_energy_graphs():
+    for seed in range(5):
+        g = random_coloring(5, 3, seed=seed)
+        yield build_second_energy_graph(g)
+        yield prune_diagonal(build_second_energy_graph(g))
+        h = random_coloring(8, 2, seed=seed)
+        for r in (2, 3):
+            eg = build_rth_energy_graph(h, r, partition_for_rth_energy(h, r, seed=seed).parts)
+            yield eg
+            yield halve_parts_prune(eg, seed=seed)
+
+
+def test_find_cycle_agrees_with_networkx():
+    nx = pytest.importorskip("networkx")
+    found = []
+    for eg in small_energy_graphs():
+        G = nx.Graph((x, y) for x, y, _ in eg.edges)
+        for length in (3, 4, 5):
+            cycle = find_cycle(eg, length)
+            exists = any(len(c) == length for c in nx.simple_cycles(G, length_bound=length))
+            assert (cycle is None) == (not exists), (eg.provenance, length)
+            if cycle is not None:
+                check_cycle(eg, cycle, length)
+                steps = zip(cycle.vertices, cycle.vertices[1:] + cycle.vertices[:1])
+                assert all(G.has_edge(v, w) for v, w in steps)
+            found.append(cycle is not None)
+    assert len(found) == 90 and 0 < sum(found) < 90
+
+
 # -- complete bipartite pairs ------------------------------------------------
 
 
@@ -411,14 +440,14 @@ def test_clique_rejects_repeated_base_elements():
     adj = plus.adjacency()
     found = None
     for x in sorted(adj):
-        for y, _ in adj[x]:
-            for z, _ in adj.get(y, ()):
+        for y in adj[x]:
+            for z in adj.get(y, ()):
                 if z == x or not set(x) & set(z):
                     continue
-                for w, _ in adj.get(z, ()):
+                for w in adj.get(z, ()):
                     if w in (x, y):
                         continue
-                    if any(v == x for v, _ in adj.get(w, ())):
+                    if x in adj.get(w, ()):
                         found = CyclePath((x, y, z, w), 4)
                         break
                 if found:
