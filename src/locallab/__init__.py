@@ -32,7 +32,6 @@ from .coloring import (
     coloring_from_dict,
     coloring_to_dict,
     load_coloring,
-    max_monochromatic_degree,
     min_colors_over_k_subsets,
     new_coloring,
     pair_index,

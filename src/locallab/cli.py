@@ -36,7 +36,6 @@ from .certificates import (
 from .coloring import check_local_property, load_coloring, random_coloring
 from .energy import energy, energy_bruteforce, implied_color_lower_bound, ln_ceiling
 from .energy_graph import (
-    all_sign_sequences,
     build_rth_energy_graph,
     build_second_energy_graph,
     energy_graph_from_dict,
@@ -155,9 +154,8 @@ def _cmd_energy_graph(args) -> int:
                 raise LocalLabError("the sign stage needs --values")
             classes = sign_decompose(eg, values)
             out = Path(args.out)
-            for signs in all_sign_sequences(r):
+            for signs, class_eg in classes.items():
                 tag = "".join(signs).replace("+", "p").replace("-", "m")
-                class_eg = classes[signs]
                 print(f"sign class {''.join(signs)}: {class_eg.num_edges} edges")
                 _save_graph(class_eg, str(out.with_name(f"{out.stem}.{tag}{out.suffix}")))
             return 0

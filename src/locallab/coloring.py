@@ -337,25 +337,6 @@ def min_colors_over_k_subsets(g: EdgeColoring, k: int):
     return _scan(g, k, None)
 
 
-def max_monochromatic_degree(g: EdgeColoring):
-    """(vertex, color id, degree) of the largest single-color star.
-
-    Ties prefer the smallest vertex, then the smallest color id.
-    """
-    mat = g.color_matrix()
-    best = (-1, -1, 0)
-    for v in range(g.n):
-        counts = {}
-        for u in range(g.n):
-            c = mat[v][u]
-            if c >= 0:
-                counts[c] = counts.get(c, 0) + 1
-        for c in sorted(counts):
-            if counts[c] > best[2]:
-                best = (v, c, counts[c])
-    return best
-
-
 # ---------------------------------------------------------------------------
 # JSON interchange: {"n": int, "edges": [[u, v, color], ...]}
 

@@ -5,8 +5,9 @@ and an edge {(x1,x2),(y1,y2)} whenever x1 != y1, x2 != y2, and
 chi(x1,y1) = chi(x2,y2); twice its edge count equals E_2.  The r-th
 energy graph is built in partitioned form over V_1 x ... x V_r with the
 same coordinate-wise rule, so each coordinate's base pair lies inside
-its own part.  Pruning stages only remove edges and are recorded in the
-provenance, in order:
+its own part.  A vertex (x_1, ..., x_r) is stored as the integer code
+sum x_j n^(r-j), which orders codes as the tuples.  Pruning stages only
+remove edges and are recorded in the provenance, in order:
 
 - prune_diagonal drops the edges joining two diagonal vertices, which
   encode the degenerate repetitions chi(u,v) = chi(u,v); exactly
@@ -27,6 +28,8 @@ import math
 import random
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .config import ENERGY_GRAPH_EDGE_BUDGET, budget
 from .coloring import EdgeColoring
 from .errors import (
@@ -39,84 +42,139 @@ from .jsonio import fields
 from .partition import RPartition
 
 
+def csr_adjacency(xs, ys) -> tuple:
+    """CSR (codes, indptr, indices) of the edges {xs[i], ys[i]}: codes are
+    the sorted distinct vertex codes on an edge, and indices[indptr[i]:
+    indptr[i + 1]] the positions in codes of codes[i]'s neighbors, ascending."""
+    codes = np.unique(np.concatenate((xs, ys)))
+    xi, yi = np.searchsorted(codes, xs), np.searchsorted(codes, ys)
+    src, dst = np.concatenate((xi, yi)), np.concatenate((yi, xi))
+    indptr = np.zeros(len(codes) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=len(codes)), out=indptr[1:])
+    return codes, indptr, dst[np.lexsort((dst, src))]
+
+
 @dataclass(frozen=True, eq=False)
 class EnergyGraph:
     """Immutable energy graph of order r over base vertices 0..n-1.
 
     parts is None for the full V x V form (r = 2 only) and a tuple of r
     disjoint vertex tuples for the partitioned form; the vertex set is
-    implicit (the full product).  edges holds (X, Y, color_id) triples
-    with X < Y lexicographically, sorted.  color_base_edges maps each
-    color id seen on an edge to its base edge count in the source
-    coloring (unordered count, so m_c / 2).
+    implicit (the full product).  Edge i joins the vertex codes
+    xs[i] < ys[i] in color cs[i], sorted by (xs, ys).  color_base_edges
+    maps each color id seen on an edge to its base edge count in the
+    source coloring (unordered count, so m_c / 2).
     """
 
     r: int
     n: int
     parts: tuple | None
-    edges: tuple
+    xs: np.ndarray
+    ys: np.ndarray
+    cs: np.ndarray
     color_base_edges: dict
     provenance: tuple = field(default_factory=tuple)
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return len(self.xs)
 
     @property
     def num_vertices(self) -> int:
-        if self.parts is None:
-            return self.n**self.r
-        total = 1
-        for part in self.parts:
-            total *= len(part)
-        return total
+        return self.n**self.r if self.parts is None else math.prod(map(len, self.parts))
 
-    def adjacency(self) -> dict:
-        """Vertex -> sorted tuple of its neighbors; only vertices touching
-        an edge appear as keys.  Built on the first call and kept, so the
-        cycle search and its audits share one map: do not mutate it."""
+    @property
+    def edges(self) -> tuple:
+        """The edges as sorted (X, Y, color id) tuples of Python ints."""
+        return tuple(zip(self.vertices(self.xs), self.vertices(self.ys), self.cs.tolist()))
+
+    def digits(self, codes) -> list:
+        """Coordinate j of every code in `codes`, one array per j."""
+        return [codes // self.n ** (self.r - 1 - j) % self.n for j in range(self.r)]
+
+    def vertices(self, codes) -> list:
+        """The codes decoded to tuples of Python ints."""
+        return list(zip(*(d.tolist() for d in self.digits(codes))))
+
+    def code(self, vertex) -> int:
+        """Code of an r-tuple of ints in 0..n-1, else -1 (no vertex's code)."""
+        if not (isinstance(vertex, tuple) and len(vertex) == self.r
+                and all(type(x) is int and 0 <= x < self.n for x in vertex)):
+            return -1
+        return sum(x * self.n ** (self.r - 1 - j) for j, x in enumerate(vertex))
+
+    def colors_at_least(self, threshold: int) -> np.ndarray:
+        """Mask of the edges whose color has at least `threshold` base edges."""
+        return np.isin(self.cs, [c for c, m in self.color_base_edges.items() if m >= threshold])
+
+    def adjacency(self) -> tuple:
+        """csr_adjacency of the edges, built on the first call and kept, so
+        the cycle search and its audits share it: do not mutate it."""
         adj = self.__dict__.get("_adjacency")
         if adj is None:
-            lists = {}
-            for x, y, _ in self.edges:
-                lists.setdefault(x, []).append(y)
-                lists.setdefault(y, []).append(x)
-            adj = {v: tuple(sorted(ws)) for v, ws in lists.items()}
+            adj = csr_adjacency(self.xs, self.ys)
             object.__setattr__(self, "_adjacency", adj)
         return adj
 
-    def _replaced(self, edges, stage: str) -> "EnergyGraph":
-        """Same graph with a subsequence of its (sorted) edges kept."""
-        return EnergyGraph(
-            self.r,
-            self.n,
-            self.parts,
-            tuple(edges),
-            dict(self.color_base_edges),
-            self.provenance + (stage,),
-        )
+    def _replaced(self, keep, stage: str) -> "EnergyGraph":
+        """Same graph keeping the edges a mask or ascending indices select."""
+        return EnergyGraph(self.r, self.n, self.parts, self.xs[keep], self.ys[keep],
+                           self.cs[keep], dict(self.color_base_edges),
+                           self.provenance + (stage,))
 
 
-def _product_graph(g: EdgeColoring, r: int, parts, pools, stage: str) -> EnergyGraph:
-    """Energy graph whose color-c edges join X = (u_1[0], ..., u_r[0]) and
-    Y = (u_1[1], ..., u_r[1]) for each choice of ordered base pairs u_j
-    from pools[c][j], with X < Y.
+def _code_dtype(n: int, r: int):
+    """int32 when every code below n^r fits in it, else int64; raises
+    when not even int64 does."""
+    if r >= 64 or n**r > np.iinfo(np.int64).max:
+        raise BudgetExceededError(f"{n}^{r} vertices need codes wider than 64 bits")
+    return np.int32 if n**r <= np.iinfo(np.int32).max else np.int64
 
-    Each unordered edge {X, Y} arises from exactly two ordered choices,
-    so keeping X < Y emits it once and the edge count is exactly half
-    the sum over colors of the product of pool sizes.
+
+def _part_index(parts, r: int, n: int) -> np.ndarray:
+    """Part of each base vertex; raises unless `parts` are r disjoint
+    collections of ints that cover 0..n-1."""
+    message = f"parts must be {r} disjoint sets covering 0..{n - 1}"
+    if len(parts) != r or sum(map(len, parts)) != n:
+        raise EnergyGraphError(message)
+    index = np.full(n, -1)
+    for j, part in enumerate(parts):
+        for v in part:
+            if type(v) is not int or not 0 <= v < n or index[v] >= 0:
+                raise EnergyGraphError(message)
+            index[v] = j
+    return index
+
+
+def _product_graph(g: EdgeColoring, r: int, parts, pair_lists, stage: str) -> EnergyGraph:
+    """Energy graph whose color-c edges join X = (a_1, ..., a_r) and
+    Y = (b_1, ..., b_r) for each choice of base pairs (a_j, b_j) from
+    pair_lists[c][j], as listed (a_1 < b_1) in the first coordinate and
+    in both orders in the others.  As X < Y exactly when a_1 < b_1, each
+    edge arises once, and the budget checks the exact edge count.
     """
+    dtype = _code_dtype(g.n, r)
     cap = budget(ENERGY_GRAPH_EDGE_BUDGET)
-    predicted = sum(math.prod(map(len, pool)) for pool in pools) // 2
+    predicted = sum(len(lists[0]) * math.prod(2 * len(p) for p in lists[1:])
+                    for lists in pair_lists)
     if predicted > cap:
         raise BudgetExceededError(f"{predicted} energy edges exceed the budget {cap}")
-    edges = []
-    for c, pool in enumerate(pools):
-        xs = itertools.product(*[[u[0] for u in pairs] for pairs in pool])
-        ys = itertools.product(*[[u[1] for u in pairs] for pairs in pool])
-        edges.extend((x, y, c) for x, y in zip(xs, ys) if x < y)
+    xs, ys, cs = [], [], []
+    for c, lists in enumerate(pair_lists):
+        x = y = np.zeros(1, dtype)
+        for j, pairs in enumerate(lists):
+            a, b = np.array(pairs, dtype).reshape(-1, 2).T
+            if j:
+                a, b = np.concatenate((a, b)), np.concatenate((b, a))
+            x = (x[:, None] + a * g.n ** (r - 1 - j)).ravel()
+            y = (y[:, None] + b * g.n ** (r - 1 - j)).ravel()
+        xs.append(x)
+        ys.append(y)
+        cs.append(np.full(len(x), c, dtype))
+    xs, ys, cs = np.concatenate(xs), np.concatenate(ys), np.concatenate(cs)
+    order = np.lexsort((ys, xs))
     counts = {c: len(pairs) for c, pairs in enumerate(g.color_classes())}
-    return EnergyGraph(r, g.n, parts, tuple(sorted(edges)), counts, (stage,))
+    return EnergyGraph(r, g.n, parts, xs[order], ys[order], cs[order], counts, (stage,))
 
 
 def build_second_energy_graph(g: EdgeColoring) -> EnergyGraph:
@@ -124,11 +182,8 @@ def build_second_energy_graph(g: EdgeColoring) -> EnergyGraph:
     cap = budget(ENERGY_GRAPH_EDGE_BUDGET)
     if g.n**2 > cap:
         raise BudgetExceededError(f"energy graph needs {g.n ** 2} vertices, budget {cap}")
-    pools = []
-    for pairs in g.color_classes():
-        ordered = pairs + [(v, u) for u, v in pairs]
-        pools.append([ordered, ordered])
-    return _product_graph(g, 2, None, pools, "build_second")
+    pair_lists = [[pairs, pairs] for pairs in g.color_classes()]
+    return _product_graph(g, 2, None, pair_lists, "build_second")
 
 
 def build_rth_energy_graph(g: EdgeColoring, r: int, parts) -> EnergyGraph:
@@ -140,28 +195,12 @@ def build_rth_energy_graph(g: EdgeColoring, r: int, parts) -> EnergyGraph:
     part_tuples = parts.parts if isinstance(parts, RPartition) else tuple(
         tuple(sorted(p)) for p in parts
     )
-    if len(part_tuples) != r:
-        raise EnergyGraphError(f"expected {r} parts, got {len(part_tuples)}")
-    seen = set()
-    for part in part_tuples:
-        for v in part:
-            if not 0 <= v < g.n or v in seen:
-                raise EnergyGraphError(f"parts must be disjoint subsets of 0..{g.n - 1}")
-            seen.add(v)
-    if len(seen) != g.n:
-        raise EnergyGraphError("parts must cover every base vertex")
-
-    membership = {}
-    for j, part in enumerate(part_tuples):
-        for v in part:
-            membership[v] = j
-    # ordered within-part pairs per color and coordinate
+    membership = _part_index(part_tuples, r, g.n).tolist()
+    # base pairs (u < v) per color and coordinate
     within = [[[] for _ in range(r)] for _ in range(g.num_colors)]
     for u, v, c in g.edge_items():
-        j = membership[u]
-        if membership[v] == j:
-            within[c][j].append((u, v))
-            within[c][j].append((v, u))
+        if membership[u] == membership[v]:
+            within[c][membership[u]].append((u, v))
     return _product_graph(g, r, part_tuples, within, "build_partitioned")
 
 
@@ -171,12 +210,8 @@ def prune_diagonal(eg: EnergyGraph) -> EnergyGraph:
     repetitions chi(a,b) = chi(a,b).  Idempotent."""
     if eg.r != 2 or eg.parts is not None:
         raise EnergyGraphError("diagonal pruning applies to the full second energy graph")
-    kept = [
-        (x, y, c)
-        for x, y, c in eg.edges
-        if not (x[0] == x[1] and y[0] == y[1])
-    ]
-    return eg._replaced(kept, "prune_diagonal")
+    (x0, x1), (y0, y1) = eg.digits(eg.xs), eg.digits(eg.ys)
+    return eg._replaced((x0 != x1) | (y0 != y1), "prune_diagonal")
 
 
 def prune_rare_colors(eg: EnergyGraph, threshold: int) -> EnergyGraph:
@@ -184,10 +219,7 @@ def prune_rare_colors(eg: EnergyGraph, threshold: int) -> EnergyGraph:
     in the source coloring (strict comparison)."""
     if threshold < 0:
         raise EnergyGraphError("threshold must be non-negative")
-    kept = [
-        (x, y, c) for x, y, c in eg.edges if eg.color_base_edges.get(c, 0) >= threshold
-    ]
-    return eg._replaced(kept, f"prune_rare_colors({threshold})")
+    return eg._replaced(eg.colors_at_least(threshold), f"prune_rare_colors({threshold})")
 
 
 def halve_parts_prune(eg: EnergyGraph, seed: int, max_trials: int = 1000) -> EnergyGraph:
@@ -204,69 +236,55 @@ def halve_parts_prune(eg: EnergyGraph, seed: int, max_trials: int = 1000) -> Ene
         if len(part) < 2:
             raise PartitionError(f"part {part!r} is too small to split")
     rng = random.Random(seed)
-    total = len(eg.edges)
-    scale = 3**eg.r
-    best_kept = None
-    best_count = -1
-    trials = 0
+    total = eg.num_edges
+    coordinates = list(zip(eg.digits(eg.xs), eg.digits(eg.ys)))
+    side = np.zeros(eg.n, dtype=bool)
+    best_count, best_keep = -1, None
     for trial in range(1, max_trials + 1):
-        trials = trial
-        side = {}
         for part in eg.parts:
             order = list(part)
             rng.shuffle(order)
-            half = (len(order) + 1) // 2
-            for i, v in enumerate(order):
-                side[v] = i < half
-        kept = [
-            (x, y, c)
-            for x, y, c in eg.edges
-            if all(side[x[j]] != side[y[j]] for j in range(eg.r))
-        ]
-        if len(kept) > best_count:
-            best_count = len(kept)
-            best_kept = kept
-        if len(kept) * scale >= total:
-            stage = f"halve_parts(seed={seed},trials={trial},kept={len(kept)}/{total},met=True)"
-            return eg._replaced(kept, stage)
-    stage = f"halve_parts(seed={seed},trials={trials},kept={best_count}/{total},met=False)"
-    return eg._replaced(best_kept, stage)
+            side[order] = np.arange(len(order)) < (len(order) + 1) // 2
+        keep = np.ones(total, dtype=bool)
+        for a, b in coordinates:
+            keep &= side[a] != side[b]
+        count = int(np.count_nonzero(keep))
+        if count > best_count:
+            best_count, best_keep = count, keep
+        if count * 3**eg.r >= total:
+            stage = f"halve_parts(seed={seed},trials={trial},kept={count}/{total},met=True)"
+            return eg._replaced(keep, stage)
+    stage = f"halve_parts(seed={seed},trials={max_trials},kept={best_count}/{total},met=False)"
+    return eg._replaced(best_keep, stage)
 
 
 def prune_coordinate_neighbors(eg: EnergyGraph) -> EnergyGraph:
     """Greedy edge retention in lexicographic order so that no vertex
     ends up with two neighbors sharing a value in any coordinate."""
-    used = {}
-
-    def slots(v):
-        if v not in used:
-            used[v] = [set() for _ in range(eg.r)]
-        return used[v]
-
+    used = set()  # (vertex, coordinate, value of a kept neighbor there)
     kept = []
-    for x, y, c in eg.edges:
-        sx = slots(x)
-        sy = slots(y)
-        if any(y[j] in sx[j] or x[j] in sy[j] for j in range(eg.r)):
-            continue
-        for j in range(eg.r):
-            sx[j].add(y[j])
-            sy[j].add(x[j])
-        kept.append((x, y, c))
-    return eg._replaced(kept, "prune_coordinate_neighbors")
+    for i, (x, y) in enumerate(zip(eg.vertices(eg.xs), eg.vertices(eg.ys))):
+        marks = [(x, j, y[j]) for j in range(eg.r)] + [(y, j, x[j]) for j in range(eg.r)]
+        if used.isdisjoint(marks):
+            used.update(marks)
+            kept.append(i)
+    return eg._replaced(np.array(kept, dtype=np.int64), "prune_coordinate_neighbors")
 
 
 def coordinate_neighbor_violations(eg: EnergyGraph):
     """All (vertex, coordinate, value) triples where two neighbors of the
     vertex agree; empty after prune_coordinate_neighbors."""
+    codes, ptr, nbrs = eg.adjacency()
+    vertices = eg.vertices(codes)
     violations = []
-    for v, nbrs in sorted(eg.adjacency().items()):
+    for i, v in enumerate(vertices):
+        row = [vertices[w] for w in nbrs[ptr[i]:ptr[i + 1]].tolist()]
         for j in range(eg.r):
-            seen = {}
-            for w in nbrs:
-                if w[j] in seen and seen[w[j]] != w:
+            seen = set()
+            for w in row:
+                if w[j] in seen:
                     violations.append((v, j, w[j]))
-                seen.setdefault(w[j], w)
+                seen.add(w[j])
     return violations
 
 
@@ -285,14 +303,9 @@ def edge_sign_vector(x, y, values) -> tuple:
     signs = []
     for j in range(1, len(x)):
         dj = values[x[j]] - values[y[j]]
-        if dj == d1:
-            signs.append("+")
-        elif dj == -d1:
-            signs.append("-")
-        else:
-            raise SignConsistencyError(
-                f"edge {x}-{y} has no consistent sign in coordinate {j + 1}"
-            )
+        if dj != d1 and dj != -d1:
+            raise SignConsistencyError(f"edge {x}-{y} has no consistent sign in coordinate {j + 1}")
+        signs.append("+" if dj == d1 else "-")
     return tuple(signs)
 
 
@@ -302,72 +315,80 @@ def sign_decompose(eg: EnergyGraph, values) -> dict:
     values maps base vertex i to its exact number (a RealSet or any
     indexable of exact values).  Every class is present in the result,
     possibly with no edges; the classes are edge-disjoint and exhaustive.
+    Differences are taken over an object array, so they stay exact.
     """
     if eg.parts is None:
         raise EnergyGraphError("sign classes need the partitioned form")
     vals = getattr(values, "elements", values)
     if len(vals) < eg.n:
         raise SignConsistencyError(f"need a value for each of {eg.n} base vertices")
-    buckets = {s: [] for s in all_sign_sequences(eg.r)}
-    for x, y, c in eg.edges:
-        buckets[edge_sign_vector(x, y, vals)].append((x, y, c))
-    return {
-        s: eg._replaced(edges, f"sign_class({''.join(s)})")
-        for s, edges in buckets.items()
-    }
+    table = np.array(vals[:eg.n], dtype=object)
+    d1, *rest = (table[a] - table[b] for a, b in zip(eg.digits(eg.xs), eg.digits(eg.ys)))
+    bad = d1 == 0
+    index = np.zeros(eg.num_edges, dtype=np.int64)  # '-' is bit 1, coordinate 2 the top bit
+    for d in rest:
+        bad |= (d != d1) & (d != -d1)
+        index = 2 * index + (d == -d1)
+    if bad.any():  # edge_sign_vector raises the error of the first bad edge
+        i = int(np.argmax(bad))
+        edge_sign_vector(eg.vertices(eg.xs[i:i + 1])[0], eg.vertices(eg.ys[i:i + 1])[0], vals)
+    return {s: eg._replaced(index == k, f"sign_class({''.join(s)})")
+            for k, s in enumerate(all_sign_sequences(eg.r))}
 
 
 def energy_graph_to_dict(eg: EnergyGraph) -> dict:
-    """JSON shape with the vertex set left implicit; colors are the
-    dense ids of the source coloring."""
+    """Format-2 JSON shape: the vertex set is left implicit, edges are the
+    three code arrays, and colors are the source coloring's dense ids."""
     return {
-        "r": eg.r,
-        "n": eg.n,
+        "format": 2, "r": eg.r, "n": eg.n,
         "parts": None if eg.parts is None else [list(p) for p in eg.parts],
-        "edges": [[list(x), list(y), c] for x, y, c in eg.edges],
+        "xs": eg.xs.tolist(), "ys": eg.ys.tolist(), "cs": eg.cs.tolist(),
         "color_base_edges": {str(c): m for c, m in sorted(eg.color_base_edges.items())},
         "provenance": list(eg.provenance),
     }
 
 
 def energy_graph_from_dict(data: dict) -> EnergyGraph:
-    r, n, parts, edges, counts, provenance = fields(
-        data, r=int, n=int, parts=([list], None), edges=list, color_base_edges=dict,
-        provenance=[str],
+    """Read a format-2 record, checking what the builders guarantee: r
+    disjoint parts covering 0..n-1, codes in range and strictly sorted
+    with xs < ys, every coordinate differing across an edge and inside
+    its part, and a base edge count for every edge color."""
+    if not (isinstance(data, dict) and type(data.get("format")) is int and data["format"] == 2):
+        raise EnergyGraphError("not a format-2 energy graph; rebuild it with `energy-graph`")
+    r, n, parts, *arrays, counts, provenance = fields(
+        data, r=int, n=int, parts=([list], None), xs=list, ys=list, cs=list,
+        color_base_edges=dict, provenance=[str],
     )
+    if r < 2 or n < 2:
+        raise EnergyGraphError(f"r={r} and n={n} must both be at least 2")
+    dtype = _code_dtype(n, r)
+    if any(not set(map(type, a)) <= {int} for a in arrays):
+        raise EnergyGraphError("xs, ys and cs must hold only ints")
     try:
-        eg = EnergyGraph(
-            r,
-            n,
-            None if parts is None else tuple(tuple(p) for p in parts),
-            tuple(sorted((tuple(x), tuple(y), c) for x, y, c in edges)),
-            {int(c): m for c, m in counts.items()},
-            tuple(provenance),
-        )
-        _check_vertices_and_colors(eg)
-    except EnergyGraphError:
-        raise
-    except (TypeError, ValueError):
-        raise EnergyGraphError("energy graph JSON has a malformed part, edge or count") from None
+        xs, ys, cs = (np.array(a, dtype=np.int64) for a in arrays)
+        counts = {int(c): m for c, m in counts.items()}
+    except (ValueError, OverflowError):
+        raise EnergyGraphError("codes must fit in 64 bits and color keys be ints") from None
+    pairs = n * (n - 1) // 2
+    if any(type(m) is not int or m < 0 or not 0 <= c < pairs for c, m in counts.items()):
+        raise EnergyGraphError("color base edge counts must be non-negative ints, "
+                               f"keyed by color ids in 0..{pairs - 1}")
+    if not len(xs) == len(ys) == len(cs):
+        raise EnergyGraphError("xs, ys and cs must have one entry per edge")
+    if len(xs) and (xs.min() < 0 or ys.max() >= n**r or (xs >= ys).any()):
+        raise EnergyGraphError(f"edge codes must satisfy 0 <= xs[i] < ys[i] < {n}^{r}")
+    step = np.diff(xs)
+    if not ((step > 0) | ((step == 0) & (np.diff(ys) > 0))).all():
+        raise EnergyGraphError("edges must be strictly increasing in (xs, ys)")
+    if not np.isin(cs, list(counts)).all():
+        raise EnergyGraphError("every edge color needs a base edge count")
+    eg = EnergyGraph(r, n, None if parts is None else tuple(tuple(p) for p in parts),
+                     xs.astype(dtype), ys.astype(dtype), cs.astype(dtype), counts,
+                     tuple(provenance))
+    part_of = None if parts is None else _part_index(eg.parts, r, n)
+    for j, (a, b) in enumerate(zip(eg.digits(eg.xs), eg.digits(eg.ys))):
+        if (a == b).any():
+            raise EnergyGraphError(f"an edge repeats its base vertex in coordinate {j + 1}")
+        if part_of is not None and ((part_of[a] != j).any() or (part_of[b] != j).any()):
+            raise EnergyGraphError(f"an edge leaves part {j + 1} in coordinate {j + 1}")
     return eg
-
-
-def _check_vertices_and_colors(eg: EnergyGraph) -> None:
-    """Each distinct edge vertex is r non-bool ints in 0..n-1, coordinate j
-    inside part j when parts are set; each edge color has a base edge
-    count, and every count is a non-negative int."""
-    if any(type(m) is not int or m < 0 for m in eg.color_base_edges.values()):
-        raise EnergyGraphError("color base edge counts must be non-negative ints")
-    allowed = [range(eg.n)] * eg.r if eg.parts is None else [set(p) for p in eg.parts]
-    if len(allowed) != eg.r:
-        raise EnergyGraphError(f"{len(allowed)} parts for an order-{eg.r} graph")
-    for v in {e[0] for e in eg.edges} | {e[1] for e in eg.edges}:
-        if len(v) != eg.r or not all(
-            type(x) is int and 0 <= x < eg.n and x in part for x, part in zip(v, allowed)
-        ):
-            raise EnergyGraphError(
-                f"vertex {list(v)} is not {eg.r} ints in 0..{eg.n - 1}, each in its part"
-            )
-    for c in {e[2] for e in eg.edges}:
-        if type(c) is not int or c not in eg.color_base_edges:
-            raise EnergyGraphError(f"edge color {c!r} has no base edge count")

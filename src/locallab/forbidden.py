@@ -16,6 +16,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .coloring import EdgeColoring
 from .energy import ln_ceiling
 from .energy_graph import (
@@ -46,36 +48,21 @@ class CyclePath:
             raise LocalLabError("cycle vertices must be distinct")
 
 
-def _plain_adjacency(graph) -> dict:
-    """Vertex -> sorted neighbors; an EnergyGraph's own shared map."""
-    if isinstance(graph, EnergyGraph):
-        return graph.adjacency()
-    if isinstance(graph, dict):
-        adj = {}
-        for v, nbrs in graph.items():
-            adj.setdefault(v, set()).update(nbrs)
-            for w in nbrs:
-                adj.setdefault(w, set()).add(v)
-        return {v: sorted(ws) for v, ws in adj.items()}
-    raise LocalLabError(f"cannot search {type(graph).__name__} for cycles")
-
-
-def find_cycle(graph, length: int):
-    """First simple cycle of exactly `length`, or None.
-
-    The search is canonical: start vertices ascending, each cycle
-    explored only from its smallest vertex, neighbors in sorted order.
-    """
+def _search_cycle(adj, length: int):
+    """Positions in the codes of CSR adjacency `adj` of the first simple
+    cycle of exactly `length`, or None.  The search is canonical: start
+    vertices ascending, each cycle explored only from its smallest vertex,
+    neighbors in sorted order."""
     if length < 3:
         raise LocalLabError(f"cycle length {length} must be at least 3")
-    adj = _plain_adjacency(graph)
+    ptr, nbrs = adj[1].tolist(), adj[2].tolist()
 
     # the adjacency is symmetric, so a path closes at a neighbor of its start
     def extend(start, closers, path, on_path):
         v = path[-1]
         if len(path) == length:
             return list(path) if v in closers else None
-        for w in adj[v]:
+        for w in nbrs[ptr[v]:ptr[v + 1]]:
             if w <= start or w in on_path:
                 continue
             path.append(w)
@@ -87,23 +74,37 @@ def find_cycle(graph, length: int):
             on_path.remove(w)
         return None
 
-    for s in sorted(adj):
-        if len(adj[s]) < 2:
+    for s in range(len(ptr) - 1):
+        if ptr[s + 1] - ptr[s] < 2:
             continue
-        found = extend(s, set(adj[s]), [s], {s})
+        found = extend(s, set(nbrs[ptr[s]:ptr[s + 1]]), [s], {s})
         if found:
-            return CyclePath(tuple(found), length)
+            return found
     return None
 
 
-def validate_cycle(graph, cycle: CyclePath) -> None:
-    """Re-check distinctness and all cyclic adjacencies; raises on failure."""
-    adj = _plain_adjacency(graph)
-    n = cycle.length
-    for i, v in enumerate(cycle.vertices):
-        w = cycle.vertices[(i + 1) % n]
-        if w not in adj.get(v, ()):
-            raise WitnessError(f"cycle step {v} -> {w} is not an edge")
+def _check_steps(adj, cycle_codes, names) -> None:
+    """Raise unless every step cycle_codes[i] -> cycle_codes[i + 1]
+    (cyclically) is an edge of CSR adjacency `adj`; names label the steps."""
+    codes, ptr, nbrs = adj
+    rows = [i if i < len(codes) and codes[i] == c else -1
+            for i, c in zip(np.searchsorted(codes, cycle_codes).tolist(), cycle_codes)]
+    for i, (v, w) in enumerate(zip(rows, rows[1:] + rows[:1])):
+        if v < 0 or w < 0 or w not in nbrs[ptr[v]:ptr[v + 1]]:
+            raise WitnessError(f"cycle step {names[i]} -> {names[(i + 1) % len(names)]} "
+                               "is not an edge")
+
+
+def find_cycle(eg: EnergyGraph, length: int):
+    """First simple cycle of exactly `length` in the canonical search
+    order (vertices compared as tuples), or None."""
+    found = _search_cycle(eg.adjacency(), length)
+    return None if found is None else CyclePath(tuple(eg.vertices(eg.adjacency()[0][found])), length)
+
+
+def validate_cycle(eg: EnergyGraph, cycle: CyclePath) -> None:
+    """Re-check all cyclic adjacencies; raises on failure."""
+    _check_steps(eg.adjacency(), [eg.code(v) for v in cycle.vertices], cycle.vertices)
 
 
 def find_complete_bipartite(g: EdgeColoring, color: int, s: int, t: int):
@@ -407,11 +408,10 @@ def witness_from_cycle_3rd(g: EdgeColoring, eg: EnergyGraph,
     if coordinate_neighbor_violations(eg):
         raise WitnessError("two neighbors share a coordinate value")
     floor = ln_ceiling(g.n)
-    for _, _, c in eg.edges:
-        if eg.color_base_edges.get(c, 0) < floor:
-            raise WitnessError(
-                f"color id {c} has fewer than {floor} base edges; prune rare colors first"
-            )
+    rare = ~eg.colors_at_least(floor)
+    if rare.any():
+        raise WitnessError(f"color id {int(eg.cs[np.argmax(rare)])} has fewer than {floor} "
+                           "base edges; prune rare colors first")
     forests, vertices, equalities, anchor_color, anchor_pair = _walk_cycle(g, eg, cycle)
     return _pad_witness(g, forests, vertices, equalities, anchor_color,
                         anchor_pair, 16, 24)

@@ -59,6 +59,7 @@ def test_energy_graph_pipeline_and_witness(tmp_path, capsys):
     assert run(["energy-graph", "--input", str(mono), "--stages", "diagonal",
                 "--out", str(graph)]) == 0
     assert run(["find", "--graph", str(graph), "--length", "4"]) == 1
+    assert "cycle of length 4: [(0, 0), (1, 2), (0, 1), (1, 3)]" in capsys.readouterr().out
     cert = tmp_path / "wit.json"
     assert run(["witness", "--kind", "pair", "--input", str(mono),
                 "--graph", str(graph), "--k", "8", "--cert", str(cert)]) == 1
@@ -263,43 +264,81 @@ def test_bool_vertex_in_coloring_file_exits_2(tmp_path, capsys):
     assert "vertex True" in capsys.readouterr().err
 
 
-def graph_file(tmp_path, **fields):
-    """A well-formed order-2 graph file on n=3 with `fields` replaced."""
-    record = {"r": 2, "n": 3, "parts": None, "edges": [[[0, 1], [1, 2], 0]],
+def graph_file(tmp_path, drop=(), **fields):
+    """A well-formed format-2 order-2 graph file on n=4, with `fields`
+    replaced and the keys in `drop` removed.  Its one edge joins the
+    vertices (0, 2) and (1, 3), whose codes are 0*4+2 and 1*4+3."""
+    record = {"format": 2, "r": 2, "n": 4, "parts": None, "xs": [2], "ys": [7], "cs": [0],
               "color_base_edges": {"0": 1}, "provenance": ["build_partitioned"]}
+    record.update(fields)
+    for key in drop:
+        del record[key]
     path = tmp_path / "g.json"
-    path.write_text(json.dumps({**record, **fields}))
+    path.write_text(json.dumps(record))
     return path
 
 
 def test_well_formed_graph_file_loads(tmp_path):
-    path = graph_file(tmp_path, parts=[[0, 1], [1, 2]])
+    path = graph_file(tmp_path, parts=[[0, 1], [2, 3]])
     assert run(["find", "--graph", str(path), "--length", "4"]) == 0
 
 
+PARTS = [[0, 1], [2, 3]]
 BAD_GRAPHS = {
-    "wide-vertex": {"edges": [[[0, 1], [1, 2, 5], 0]]},
-    "narrow-vertex": {"edges": [[[0, 1], [1], 0]]},
-    "entry-at-least-n": {"edges": [[[0, 1], [1, 99], 0]]},
-    "negative-entry": {"edges": [[[0, 1], [1, -1], 0]]},
-    "bool-entry": {"edges": [[[0, True], [1, 2], 0]]},
-    "float-entry": {"edges": [[[0, 1.0], [1, 2], 0]]},
-    "unhashable-entry": {"edges": [[[[0], 1], [1, 2], 0]]},
-    "entry-outside-part": {"edges": [[[0, 1], [1, 0], 0]], "parts": [[0, 1], [1, 2]]},
-    "fewer-parts-than-r": {"parts": [[0, 1]]},
-    "uncounted-color": {"edges": [[[0, 1], [1, 2], 7]]},
-    "bool-color": {"edges": [[[0, 1], [1, 2], True]]},
+    # the code of the three-entry vertex [1, 2, 5]
+    "wide-vertex": {"ys": [1 * 16 + 2 * 4 + 5]},
+    # the one-entry vertex [1], read as the code of (0, 1), lands outside part 2
+    "narrow-vertex": {"xs": [1], "ys": [7], "parts": PARTS},
+    # the code of [1, 4] is that of (2, 0), outside part 1
+    "entry-at-least-n": {"ys": [1 * 4 + 4], "parts": PARTS},
+    "negative-entry": {"xs": [-1]},
+    "bool-entry": {"xs": [True]},
+    "float-entry": {"xs": [2.0]},
+    "unhashable-entry": {"xs": [[2]]},
+    # (1, 0) has its second coordinate outside part 2
+    "entry-outside-part": {"ys": [4], "parts": PARTS},
+    "fewer-parts-than-r": {"parts": [[0, 1, 2, 3]]},
+    "uncounted-color": {"cs": [7]},
+    "bool-color": {"cs": [True]},
     "string-count": {"color_base_edges": {"0": "x"}},
     "negative-count": {"color_base_edges": {"0": -1}},
     "int-provenance": {"provenance": [5]},
+    "overlapping-parts": {"parts": [[0, 1, 2], [2, 3]]},
+    "part-entry-at-least-n": {"parts": [[0, 1], [2, 7]]},
+    # (0, 2) and (1, 2) agree in the second coordinate
+    "equal-coordinate": {"ys": [6]},
+    "format-1": {"format": 1},
+    "string-format": {"format": "2"},
+    "unsorted-edges": {"xs": [2, 2], "ys": [11, 7], "cs": [0, 0]},
+    "duplicate-edges": {"xs": [2, 2], "ys": [7, 7], "cs": [0, 0]},
+    "xs-not-below-ys": {"xs": [7], "ys": [2]},
+    "length-mismatch": {"cs": [0, 0]},
+    "float-code": {"ys": [7.0]},
+    "bool-code": {"ys": [True]},
 }
 
 
-@pytest.mark.parametrize("kind", sorted(BAD_GRAPHS))
+@pytest.mark.parametrize("kind", sorted(BAD_GRAPHS) + ["missing-format", "format-1-file"])
 def test_malformed_graph_file_exits_2(tmp_path, capsys, kind):
-    path = graph_file(tmp_path, **BAD_GRAPHS[kind])
+    if kind == "missing-format":
+        path = graph_file(tmp_path, drop=["format"])
+    elif kind == "format-1-file":
+        # the record older versions wrote, with tuple vertices and no format key
+        path = graph_file(tmp_path, drop=["format", "xs", "ys", "cs"],
+                          edges=[[[0, 2], [1, 3], 0]])
+    else:
+        path = graph_file(tmp_path, **BAD_GRAPHS[kind])
     assert run(["find", "--graph", str(path), "--length", "4"]) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    if "format" in kind:
+        assert "rebuild it with `energy-graph`" in err
+
+
+def test_graph_codes_wider_than_64_bits_exit_3(tmp_path, capsys):
+    path = graph_file(tmp_path, n=10, r=20, xs=[], ys=[], cs=[])
+    assert run(["find", "--graph", str(path), "--length", "4"]) == 3
+    assert "10^20 vertices need codes wider than 64 bits" in capsys.readouterr().err
 
 
 def test_sign_stage_must_be_last(tmp_path, capsys):

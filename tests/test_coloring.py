@@ -15,7 +15,6 @@ from locallab import (
     coloring_from_dict,
     coloring_to_dict,
     load_coloring,
-    max_monochromatic_degree,
     min_colors_over_k_subsets,
     new_coloring,
     pair_index,
@@ -145,13 +144,6 @@ def test_random_coloring_determinism_and_coverage():
     assert random_coloring(4, 50, seed=0).num_colors <= 6
     with pytest.raises(ColoringError):
         random_coloring(4, 0, seed=0)
-
-
-def test_max_monochromatic_degree_prefers_small_ids():
-    g = new_coloring(4, [(0, 1, "a"), (0, 2, "a"), (0, 3, "a"), (1, 2, "b"), (1, 3, "b"), (2, 3, "c")])
-    v, c, d = max_monochromatic_degree(g)
-    assert (v, d) == (0, 3)
-    assert g.label_of(c) == "a"
 
 
 def test_json_round_trip_and_stable_bytes(tmp_path):

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from locallab import (
+    BudgetExceededError,
     EnergyGraphError,
     SignConsistencyError,
     all_sign_sequences,
@@ -274,13 +275,22 @@ def test_adjacency_is_built_once_symmetric_and_sorted():
     part = partition_for_rth_energy(g, 3, seed=4)
     for eg in (prune_diagonal(build_second_energy_graph(g)),
                build_rth_energy_graph(g, 3, part.parts)):
-        adj = eg.adjacency()
-        assert adj is eg.adjacency()
-        assert sum(map(len, adj.values())) == 2 * eg.num_edges
-        for v, nbrs in adj.items():
-            assert isinstance(nbrs, tuple) and nbrs
-            assert strictly_increasing(nbrs)
-            assert all(v in adj[w] for w in nbrs)
-        assert {(x, y) for x, y, _ in eg.edges} == {
-            (v, w) for v, nbrs in adj.items() for w in nbrs if v < w
+        assert eg.adjacency() is eg.adjacency()
+        codes, indptr, indices = eg.adjacency()
+        assert len(indices) == indptr[-1] == 2 * eg.num_edges
+        codes = codes.tolist()
+        assert strictly_increasing(codes)
+        rows = [indices[indptr[i]:indptr[i + 1]].tolist() for i in range(len(codes))]
+        for v, nbrs in enumerate(rows):
+            assert nbrs and strictly_increasing(nbrs)
+            assert all(v in rows[w] for w in nbrs)
+        assert set(zip(eg.xs.tolist(), eg.ys.tolist())) == {
+            (codes[v], codes[w]) for v, nbrs in enumerate(rows) for w in nbrs if v < w
         }
+
+
+def test_codes_wider_than_64_bits_exceed_the_budget():
+    # 40^12 > 2^63: refused before any edge is built
+    parts = [tuple(range(j, 40, 12)) for j in range(12)]
+    with pytest.raises(BudgetExceededError, match=r"40\^12 vertices need codes wider"):
+        build_rth_energy_graph(mono(40), 12, parts)

@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from locallab import (
@@ -15,6 +16,8 @@ from locallab import (
     build_second_energy_graph,
     clique_from_cycle_arith,
     coloring_from_set,
+    energy_graph_from_dict,
+    energy_graph_to_dict,
     extremal_edge_reference,
     find_complete_bipartite,
     find_cycle,
@@ -34,6 +37,8 @@ from locallab import (
     witness_from_cycle_2nd,
     witness_from_cycle_3rd,
 )
+from locallab.energy_graph import csr_adjacency
+from locallab.forbidden import _check_steps, _search_cycle
 
 
 def mono(n, label=0):
@@ -46,37 +51,67 @@ def check_cycle(graph, cycle, length):
     validate_cycle(graph, cycle)
 
 
+def dict_adjacency(graph):
+    """The CSR adjacency EnergyGraph.adjacency builds, for a dict graph on
+    int vertices."""
+    pairs = sorted({(min(v, w), max(v, w)) for v, ws in graph.items() for w in ws})
+    return csr_adjacency(np.array([p[0] for p in pairs], dtype=np.int64),
+                         np.array([p[1] for p in pairs], dtype=np.int64))
+
+
+def find_dict_cycle(graph, length):
+    """find_cycle's search kernel on a dict graph."""
+    adj = dict_adjacency(graph)
+    found = _search_cycle(adj, length)
+    return None if found is None else CyclePath(tuple(adj[0][found].tolist()), length)
+
+
+def validate_dict_cycle(graph, cycle):
+    """validate_cycle's step check on a dict graph."""
+    _check_steps(dict_adjacency(graph), list(cycle.vertices), cycle.vertices)
+
+
+def graph_with_edges(eg, edges):
+    """`eg` with its edges replaced by the sorted (X, Y, color id) tuples
+    `edges`, read back through the graph file record."""
+    record = energy_graph_to_dict(eg)
+    record["xs"] = [eg.code(x) for x, _, _ in edges]
+    record["ys"] = [eg.code(y) for _, y, _ in edges]
+    record["cs"] = [c for _, _, c in edges]
+    return energy_graph_from_dict(record)
+
+
 # -- plain cycle search ------------------------------------------------------
 
 
 def test_find_cycle_on_dict_graphs():
     square = {0: [1, 3], 1: [2], 2: [3], 3: []}
-    c = find_cycle(square, 4)
-    check_cycle(square, c, 4)
+    c = find_dict_cycle(square, 4)
+    validate_dict_cycle(square, c)
     assert c.vertices == (0, 1, 2, 3)
-    assert find_cycle(square, 3) is None
+    assert find_dict_cycle(square, 3) is None
 
     tree = {0: [1, 2], 1: [3, 4], 2: [5]}
-    assert find_cycle(tree, 3) is None
-    assert find_cycle(tree, 4) is None
+    assert find_dict_cycle(tree, 3) is None
+    assert find_dict_cycle(tree, 4) is None
 
     k4 = {i: [j for j in range(4) if j > i] for i in range(4)}
-    assert find_cycle(k4, 3).vertices == (0, 1, 2)
-    assert find_cycle(k4, 4).vertices == (0, 1, 2, 3)
+    assert find_dict_cycle(k4, 3).vertices == (0, 1, 2)
+    assert find_dict_cycle(k4, 4).vertices == (0, 1, 2, 3)
     with pytest.raises(LocalLabError):
-        find_cycle(k4, 2)
+        find_dict_cycle(k4, 2)
 
 
 def test_find_cycle_returns_lex_least_start():
     # two squares sharing nothing; the 4-cycle through 0 wins
     g = {4: [5, 7], 5: [6], 6: [7], 0: [1, 3], 1: [2], 2: [3]}
-    assert find_cycle(g, 4).vertices == (0, 1, 2, 3)
+    assert find_dict_cycle(g, 4).vertices == (0, 1, 2, 3)
 
 
 def test_validate_cycle_rejects_non_cycles():
     square = {0: [1, 3], 1: [2], 2: [3], 3: []}
     with pytest.raises(LocalLabError):
-        validate_cycle(square, CyclePath((0, 1, 3, 2), 4))
+        validate_dict_cycle(square, CyclePath((0, 1, 3, 2), 4))
     with pytest.raises(LocalLabError):
         CyclePath((0, 1, 1, 2), 4)
     with pytest.raises(LocalLabError):
@@ -88,6 +123,7 @@ def test_find_cycle_in_energy_graphs():
     c = find_cycle(eg, 4)
     check_cycle(eg, c, 4)
     assert c.vertices == ((0, 0), (1, 2), (0, 1), (1, 3))
+    assert {type(x) for v in c.vertices for x in v} == {int}
     assert find_cycle(eg, 3).vertices == ((0, 0), (1, 2), (2, 1))
     # rare pruning with an impossible threshold leaves nothing to find
     empty = prune_rare_colors(eg, 10**6)
@@ -421,8 +457,8 @@ def test_clique_rejects_inconsistent_cycles():
     h = coloring_from_set(B)
     egb = build_rth_energy_graph(h, 2, ((0, 1, 2, 3), (4, 5, 6, 7)))
     cb = sign_decompose(egb, B)
-    union = tuple(sorted(set(cb[("+",)].edges) | set(cb[("-",)].edges)))
-    mixed = cb[("+",)]._replaced(union, "test-mix")
+    union = sorted(set(cb[("+",)].edges) | set(cb[("-",)].edges))
+    mixed = graph_with_edges(cb[("+",)], union)
     mix_cycle = CyclePath(((0, 5), (1, 4), (3, 6), (2, 7)), 4)
     validate_cycle(mixed, mix_cycle)
     with pytest.raises(SignConsistencyError):
@@ -430,32 +466,16 @@ def test_clique_rejects_inconsistent_cycles():
 
 
 def test_clique_rejects_repeated_base_elements():
-    # glue two tuple vertices through a shared base element
+    # No sign class holds a cycle that reuses a base element: along a
+    # sign-homogeneous cycle any two vertices satisfy v_j - u_j =
+    # s_j (v_0 - u_0), so the square is hand-built.  Its cycle
+    # (0,5)-(1,6)-(0,7)-(1,8) reuses the base elements 0 and 1.
     A = real_set([0, 1, 2, 3, 4, 10, 11, 12, 13, 14])
     g = coloring_from_set(A)
-    eg = build_rth_energy_graph(g, 2, ((0, 1, 2, 3, 4), (5, 6, 7, 8, 9)))
-    classes = sign_decompose(eg, A)
-    plus = classes[("+",)]
-    # (0,5)-(1,6)-(0,7)? find any 4-cycle reusing a base id
-    adj = plus.adjacency()
-    found = None
-    for x in sorted(adj):
-        for y in adj[x]:
-            for z in adj.get(y, ()):
-                if z == x or not set(x) & set(z):
-                    continue
-                for w in adj.get(z, ()):
-                    if w in (x, y):
-                        continue
-                    if x in adj.get(w, ()):
-                        found = CyclePath((x, y, z, w), 4)
-                        break
-                if found:
-                    break
-            if found:
-                break
-        if found:
-            break
-    if found is not None:
-        with pytest.raises(WitnessError):
-            clique_from_cycle_arith(plus, found, 2, A)
+    template = build_rth_energy_graph(g, 2, ((0, 1, 2, 3, 4), (5, 6, 7, 8, 9)))
+    square = [((0, 5), (1, 6)), ((0, 5), (1, 8)), ((0, 7), (1, 6)), ((0, 7), (1, 8))]
+    eg = graph_with_edges(template, [(x, y, g.color_of(0, 1)) for x, y in square])
+    cycle = find_cycle(eg, 4)
+    assert cycle.vertices == ((0, 5), (1, 6), (0, 7), (1, 8))
+    with pytest.raises(WitnessError, match="repeats a base element"):
+        clique_from_cycle_arith(eg, cycle, 2, A)
