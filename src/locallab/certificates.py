@@ -9,7 +9,6 @@ or element set supplied by the caller.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 
 from .coloring import (
@@ -180,8 +179,7 @@ def _verify_witness_set(cert, g: EdgeColoring, messages):
         messages.append("witness vertex out of range")
         return
     _check_repetition_edges(vertices, claimed, equalities, g, messages)
-    mat = g.color_matrix()
-    spanned = len({mat[u][v] for u, v in itertools.combinations(vertices, 2)})
+    spanned = g.colors_within(vertices)
     if spanned != spanned_claim:
         messages.append(f"set spans {spanned} colors, certificate says {spanned_claim}")
     budget = k * (k - 1) // 2 - claimed

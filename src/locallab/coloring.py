@@ -82,21 +82,30 @@ class EdgeColoring:
         except ValueError:
             raise ColoringError(f"unknown color label {label!r}") from None
 
-    def pairs(self):
-        return itertools.combinations(range(self.n), 2)
-
     def edge_items(self):
         """Yield (u, v, dense color id) in lexicographic pair order."""
-        for idx, (u, v) in enumerate(self.pairs()):
-            yield u, v, self.colors[idx]
+        for (u, v), c in zip(itertools.combinations(range(self.n), 2), self.colors):
+            yield u, v, c
 
-    def color_matrix(self):
-        """Dense n x n lookup table; -1 on the diagonal."""
-        mat = [[-1] * self.n for _ in range(self.n)]
-        for u, v, c in self.edge_items():
-            mat[u][v] = c
-            mat[v][u] = c
+    def color_matrix(self) -> np.ndarray:
+        """Read-only n x n matrix of color ids, -1 on the diagonal, in the
+        smallest signed dtype; built on the first call and kept."""
+        mat = self.__dict__.get("_color_matrix")
+        if mat is None:
+            mat = np.full((self.n, self.n), -1, dtype=np.min_scalar_type(-self.num_colors))
+            upper = np.triu_indices(self.n, 1)
+            mat[upper] = mat.T[upper] = self.colors
+            mat.flags.writeable = False
+            object.__setattr__(self, "_color_matrix", mat)
         return mat
+
+    def colors_within(self, vertices) -> int:
+        """Number of distinct colors on the pairs of distinct `vertices`."""
+        index = list(vertices)
+        for v in index:
+            self._check_vertex(v)
+        spans = self.color_matrix()[np.ix_(index, index)]
+        return len(np.unique(spans[spans >= 0]))
 
     def color_classes(self):
         """Edges of each color, lexicographically sorted, indexed by id."""
@@ -186,10 +195,18 @@ def random_coloring(n: int, c: int, seed: int) -> EdgeColoring:
 
 def color_multiplicities(g: EdgeColoring) -> ColorStats:
     """Ordered-pair multiplicity of every color; totals n(n-1)."""
-    counts = {c: 0 for c in range(g.num_colors)}
-    for _, _, c in g.edge_items():
-        counts[c] += 2
+    counts = {c: 2 * len(pairs) for c, pairs in enumerate(g.color_classes())}
     return ColorStats(counts, g.n * (g.n - 1))
+
+
+def pairs_within(g: EdgeColoring, part_of, r: int) -> list:
+    """within[c][j]: the color-c base pairs (u < v), in lexicographic order,
+    with both ends in part j, where part_of[v] in 0..r-1 is v's part."""
+    within = [[[] for _ in range(r)] for _ in range(g.num_colors)]
+    for u, v, c in g.edge_items():
+        if part_of[u] == part_of[v]:
+            within[c][part_of[u]].append((u, v))
+    return within
 
 
 # Subsets are scanned in blocks of at most this many rows.
@@ -249,6 +266,15 @@ def _sampled_chunks(n, k, trials, seed, dtype):
         yield np.array([sorted(rng.sample(range(n), k)) for _ in range(rows)], dtype=dtype)
 
 
+def _check_subset_budget(n, k, trials=None):
+    """Raise unless all C(n, k) k-subsets, or `trials` sampled ones, fit
+    SUBSET_SCAN_BUDGET."""
+    total = math.comb(n, k) if trials is None else trials
+    ceiling = config.budget(config.SUBSET_SCAN_BUDGET)
+    if total > ceiling:
+        raise BudgetExceededError(f"scanning {total} {k}-subsets exceeds the {ceiling} subset budget")
+
+
 def _scan(g, k, cap, trials=None, seed=None):
     """Return (fewest colors, first subset spanning that many).
 
@@ -257,21 +283,14 @@ def _scan(g, k, cap, trials=None, seed=None):
     which never changes whether the minimum reaches `cap`.  The scan is
     checked against SUBSET_SCAN_BUDGET before it starts.
     """
-    total = math.comb(g.n, k) if trials is None else trials
-    ceiling = config.budget(config.SUBSET_SCAN_BUDGET)
-    if total > ceiling:
-        raise BudgetExceededError(
-            f"scanning {total} {k}-subsets exceeds the {ceiling} subset budget"
-        )
+    _check_subset_budget(g.n, k, trials)
     vertex = np.min_scalar_type(g.n - 1)
     if trials is None:
         chunks = _lex_chunks(g.n, k, vertex)
     else:
         chunks = _sampled_chunks(g.n, k, trials, seed, vertex)
-    # color of {u, v}, u < v, at u * n + v
-    matrix = np.zeros((g.n, g.n), dtype=np.min_scalar_type(g.num_colors - 1))
-    matrix[np.triu_indices(g.n, 1)] = g.colors
-    matrix = matrix.ravel()
+    # color of {u, v} at u * n + v
+    matrix = g.color_matrix().ravel()
     first, second = np.triu_indices(k, 1)
     best = None
     best_subset = None

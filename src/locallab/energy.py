@@ -49,7 +49,7 @@ def energy_bruteforce(g: EdgeColoring, r: int) -> EnergyValue:
         raise BudgetExceededError(
             f"{g.n}^{2 * r} = {space} ordered tuples exceeds the budget {cap}"
         )
-    mat = g.color_matrix()
+    mat = g.color_matrix().tolist()
     n = g.n
 
     def extend(depth: int, color: int) -> int:

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import ENERGY_GRAPH_EDGE_BUDGET, budget
-from .coloring import EdgeColoring
+from .coloring import EdgeColoring, pairs_within
 from .errors import (
     BudgetExceededError,
     EnergyGraphError,
@@ -195,12 +195,7 @@ def build_rth_energy_graph(g: EdgeColoring, r: int, parts) -> EnergyGraph:
     part_tuples = parts.parts if isinstance(parts, RPartition) else tuple(
         tuple(sorted(p)) for p in parts
     )
-    membership = _part_index(part_tuples, r, g.n).tolist()
-    # base pairs (u < v) per color and coordinate
-    within = [[[] for _ in range(r)] for _ in range(g.num_colors)]
-    for u, v, c in g.edge_items():
-        if membership[u] == membership[v]:
-            within[c][membership[u]].append((u, v))
+    within = pairs_within(g, _part_index(part_tuples, r, g.n).tolist(), r)
     return _product_graph(g, r, part_tuples, within, "build_partitioned")
 
 

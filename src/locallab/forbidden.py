@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .coloring import EdgeColoring
+from .coloring import EdgeColoring, _check_subset_budget, _lex_chunks
 from .energy import ln_ceiling
 from .energy_graph import (
     EnergyGraph,
@@ -114,16 +114,15 @@ def find_complete_bipartite(g: EdgeColoring, color: int, s: int, t: int):
         raise LocalLabError(f"need 1 <= s <= t, got s={s}, t={t}")
     if color not in g.palette:
         raise LocalLabError(f"color id {color} not in the palette")
-    mat = g.color_matrix()
-    for side_s in itertools.combinations(range(g.n), s):
-        members = set(side_s)
-        common = [
-            v
-            for v in range(g.n)
-            if v not in members and all(mat[v][u] == color for u in side_s)
-        ]
-        if len(common) >= t:
-            return side_s, tuple(common[:t])
+    _check_subset_budget(g.n, s)
+    # the diagonal holds -1, so no vertex is common to a side holding it
+    mask = g.color_matrix() == color
+    for rows in _lex_chunks(g.n, s, np.min_scalar_type(g.n - 1)):
+        common = np.logical_and.reduce(mask[rows], axis=1)
+        hits = np.flatnonzero(np.count_nonzero(common, axis=1) >= t)
+        if len(hits):
+            i = hits[0]
+            return tuple(rows[i].tolist()), tuple(np.flatnonzero(common[i])[:t].tolist())
     return None
 
 
@@ -151,13 +150,11 @@ def find_subdivision(g: EdgeColoring, color: int, t: int):
         raise LocalLabError(f"need t >= 3, got {t}")
     if color not in g.palette:
         raise LocalLabError(f"color id {color} not in the palette")
-    mat = g.color_matrix()
-    class_size = sum(1 for _, _, c in g.edge_items() if c == color)
-    if class_size < t * (t - 1):
+    _check_subset_budget(g.n, t)
+    mask = g.color_matrix() == color
+    if np.count_nonzero(mask) // 2 < t * (t - 1):
         return None
-    neighbors = [
-        {u for u in range(g.n) if mat[v][u] == color} for v in range(g.n)
-    ]
+    neighbors = [set(np.flatnonzero(row).tolist()) for row in mask]
     pair_count = t * (t - 1) // 2
     for branch in itertools.combinations(range(g.n), t):
         banned = set(branch)
@@ -277,11 +274,6 @@ class _UnionFind:
         return x in self.parent
 
 
-def _colors_within(g: EdgeColoring, vertices) -> int:
-    mat = g.color_matrix()
-    return len({mat[u][v] for u, v in itertools.combinations(sorted(vertices), 2)})
-
-
 def _base_pair(x, y) -> tuple:
     return (x, y) if x < y else (y, x)
 
@@ -357,7 +349,7 @@ def _pad_witness(g, forests, vertices, equalities, anchor_color, anchor_pair,
     if len(vertices) < target_k:
         raise WitnessError(f"only {g.n} base vertices, cannot reach size {target_k}")
     claimed = len(equalities)
-    spanned = _colors_within(g, vertices)
+    spanned = g.colors_within(vertices)
     budget = target_k * (target_k - 1) // 2 - claimed
     if spanned > budget:
         raise WitnessError(

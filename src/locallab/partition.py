@@ -12,9 +12,11 @@ small instance runs out of trials.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
+from .coloring import pairs_within
 from .errors import PartitionError
 
 
@@ -105,7 +107,6 @@ def partition_for_rth_energy(g, r: int, seed: int, max_trials: int = 1000) -> RP
     if g.n < r:
         raise PartitionError(f"need n >= r, got n={g.n}, r={r}")
     total = energy(g, r).value
-    classes = g.color_classes()
     rng = random.Random(seed)
     scale = (4 * r) ** (2 * r)
     best = None
@@ -115,15 +116,8 @@ def partition_for_rth_energy(g, r: int, seed: int, max_trials: int = 1000) -> RP
         for j, part in enumerate(parts):
             for v in part:
                 part_of[v] = j
-        count = 0
-        for edges in classes:
-            prod = 1
-            for j in range(r):
-                within = sum(1 for u, v in edges if part_of[u] == j and part_of[v] == j)
-                prod *= 2 * within
-                if prod == 0:
-                    break
-            count += prod
+        count = sum(math.prod(2 * len(pairs) for pairs in lists)
+                    for lists in pairs_within(g, part_of, r))
         met = count * scale >= total
         if best is None or count > best.within_tuple_count:
             best = RPartition(tuple(parts), count, trial, met)

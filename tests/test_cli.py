@@ -146,6 +146,12 @@ def test_check_over_subset_budget_exits_3(tmp_path, monkeypatch):
     assert run(["check", "--input", str(mono), "--k", "4", "--l", "2"]) == 3
     assert run(["check", "--input", str(mono), "--k", "4", "--l", "2",
                 "--mode", "sampled", "--trials", "210"]) == 3
+    for pattern in (["--bipartite", "4", "4"], ["--subdivision", "4"]):
+        find = ["find", "--input", str(mono), "--color", "m"] + pattern
+        monkeypatch.setenv("LOCALLAB_BUDGET", "209")
+        assert run(find) == 3
+        monkeypatch.setenv("LOCALLAB_BUDGET", "210")
+        assert run(find) == 1
 
 
 def test_verify_malformed_verdict_is_usage_error(tmp_path):

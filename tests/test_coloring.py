@@ -1,7 +1,10 @@
+import dataclasses
+import itertools
 import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from locallab import (
@@ -67,6 +70,43 @@ def test_fraction_labels_survive():
     g = new_coloring(3, [(0, 1, Fraction(1, 2)), (0, 2, Fraction(1, 2)), (1, 2, 3)])
     assert g.num_colors == 2
     assert g.label_of(g.color_of(0, 1)) == Fraction(1, 2)
+
+
+def test_color_matrix_is_built_once_read_only_and_symmetric():
+    g = random_coloring(9, 4, seed=3)
+    mat = g.color_matrix()
+    assert g.color_matrix() is mat
+    with pytest.raises(ValueError):
+        mat[0, 1] = 0
+    assert (mat == mat.T).all() and (mat.diagonal() == -1).all()
+    for u in range(g.n):
+        for v in range(g.n):
+            if u != v:
+                assert mat[u, v] == g.color_of(u, v)
+    # the cache is no field: equality and hash ignore it
+    fresh = random_coloring(9, 4, seed=3)
+    assert fresh == g and hash(fresh) == hash(g)
+    assert [f.name for f in dataclasses.fields(g)] == ["n", "colors", "color_names"]
+
+
+def test_color_matrix_dtype_widens_past_int8():
+    for palette, dtype in ((128, np.int8), (129, np.int16)):
+        g = new_coloring(17, [(u, v, i % palette) for i, (u, v) in
+                              enumerate(itertools.combinations(range(17), 2))])
+        assert g.num_colors == palette and g.color_matrix().dtype == dtype
+        assert g.color_matrix().max() == palette - 1
+
+
+def test_colors_within_counts_distinct_pair_colors():
+    g = random_coloring(10, 5, seed=8)
+    rng = random.Random(8)
+    for size in range(0, 11):
+        vertices = rng.sample(range(10), size)
+        expected = {g.color_of(u, v) for u, v in itertools.combinations(vertices, 2)}
+        assert g.colors_within(vertices) == len(expected)
+        assert g.colors_within(set(vertices)) == len(expected)
+    with pytest.raises(VertexRangeError):
+        g.colors_within([0, -1])
 
 
 def test_multiplicities_sum_to_ordered_pair_count():

@@ -173,6 +173,21 @@ def brute_bipartite(g, color, s, t):
     return False
 
 
+def reference_bipartite(g, color, s, t):
+    # the per-subset search the mask kernel replaced
+    mat = g.color_matrix()
+    for side_s in itertools.combinations(range(g.n), s):
+        members = set(side_s)
+        common = [
+            v
+            for v in range(g.n)
+            if v not in members and all(mat[v][u] == color for u in side_s)
+        ]
+        if len(common) >= t:
+            return side_s, tuple(common[:t])
+    return None
+
+
 def test_find_complete_bipartite_frozen():
     g = mono(5)
     found = find_complete_bipartite(g, 0, 2, 3)
@@ -186,11 +201,12 @@ def test_find_complete_bipartite_matches_bruteforce():
     for _ in range(20):
         n = rng.randrange(4, 10)
         g = random_coloring(n, rng.randrange(1, 4), seed=rng.randrange(10**6))
-        s = rng.randrange(1, 3)
-        t = rng.randrange(s, 4)
+        s = rng.randrange(1, 4)
+        t = rng.randrange(s, 5)
         for color in range(g.num_colors):
             found = find_complete_bipartite(g, color, s, t)
             assert (found is not None) == brute_bipartite(g, color, s, t)
+            assert found == reference_bipartite(g, color, s, t)
             if found is not None:
                 left, right = found
                 assert len(left) == s and len(right) == t
@@ -198,6 +214,17 @@ def test_find_complete_bipartite_matches_bruteforce():
                 for u in left:
                     for v in right:
                         assert g.color_of(u, v) == color
+
+
+def test_find_complete_bipartite_answer_past_the_first_chunk():
+    # the only 3 x 4 block in color 0 starts at subset row 4950 of C(32, 3) = 4960
+    block = {(u, v) for u in range(4) for v in (27, 28, 29)}
+    g = new_coloring(32, [(u, v, 0 if (u, v) in block else 1)
+                          for u, v in itertools.combinations(range(32), 2)])
+    color = g.color_id(0)  # label 1 is seen first, so label 0 has id 1
+    found = find_complete_bipartite(g, color, 3, 4)
+    assert found == ((27, 28, 29), (0, 1, 2, 3)) == reference_bipartite(g, color, 3, 4)
+    assert all(type(v) is int for side in found for v in side)
 
 
 def test_find_complete_bipartite_rejects_bad_parameters():
