@@ -12,6 +12,7 @@ be shared freely between threads.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -215,8 +216,10 @@ _CHUNK_ROWS = 4096
 _TABLE_ROWS = 1 << 18
 
 
+@functools.lru_cache(maxsize=2)
 def _lex_table(n, width, dtype):
-    """Every `width`-subset of range(n), one per row, in lexicographic order.
+    """Every `width`-subset of range(n), one per row, in lexicographic order,
+    as a read-only array kept for the next call with the same arguments.
 
     The C(n - a - 1, w) rows whose first entry exceeds a form the tail of
     the width-w table, so each width is the previous table's tails,
@@ -232,6 +235,7 @@ def _lex_table(n, width, dtype):
             wider[row:row + len(tail), 1:] = tail
             row += len(tail)
         table = wider
+    table.flags.writeable = False
     return table
 
 

@@ -143,8 +143,10 @@ class SubdivisionEmbedding:
 def find_subdivision(g: EdgeColoring, color: int, t: int):
     """Embedding of the subdivision of K_t inside one color class, or None.
 
-    Branch t-sets are scanned lexicographically; midpoints are assigned
-    by backtracking over the scarcest pair first.
+    Branch t-sets are scanned lexicographically in numpy blocks; a branch
+    set with fewer than C(t, 2) outside vertices joined to two of its
+    vertices is skipped, and midpoints for the rest are assigned by
+    backtracking over the scarcest pair first.
     """
     if t < 3:
         raise LocalLabError(f"need t >= 3, got {t}")
@@ -156,40 +158,50 @@ def find_subdivision(g: EdgeColoring, color: int, t: int):
         return None
     neighbors = [set(np.flatnonzero(row).tolist()) for row in mask]
     pair_count = t * (t - 1) // 2
-    for branch in itertools.combinations(range(g.n), t):
-        banned = set(branch)
-        candidates = {}
-        feasible = True
-        for u, v in itertools.combinations(branch, 2):
-            cands = sorted((neighbors[u] & neighbors[v]) - banned)
-            if not cands:
-                feasible = False
-                break
-            candidates[(u, v)] = cands
-        if not feasible:
-            continue
-        order = sorted(candidates, key=lambda p: (len(candidates[p]), p))
-        assignment = {}
-        used = set()
-
-        def assign(i):
-            if i == pair_count:
-                return True
-            pair = order[i]
-            for m in candidates[pair]:
-                if m in used:
-                    continue
-                assignment[pair] = m
-                used.add(m)
-                if assign(i + 1):
-                    return True
-                del assignment[pair]
-                used.remove(m)
-            return False
-
-        if assign(0):
-            return SubdivisionEmbedding(branch, dict(sorted(assignment.items())))
+    for rows in _lex_chunks(g.n, t, np.min_scalar_type(g.n - 1)):
+        # each branch pair needs its own midpoint outside the branch, joined
+        # to both ends: drop the rows with fewer than pair_count candidates
+        joined = mask[rows].sum(axis=1)
+        joined[np.arange(len(rows))[:, None], rows] = 0
+        keep = np.count_nonzero(joined >= 2, axis=1) >= pair_count
+        for branch in rows[keep].tolist():
+            midpoints = _assign_midpoints(tuple(branch), neighbors)
+            if midpoints is not None:
+                return SubdivisionEmbedding(tuple(branch), midpoints)
     return None
+
+
+def _assign_midpoints(branch, neighbors):
+    """Distinct midpoints outside `branch`, one per branch pair and joined
+    to both its ends, as a sorted pair -> midpoint dict; or None.  Pairs
+    are assigned by backtracking over the scarcest pair first."""
+    banned = set(branch)
+    candidates = {}
+    for u, v in itertools.combinations(branch, 2):
+        cands = sorted((neighbors[u] & neighbors[v]) - banned)
+        if not cands:
+            return None
+        candidates[(u, v)] = cands
+    order = sorted(candidates, key=lambda p: (len(candidates[p]), p))
+    assignment = {}
+    used = set()
+
+    def assign(i):
+        if i == len(order):
+            return True
+        pair = order[i]
+        for m in candidates[pair]:
+            if m in used:
+                continue
+            assignment[pair] = m
+            used.add(m)
+            if assign(i + 1):
+                return True
+            del assignment[pair]
+            used.remove(m)
+        return False
+
+    return dict(sorted(assignment.items())) if assign(0) else None
 
 
 @dataclass(frozen=True)

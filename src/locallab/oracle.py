@@ -10,6 +10,7 @@ within an explicit node budget and return canonically least witnesses.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -45,8 +46,10 @@ def exact_f(n: int, k: int, l: int) -> OracleResult:
     Enumerates colorings modulo color renaming: edge i may only reuse
     an earlier color or open color max+1, which is exactly one coloring
     per edge-partition.  A k-subset is checked the moment its last edge
-    (in the (max, min) edge order) is colored, and branches that cannot
-    beat the incumbent are cut.
+    (in the (max, min) edge order) is colored: its other edges, already
+    colored, either ban the colors they hold (when they span exactly
+    l-1), ban nothing, or leave no color for the last edge.  Branches
+    that cannot beat the incumbent are cut.
     """
     if not 2 <= k <= n:
         raise LocalLabError(f"need 2 <= k <= n, got k={k}, n={n}")
@@ -62,51 +65,60 @@ def exact_f(n: int, k: int, l: int) -> OracleResult:
 
     edges = [(u, v) for v in range(n) for u in range(v)]
     pair_of = {e: i for i, e in enumerate(edges)}
-    # each k-subset as the tuple of its edge slots, filed under the slot
-    # of its last edge
-    finished_at = {}
-    for subset in itertools.combinations(range(n), k):
-        slots = tuple(pair_of[e] for e in itertools.combinations(subset, 2))
-        finished_at.setdefault(pair_of[subset[-2:]], []).append(slots)
+    # finished_at[i]: a getter of the other edge slots of each k-subset
+    # whose last edge is slot i; with l = 1 every coloring passes, and
+    # k >= 3 leaves every getter at least two slots, so it yields a tuple
+    finished_at = [[] for _ in edges]
+    if l > 1:
+        for subset in itertools.combinations(range(n), k):
+            slots = [pair_of[e] for e in itertools.combinations(subset, 2)]
+            last = pair_of[subset[-2:]]
+            slots.remove(last)
+            finished_at[last].append(operator.itemgetter(*slots))
 
     node_budget = config.budget(config.ORACLE_NODE_BUDGET)
     assignment = [0] * len(edges)
-    best = {"value": len(edges) + 1, "witness": None}
-    stats = {"nodes": 0, "classes": 0}
+    best = len(edges) + 1
+    best_assignment = None
+    nodes = classes = 0
 
     def place(i, used):
-        stats["nodes"] += 1
-        if stats["nodes"] > node_budget:
+        nonlocal nodes, classes, best, best_assignment
+        nodes += 1
+        if nodes > node_budget:
             raise BudgetExceededError(
                 f"exact_f({n},{k},{l}) exceeded the {node_budget} node budget"
             )
-        if used >= best["value"]:
+        if used >= best:
             return
         if i == len(edges):
-            stats["classes"] += 1
-            best["value"] = used
-            best["witness"] = list(assignment)
+            classes += 1
+            best = used
+            best_assignment = list(assignment)
             return
+        banned = set()
+        for others in finished_at[i]:
+            seen = set(others(assignment))
+            if len(seen) < l - 1:
+                return
+            if len(seen) == l - 1:
+                banned |= seen
         for color in range(used + 1):
-            if color == used and used + 1 >= best["value"]:
+            if color == used and used + 1 >= best:
                 break
-            assignment[i] = color
-            for slots in finished_at.get(i, ()):
-                if len({assignment[s] for s in slots}) < l:
-                    break
-            else:
+            if color not in banned:
+                assignment[i] = color
                 place(i + 1, used + (1 if color == used else 0))
 
     place(0, 0)
-    if best["witness"] is None:
+    if best_assignment is None:
         raise LocalLabError(f"no coloring of K_{n} satisfies ({k},{l})")
-    witness = new_coloring(n, [(u, v, best["witness"][i])
+    witness = new_coloring(n, [(u, v, best_assignment[i])
                                for i, (u, v) in enumerate(edges)])
     verdict = check_local_property(witness, k, l)
-    if not verdict.holds or witness.num_colors != best["value"]:
+    if not verdict.holds or witness.num_colors != best:
         raise LocalLabError("oracle witness failed re-validation")
-    return OracleResult(best["value"], witness, stats["nodes"], stats["classes"],
-                        True, "optimal")
+    return OracleResult(best, witness, nodes, classes, True, "optimal")
 
 
 def exact_g_integers(n: int, k: int, l: int, max_value: int) -> OracleResult:
@@ -115,7 +127,9 @@ def exact_g_integers(n: int, k: int, l: int, max_value: int) -> OracleResult:
 
     Translation invariance lets the search anchor min(A) = 0; the
     answer is exact for that range and an upper bound for the
-    unrestricted integer problem.
+    unrestricted integer problem.  The difference multiset grows and
+    shrinks with the prefix, and each k-subset of positions is checked
+    once, at the node that chooses its largest position.
     """
     if not 2 <= k <= n:
         raise LocalLabError(f"need 2 <= k <= n, got k={k}, n={n}")
@@ -127,50 +141,70 @@ def exact_g_integers(n: int, k: int, l: int, max_value: int) -> OracleResult:
         return OracleResult(None, None, 0, 0, True, "infeasible")
 
     node_budget = config.budget(config.ORACLE_NODE_BUDGET)
-    best = {"value": max_value * (max_value + 1), "witness": None}
-    stats = {"nodes": 0, "classes": 0}
+    best = max_value * (max_value + 1)
+    best_set = None
+    nodes = classes = 0
     chosen = [0]
-    # each k-subset of positions as the tuple of its pair slots; at a leaf,
-    # differences[pair_of[(i, j)]] == chosen[j] - chosen[i]
-    pair_of = {e: i for i, e in enumerate(itertools.combinations(range(n), 2))}
-    subsets = [tuple(pair_of[e] for e in itertools.combinations(subset, 2))
-               for subset in itertools.combinations(range(n), k)]
+    # differences[pair_of[(i, j)]] == chosen[j] - chosen[i], with the pairs
+    # ordered by their larger position, so appending to chosen appends to
+    # differences; counts is the multiset of differences
+    differences = []
+    counts = {}
+    pair_of = {e: s for s, e in enumerate((i, j) for j in range(n) for i in range(j))}
+    # ending_at[j]: a getter of the pair slots of each k-subset of positions
+    # whose largest position is j; with l = 1 every set passes, and k >= 3
+    # gives every getter at least three slots, so it yields a tuple
+    ending_at = [[] for _ in range(n)]
+    if l > 1:
+        for subset in itertools.combinations(range(n), k):
+            ending_at[subset[-1]].append(operator.itemgetter(
+                *(pair_of[e] for e in itertools.combinations(subset, 2))))
 
-    def extend():
-        stats["nodes"] += 1
-        if stats["nodes"] > node_budget:
+    def extend(passed):
+        nonlocal nodes, classes, best, best_set
+        nodes += 1
+        if nodes > node_budget:
             raise BudgetExceededError(
                 f"exact_g_integers({n},{k},{l},{max_value}) exceeded the {node_budget} node budget"
             )
-        differences = [b - a for a, b in itertools.combinations(chosen, 2)]
-        size = len(set(differences))
-        if size >= best["value"]:
+        size = len(counts)
+        if size >= best:
             return
-        if len(chosen) == n:
-            stats["classes"] += 1
-            for slots in subsets:
-                if len({differences[s] for s in slots}) < l:
+        if passed:
+            for slots in ending_at[len(chosen) - 1]:
+                if len(set(slots(differences))) < l:
+                    passed = False
                     break
-            else:
-                best["value"] = size
-                best["witness"] = tuple(chosen)
+        if len(chosen) == n:
+            classes += 1
+            if passed:
+                best = size
+                best_set = tuple(chosen)
             return
         for x in range(chosen[-1] + 1, max_value + 1):
             if max_value - x < n - 1 - len(chosen):
                 break
+            for a in chosen:
+                d = x - a
+                differences.append(d)
+                counts[d] = counts.get(d, 0) + 1
             chosen.append(x)
-            extend()
+            extend(passed)
             chosen.pop()
+            for _ in chosen:
+                d = differences.pop()
+                if counts[d] == 1:
+                    del counts[d]
+                else:
+                    counts[d] -= 1
 
-    extend()
-    if best["witness"] is None:
-        return OracleResult(None, None, stats["nodes"], stats["classes"], True,
-                            "infeasible")
-    witness = RealSet(best["witness"])
+    extend(True)
+    if best_set is None:
+        return OracleResult(None, None, nodes, classes, True, "infeasible")
+    witness = RealSet(best_set)
     if not check_g_property(witness, k, l).holds:
         raise LocalLabError("oracle witness failed re-validation")
-    return OracleResult(best["value"], witness, stats["nodes"], stats["classes"],
-                        True, "optimal")
+    return OracleResult(best, witness, nodes, classes, True, "optimal")
 
 
 @dataclass(frozen=True)

@@ -279,6 +279,90 @@ def test_find_subdivision_skips_small_classes():
         find_subdivision(g, 0, 2)
 
 
+def reference_subdivision(g, color, t):
+    # the per-branch-set search the block filter replaced
+    mask = g.color_matrix() == color
+    if np.count_nonzero(mask) // 2 < t * (t - 1):
+        return None
+    neighbors = [set(np.flatnonzero(row).tolist()) for row in mask]
+    pair_count = t * (t - 1) // 2
+    for branch in itertools.combinations(range(g.n), t):
+        banned = set(branch)
+        candidates = {}
+        feasible = True
+        for u, v in itertools.combinations(branch, 2):
+            cands = sorted((neighbors[u] & neighbors[v]) - banned)
+            if not cands:
+                feasible = False
+                break
+            candidates[(u, v)] = cands
+        if not feasible:
+            continue
+        order = sorted(candidates, key=lambda p: (len(candidates[p]), p))
+        assignment = {}
+        used = set()
+
+        def assign(i):
+            if i == pair_count:
+                return True
+            pair = order[i]
+            for m in candidates[pair]:
+                if m in used:
+                    continue
+                assignment[pair] = m
+                used.add(m)
+                if assign(i + 1):
+                    return True
+                del assignment[pair]
+                used.remove(m)
+            return False
+
+        if assign(0):
+            return branch, dict(sorted(assignment.items()))
+    return None
+
+
+def as_pair(emb):
+    return None if emb is None else (emb.branch_vertices, emb.midpoints)
+
+
+def test_find_subdivision_matches_the_reference_search():
+    rng = random.Random(46)
+    found = 0
+    for _ in range(40):
+        n = rng.randrange(6, 13)
+        g = random_coloring(n, rng.randrange(1, 4), seed=rng.randrange(10**6))
+        t = rng.randrange(3, 5)
+        for color in range(g.num_colors):
+            emb = find_subdivision(g, color, t)
+            assert as_pair(emb) == reference_subdivision(g, color, t), (n, t, color)
+            if emb is not None:
+                check_subdivision(g, color, emb, t)
+                found += 1
+    assert found  # both outcomes occur
+
+
+def test_find_subdivision_rejects_a_star_by_blocks():
+    # every pair of leaves shares only the center, so no branch set has room
+    # for C(4, 2) midpoints; all C(40, 4) = 91,390 branch sets are rejected
+    g = new_coloring(40, [(u, v, 0 if u == 0 else 1)
+                          for u, v in itertools.combinations(range(40), 2)])
+    assert find_subdivision(g, g.color_id(0), 4) is None
+
+
+def test_find_subdivision_answer_past_the_first_block():
+    # color 0 is a star from 0 to 1..13 plus a K_10 on 14..23; the first
+    # branch set that fits is (14, 15, 16, 17), row 10,416 of C(24, 4) = 10,626
+    clique = set(range(14, 24))
+    g = new_coloring(24, [(u, v, 0 if (u == 0 and v < 14) or {u, v} <= clique else 1)
+                          for u, v in itertools.combinations(range(24), 2)])
+    color = g.color_id(0)
+    emb = find_subdivision(g, color, 4)
+    assert as_pair(emb) == reference_subdivision(g, color, 4)
+    assert emb.branch_vertices == (14, 15, 16, 17)
+    check_subdivision(g, color, emb, 4)
+
+
 # -- extremal reference curves -----------------------------------------------
 
 

@@ -6,12 +6,16 @@ import pytest
 from locallab import (
     BudgetExceededError,
     LocalLabError,
+    OracleResult,
+    RealSet,
     check_g_property,
     check_local_property,
     exact_f,
     exact_g_integers,
+    new_coloring,
     upper_bound_exponent,
 )
+from locallab import config
 
 # values confirmed against the full enumeration; f(6,3,2)=3 reflects the
 # two-coloring of K_5 avoiding monochromatic triangles having no analogue
@@ -151,3 +155,157 @@ def test_search_accounting_is_pinned():
     res = exact_g_integers(7, 4, 5, 18)
     assert res.status == "infeasible"
     assert (res.nodes_explored, res.canonical_classes) == (27132, 18564)
+
+
+# -- the searches before their incremental checks ----------------------------
+# Each node rebuilt everything it tests: exact_f one color set per (color,
+# finished k-subset), exact_g_integers every difference and, at each leaf,
+# every k-subset.  The incremental searches must match them node for node.
+
+
+def reference_exact_f(n, k, l):
+    pair_count = k * (k - 1) // 2
+    if l > pair_count:
+        return OracleResult(None, None, 0, 0, True, "infeasible")
+
+    edges = [(u, v) for v in range(n) for u in range(v)]
+    pair_of = {e: i for i, e in enumerate(edges)}
+    finished_at = {}
+    for subset in itertools.combinations(range(n), k):
+        slots = tuple(pair_of[e] for e in itertools.combinations(subset, 2))
+        finished_at.setdefault(pair_of[subset[-2:]], []).append(slots)
+
+    node_budget = config.budget(config.ORACLE_NODE_BUDGET)
+    assignment = [0] * len(edges)
+    best = {"value": len(edges) + 1, "witness": None}
+    stats = {"nodes": 0, "classes": 0}
+
+    def place(i, used):
+        stats["nodes"] += 1
+        if stats["nodes"] > node_budget:
+            raise BudgetExceededError(
+                f"exact_f({n},{k},{l}) exceeded the {node_budget} node budget"
+            )
+        if used >= best["value"]:
+            return
+        if i == len(edges):
+            stats["classes"] += 1
+            best["value"] = used
+            best["witness"] = list(assignment)
+            return
+        for color in range(used + 1):
+            if color == used and used + 1 >= best["value"]:
+                break
+            assignment[i] = color
+            for slots in finished_at.get(i, ()):
+                if len({assignment[s] for s in slots}) < l:
+                    break
+            else:
+                place(i + 1, used + (1 if color == used else 0))
+
+    place(0, 0)
+    witness = new_coloring(n, [(u, v, best["witness"][i])
+                               for i, (u, v) in enumerate(edges)])
+    return OracleResult(best["value"], witness, stats["nodes"], stats["classes"],
+                        True, "optimal")
+
+
+def reference_exact_g_integers(n, k, l, max_value):
+    if max_value < n - 1:
+        return OracleResult(None, None, 0, 0, True, "infeasible")
+    if l > k * (k - 1) // 2:
+        return OracleResult(None, None, 0, 0, True, "infeasible")
+
+    node_budget = config.budget(config.ORACLE_NODE_BUDGET)
+    best = {"value": max_value * (max_value + 1), "witness": None}
+    stats = {"nodes": 0, "classes": 0}
+    chosen = [0]
+    pair_of = {e: i for i, e in enumerate(itertools.combinations(range(n), 2))}
+    subsets = [tuple(pair_of[e] for e in itertools.combinations(subset, 2))
+               for subset in itertools.combinations(range(n), k)]
+
+    def extend():
+        stats["nodes"] += 1
+        if stats["nodes"] > node_budget:
+            raise BudgetExceededError(
+                f"exact_g_integers({n},{k},{l},{max_value}) exceeded the {node_budget} node budget"
+            )
+        differences = [b - a for a, b in itertools.combinations(chosen, 2)]
+        size = len(set(differences))
+        if size >= best["value"]:
+            return
+        if len(chosen) == n:
+            stats["classes"] += 1
+            for slots in subsets:
+                if len({differences[s] for s in slots}) < l:
+                    break
+            else:
+                best["value"] = size
+                best["witness"] = tuple(chosen)
+            return
+        for x in range(chosen[-1] + 1, max_value + 1):
+            if max_value - x < n - 1 - len(chosen):
+                break
+            chosen.append(x)
+            extend()
+            chosen.pop()
+
+    extend()
+    if best["witness"] is None:
+        return OracleResult(None, None, stats["nodes"], stats["classes"], True,
+                            "infeasible")
+    return OracleResult(best["value"], RealSet(best["witness"]), stats["nodes"],
+                        stats["classes"], True, "optimal")
+
+
+def outcome(search, *args):
+    """Everything a search certifies, or the text of its budget error."""
+    try:
+        res = search(*args)
+    except BudgetExceededError as exc:
+        return "budget", str(exc)
+    witness = res.witness
+    if witness is not None:
+        witness = (witness.elements if isinstance(witness, RealSet)
+                   else sorted(witness.edge_items()))
+    return res.value, res.nodes_explored, res.canonical_classes, res.status, witness
+
+
+def test_exact_f_matches_the_reference_search(monkeypatch):
+    monkeypatch.setenv("LOCALLAB_BUDGET", "20000")
+    trips = 0
+    for n in range(2, 6):
+        for k in range(2, n + 1):
+            for l in range(1, k * (k - 1) // 2 + 2):
+                got = outcome(exact_f, n, k, l)
+                assert got == outcome(reference_exact_f, n, k, l), (n, k, l)
+                trips += got[0] == "budget"
+    assert trips  # the grid reaches the budget at least once
+
+
+def test_exact_g_matches_the_reference_search(monkeypatch):
+    # no case here reaches the budget; the boundary test below trips it
+    monkeypatch.setenv("LOCALLAB_BUDGET", "20000")
+    for n in range(2, 7):
+        for k in range(2, n + 1):
+            for l in range(1, k * (k - 1) // 2 + 2):
+                for m in (n - 1, n + 3, 2 * n + 4):
+                    got = outcome(exact_g_integers, n, k, l, m)
+                    assert got == outcome(reference_exact_g_integers, n, k, l, m), (n, k, l, m)
+
+
+@pytest.mark.parametrize("search, args, nodes", [
+    (exact_f, (6, 5, 7), 29878),
+    (exact_g_integers, (7, 4, 5, 18), 27132),
+    # the last node of these two is cut by the incumbent, so they fail if
+    # the budget is checked after the cut instead of before it
+    (exact_f, (5, 3, 2), 40),
+    (exact_g_integers, (5, 4, 3, 10), 132),
+])
+def test_node_budget_is_checked_at_every_node(monkeypatch, search, args, nodes):
+    # a budget one short of the tree trips on its last node; the exact size passes
+    monkeypatch.setenv("LOCALLAB_BUDGET", str(nodes - 1))
+    with pytest.raises(BudgetExceededError, match=f"the {nodes - 1} node budget"):
+        search(*args)
+    monkeypatch.setenv("LOCALLAB_BUDGET", str(nodes))
+    assert search(*args).nodes_explored == nodes

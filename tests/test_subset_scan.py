@@ -96,6 +96,13 @@ def test_lex_table_lists_every_subset_in_order():
                 itertools.combinations(range(n), width))
 
 
+def test_lex_table_is_built_once_and_read_only():
+    table = coloring_module._lex_table(14, 4, coloring_module.np.uint8)
+    assert coloring_module._lex_table(14, 4, coloring_module.np.uint8) is table
+    with pytest.raises(ValueError):
+        table[0, 0] = 1
+
+
 def test_scan_respects_subset_budget(monkeypatch):
     g = random_coloring(10, 3, seed=0)  # C(10, 4) = 210 subsets
     monkeypatch.setenv("LOCALLAB_BUDGET", "209")
