@@ -48,6 +48,8 @@ from .energy_graph import (
 )
 from .errors import BudgetExceededError, LocalLabError
 from .forbidden import (
+    check_pair_request,
+    check_triple_request,
     clique_from_cycle_arith,
     find_complete_bipartite,
     find_cycle,
@@ -241,8 +243,10 @@ def _cmd_witness(args) -> int:
     if args.kind == "pair":
         if args.k is None:
             raise LocalLabError("--kind pair needs --k")
+        check_pair_request(g, eg, args.k)
         length = args.k // 2
     else:
+        check_triple_request(g, eg)
         length = 8
     cycle = find_cycle(eg, length)
     if cycle is None:

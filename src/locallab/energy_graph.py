@@ -38,7 +38,7 @@ from .errors import (
     PartitionError,
     SignConsistencyError,
 )
-from .jsonio import fields
+from .jsonio import fields, pack_codes, unpack_codes
 from .partition import RPartition
 
 
@@ -332,38 +332,43 @@ def sign_decompose(eg: EnergyGraph, values) -> dict:
 
 
 def energy_graph_to_dict(eg: EnergyGraph) -> dict:
-    """Format-2 JSON shape: the vertex set is left implicit, edges are the
-    three code arrays, and colors are the source coloring's dense ids."""
+    """Format-3 JSON shape: the vertex set is left implicit, edges are the
+    three code arrays as pack_codes blobs of entries below n^r, and colors
+    are the source coloring's dense ids."""
+    top = eg.n**eg.r - 1
     return {
-        "format": 2, "r": eg.r, "n": eg.n,
+        "format": 3, "r": eg.r, "n": eg.n,
         "parts": None if eg.parts is None else [list(p) for p in eg.parts],
-        "xs": eg.xs.tolist(), "ys": eg.ys.tolist(), "cs": eg.cs.tolist(),
+        "xs": pack_codes(eg.xs, top), "ys": pack_codes(eg.ys, top),
+        "cs": pack_codes(eg.cs, top),
         "color_base_edges": {str(c): m for c, m in sorted(eg.color_base_edges.items())},
         "provenance": list(eg.provenance),
     }
 
 
 def energy_graph_from_dict(data: dict) -> EnergyGraph:
-    """Read a format-2 record, checking what the builders guarantee: r
-    disjoint parts covering 0..n-1, codes in range and strictly sorted
-    with xs < ys, every coordinate differing across an edge and inside
-    its part, and a base edge count for every edge color."""
-    if not (isinstance(data, dict) and type(data.get("format")) is int and data["format"] == 2):
-        raise EnergyGraphError("not a format-2 energy graph; rebuild it with `energy-graph`")
-    r, n, parts, *arrays, counts, provenance = fields(
-        data, r=int, n=int, parts=([list], None), xs=list, ys=list, cs=list,
+    """Read a format-3 record, checking what the builders guarantee: r
+    disjoint parts covering 0..n-1, code blobs that unpack_codes reads,
+    codes in range and strictly sorted with xs < ys, every coordinate
+    differing across an edge and inside its part, and a base edge count
+    for every edge color."""
+    if not (isinstance(data, dict) and type(data.get("format")) is int and data["format"] == 3):
+        raise EnergyGraphError("not a format-3 energy graph; rebuild it with `energy-graph`")
+    r, n, parts, *blobs, counts, provenance = fields(
+        data, r=int, n=int, parts=([list], None), xs=str, ys=str, cs=str,
         color_base_edges=dict, provenance=[str],
     )
     if r < 2 or n < 2:
         raise EnergyGraphError(f"r={r} and n={n} must both be at least 2")
-    dtype = _code_dtype(n, r)
-    if any(not set(map(type, a)) <= {int} for a in arrays):
-        raise EnergyGraphError("xs, ys and cs must hold only ints")
+    dtype = _code_dtype(n, r)  # first: it raises when n^r needs more than 64 bits
+    # entries past dtype's signed range wrap to negative codes, which the
+    # range and color checks below reject
+    xs, ys, cs = (unpack_codes(blob, n**r - 1, name).astype(dtype)
+                  for blob, name in zip(blobs, ("xs", "ys", "cs")))
     try:
-        xs, ys, cs = (np.array(a, dtype=np.int64) for a in arrays)
         counts = {int(c): m for c, m in counts.items()}
-    except (ValueError, OverflowError):
-        raise EnergyGraphError("codes must fit in 64 bits and color keys be ints") from None
+    except ValueError:
+        raise EnergyGraphError("color keys must be ints") from None
     pairs = n * (n - 1) // 2
     if any(type(m) is not int or m < 0 or not 0 <= c < pairs for c, m in counts.items()):
         raise EnergyGraphError("color base edge counts must be non-negative ints, "
@@ -378,8 +383,7 @@ def energy_graph_from_dict(data: dict) -> EnergyGraph:
     if not np.isin(cs, list(counts)).all():
         raise EnergyGraphError("every edge color needs a base edge count")
     eg = EnergyGraph(r, n, None if parts is None else tuple(tuple(p) for p in parts),
-                     xs.astype(dtype), ys.astype(dtype), cs.astype(dtype), counts,
-                     tuple(provenance))
+                     xs, ys, cs, counts, tuple(provenance))
     part_of = None if parts is None else _part_index(eg.parts, r, n)
     for j, (a, b) in enumerate(zip(eg.digits(eg.xs), eg.digits(eg.ys))):
         if (a == b).any():

@@ -371,6 +371,28 @@ def _pad_witness(g, forests, vertices, equalities, anchor_color, anchor_pair,
                       tuple(equalities))
 
 
+def check_pair_request(g: EdgeColoring, eg: EnergyGraph, k: int) -> None:
+    """Raise unless a k/2-cycle of `eg` can give a witness k-set: eg is a
+    second energy graph and k is a multiple of four, at least 8 and at
+    most n.  Needs no cycle, so a caller can check before searching."""
+    if eg.r != 2:
+        raise WitnessError("needs a second energy graph")
+    if k % 4 != 0 or k < 8:
+        raise WitnessError(f"k={k} must be a multiple of four and at least 8")
+    if k > g.n:
+        raise WitnessError(f"k={k} exceeds the {g.n} base vertices")
+
+
+def check_triple_request(g: EdgeColoring, eg: EnergyGraph) -> None:
+    """Raise unless eg is a third energy graph over at least 24 base
+    vertices, the size of the witness; needs no cycle, like
+    check_pair_request."""
+    if eg.r != 3:
+        raise WitnessError("needs a third energy graph")
+    if g.n < 24:
+        raise WitnessError(f"needs at least 24 base vertices, have {g.n}")
+
+
 def witness_from_cycle_2nd(g: EdgeColoring, eg: EnergyGraph, cycle: CyclePath,
                            k: int) -> WitnessSet:
     """Turn a k/2-cycle in a second energy graph into a witness k-set.
@@ -379,12 +401,7 @@ def witness_from_cycle_2nd(g: EdgeColoring, eg: EnergyGraph, cycle: CyclePath,
     k/2 independent repetitions; shortfalls from repeated base edges are
     padded with unused edges of the first step's color.
     """
-    if eg.r != 2:
-        raise WitnessError("needs a second energy graph")
-    if k % 4 != 0 or k < 8:
-        raise WitnessError(f"k={k} must be a multiple of four and at least 8")
-    if k > g.n:
-        raise WitnessError(f"k={k} exceeds the {g.n} base vertices")
+    check_pair_request(g, eg, k)
     if cycle.length != k // 2:
         raise WitnessError(f"cycle length {cycle.length} must equal k/2 = {k // 2}")
     forests, vertices, equalities, anchor_color, anchor_pair = _walk_cycle(g, eg, cycle)
@@ -401,12 +418,9 @@ def witness_from_cycle_3rd(g: EdgeColoring, eg: EnergyGraph,
     coordinate-neighbor pruning (audited directly), and every color on
     its edges kept at least ceil(ln n) base edges.
     """
-    if eg.r != 3:
-        raise WitnessError("needs a third energy graph")
+    check_triple_request(g, eg)
     if cycle.length != 8:
         raise WitnessError(f"cycle length {cycle.length} must be 8")
-    if g.n < 24:
-        raise WitnessError(f"needs at least 24 base vertices, have {g.n}")
     if not any(stage.startswith("halve_parts(") for stage in eg.provenance):
         raise WitnessError("energy graph was never halved")
     if coordinate_neighbor_violations(eg):

@@ -3,16 +3,21 @@
 Every file locallab writes (colorings, element sets, energy graphs,
 certificates) is a single line of JSON with sorted keys.  Labels and
 numbers are ints, strings, or exact rationals; a rational that is not
-an integer is written as the string "p/q".  Every reader fails closed:
-a file that is not JSON, or a record of the wrong shape, raises
-LocalLabError, which the command line maps to exit code 2.
+an integer is written as the string "p/q".  Arrays of non-negative
+integer codes are written as base64 blobs of little-endian unsigned
+ints of a fixed width.  Every reader fails closed: a file that is not
+JSON, or a record of the wrong shape, raises LocalLabError, which the
+command line maps to exit code 2.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import re
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import LocalLabError
 
@@ -96,3 +101,34 @@ def label_from_json(x):
     if isinstance(x, str) and _RATIO.match(x):
         return exact(x)
     return x
+
+
+def code_width(top: int) -> int:
+    """Bytes per entry of a code blob whose entries are at most `top`:
+    the smallest of 1, 2, 4 and 8 that holds it."""
+    for width in (1, 2, 4, 8):
+        if top < 256**width:
+            return width
+    raise LocalLabError(f"{top} does not fit in 64 bits")
+
+
+def pack_codes(values, top: int) -> str:
+    """The non-negative ints `values`, each at most `top`, as a base64
+    blob of little-endian unsigned ints code_width(top) bytes wide."""
+    raw = np.asarray(values).astype(f"<u{code_width(top)}").tobytes()
+    return base64.b64encode(raw).decode("ascii")
+
+
+def unpack_codes(blob: str, top: int, name: str) -> np.ndarray:
+    """Inverse of pack_codes: a read-only array of unsigned ints.  Raises
+    LocalLabError when the string `blob` is not strict base64 or does
+    not hold a whole number of entries; `name` labels the blob."""
+    width = code_width(top)
+    try:
+        raw = base64.b64decode(blob, validate=True)
+    except ValueError:  # binascii.Error, or a character outside ASCII
+        raise LocalLabError(f"{name} is not a base64 string") from None
+    if len(raw) % width:
+        raise LocalLabError(f"{name} decodes to a length of {len(raw)}, not a whole "
+                            f"number of {width}-byte entries")
+    return np.frombuffer(raw, dtype=f"<u{width}")

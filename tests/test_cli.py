@@ -1,3 +1,4 @@
+import base64
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ import pytest
 
 from locallab import new_coloring, random_coloring, real_set, save_coloring, save_real_set
 from locallab.cli import run
+from locallab.jsonio import pack_codes
 
 
 def mono_file(tmp_path, n, name="mono.json"):
@@ -270,12 +272,18 @@ def test_bool_vertex_in_coloring_file_exits_2(tmp_path, capsys):
     assert "vertex True" in capsys.readouterr().err
 
 
+def codes(*values, top=15):
+    """`values` as a code blob of a graph whose codes are at most `top`
+    (n=4, r=2 by default: one byte per entry)."""
+    return pack_codes(list(values), top)
+
+
 def graph_file(tmp_path, drop=(), **fields):
-    """A well-formed format-2 order-2 graph file on n=4, with `fields`
+    """A well-formed format-3 order-2 graph file on n=4, with `fields`
     replaced and the keys in `drop` removed.  Its one edge joins the
     vertices (0, 2) and (1, 3), whose codes are 0*4+2 and 1*4+3."""
-    record = {"format": 2, "r": 2, "n": 4, "parts": None, "xs": [2], "ys": [7], "cs": [0],
-              "color_base_edges": {"0": 1}, "provenance": ["build_partitioned"]}
+    record = {"format": 3, "r": 2, "n": 4, "parts": None, "xs": codes(2), "ys": codes(7),
+              "cs": codes(0), "color_base_edges": {"0": 1}, "provenance": ["build_partitioned"]}
     record.update(fields)
     for key in drop:
         del record[key]
@@ -290,59 +298,74 @@ def test_well_formed_graph_file_loads(tmp_path):
 
 
 PARTS = [[0, 1], [2, 3]]
+REBUILD = "rebuild it with `energy-graph`"
+RANGE = "edge codes must satisfy 0 <= xs[i] < ys[i] < 4^2"
+PARTS_ERROR = "parts must be 2 disjoint sets covering 0..3"
+COUNTS = "color base edge counts must be non-negative ints"
+ORDER = "edges must be strictly increasing in (xs, ys)"
+# each bad record and the fragment its error message must hold
 BAD_GRAPHS = {
     # the code of the three-entry vertex [1, 2, 5]
-    "wide-vertex": {"ys": [1 * 16 + 2 * 4 + 5]},
+    "wide-vertex": ({"ys": codes(1 * 16 + 2 * 4 + 5)}, RANGE),
     # the one-entry vertex [1], read as the code of (0, 1), lands outside part 2
-    "narrow-vertex": {"xs": [1], "ys": [7], "parts": PARTS},
+    "narrow-vertex": ({"xs": codes(1), "ys": codes(7), "parts": PARTS},
+                      "an edge leaves part 2 in coordinate 2"),
     # the code of [1, 4] is that of (2, 0), outside part 1
-    "entry-at-least-n": {"ys": [1 * 4 + 4], "parts": PARTS},
-    "negative-entry": {"xs": [-1]},
-    "bool-entry": {"xs": [True]},
-    "float-entry": {"xs": [2.0]},
-    "unhashable-entry": {"xs": [[2]]},
+    "entry-at-least-n": ({"ys": codes(1 * 4 + 4), "parts": PARTS},
+                         "an edge leaves part 1 in coordinate 1"),
     # (1, 0) has its second coordinate outside part 2
-    "entry-outside-part": {"ys": [4], "parts": PARTS},
-    "fewer-parts-than-r": {"parts": [[0, 1, 2, 3]]},
-    "uncounted-color": {"cs": [7]},
-    "bool-color": {"cs": [True]},
-    "string-count": {"color_base_edges": {"0": "x"}},
-    "negative-count": {"color_base_edges": {"0": -1}},
-    "int-provenance": {"provenance": [5]},
-    "overlapping-parts": {"parts": [[0, 1, 2], [2, 3]]},
-    "part-entry-at-least-n": {"parts": [[0, 1], [2, 7]]},
+    "entry-outside-part": ({"ys": codes(4), "parts": PARTS},
+                           "an edge leaves part 2 in coordinate 2"),
+    "fewer-parts-than-r": ({"parts": [[0, 1, 2, 3]]}, PARTS_ERROR),
+    "uncounted-color": ({"cs": codes(7)}, "every edge color needs a base edge count"),
+    "bool-color": ({"cs": True}, "field 'cs' has the wrong type"),
+    "string-count": ({"color_base_edges": {"0": "x"}}, COUNTS),
+    "negative-count": ({"color_base_edges": {"0": -1}}, COUNTS),
+    "string-color-key": ({"color_base_edges": {"x": 1}}, "color keys must be ints"),
+    "int-provenance": ({"provenance": [5]}, "field 'provenance' has the wrong type"),
+    "overlapping-parts": ({"parts": [[0, 1, 2], [2, 3]]}, PARTS_ERROR),
+    "part-entry-at-least-n": ({"parts": [[0, 1], [2, 7]]}, PARTS_ERROR),
     # (0, 2) and (1, 2) agree in the second coordinate
-    "equal-coordinate": {"ys": [6]},
-    "format-1": {"format": 1},
-    "string-format": {"format": "2"},
-    "unsorted-edges": {"xs": [2, 2], "ys": [11, 7], "cs": [0, 0]},
-    "duplicate-edges": {"xs": [2, 2], "ys": [7, 7], "cs": [0, 0]},
-    "xs-not-below-ys": {"xs": [7], "ys": [2]},
-    "length-mismatch": {"cs": [0, 0]},
-    "float-code": {"ys": [7.0]},
-    "bool-code": {"ys": [True]},
+    "equal-coordinate": ({"ys": codes(6)}, "an edge repeats its base vertex in coordinate 2"),
+    "format-1": ({"format": 1}, REBUILD),
+    "format-2": ({"format": 2, "xs": [2], "ys": [7], "cs": [0]}, REBUILD),
+    "string-format": ({"format": "3"}, REBUILD),
+    "unsorted-edges": ({"xs": codes(2, 2), "ys": codes(11, 7), "cs": codes(0, 0)}, ORDER),
+    "duplicate-edges": ({"xs": codes(2, 2), "ys": codes(7, 7), "cs": codes(0, 0)}, ORDER),
+    "xs-not-below-ys": ({"xs": codes(7), "ys": codes(2)}, RANGE),
+    "length-mismatch": ({"cs": codes(0, 0)}, "xs, ys and cs must have one entry per edge"),
+    # blob errors
+    "list-blob": ({"xs": [2]}, "field 'xs' has the wrong type"),
+    # "Ag==" is the blob of [2]; a lenient decoder would drop the "*"
+    "not-base64": ({"xs": "A*g=="}, "xs is not a base64 string"),
+    # n=17 gives codes up to 288, two bytes each; xs holds one byte
+    "short-blob": ({"n": 17, "xs": base64.b64encode(b"\x02").decode(),
+                    "ys": codes(20, top=288), "cs": codes(0, top=288)},
+                   "xs decodes to a length of 1, not a whole number of 2-byte entries"),
+    "format-2-body-as-3": ({"xs": [2], "ys": [7], "cs": [0]},
+                           "field 'xs' has the wrong type"),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(BAD_GRAPHS) + ["missing-format", "format-1-file"])
 def test_malformed_graph_file_exits_2(tmp_path, capsys, kind):
     if kind == "missing-format":
-        path = graph_file(tmp_path, drop=["format"])
+        path, fragment = graph_file(tmp_path, drop=["format"]), REBUILD
     elif kind == "format-1-file":
         # the record older versions wrote, with tuple vertices and no format key
         path = graph_file(tmp_path, drop=["format", "xs", "ys", "cs"],
                           edges=[[[0, 2], [1, 3], 0]])
+        fragment = REBUILD
     else:
-        path = graph_file(tmp_path, **BAD_GRAPHS[kind])
+        record, fragment = BAD_GRAPHS[kind]
+        path = graph_file(tmp_path, **record)
     assert run(["find", "--graph", str(path), "--length", "4"]) == 2
     err = capsys.readouterr().err
-    assert "error:" in err
-    if "format" in kind:
-        assert "rebuild it with `energy-graph`" in err
+    assert err.startswith("error: ") and fragment in err
 
 
 def test_graph_codes_wider_than_64_bits_exit_3(tmp_path, capsys):
-    path = graph_file(tmp_path, n=10, r=20, xs=[], ys=[], cs=[])
+    path = graph_file(tmp_path, n=10, r=20, xs="", ys="", cs="")
     assert run(["find", "--graph", str(path), "--length", "4"]) == 3
     assert "10^20 vertices need codes wider than 64 bits" in capsys.readouterr().err
 
@@ -386,3 +409,38 @@ def test_energy_graph_budget_boundary(tmp_path, monkeypatch, capsys, form):
     monkeypatch.setenv("LOCALLAB_BUDGET", str(edges - 1))
     assert run(argv) == 3
     assert f"{edges} energy edges exceed the budget {edges - 1}" in capsys.readouterr().err
+
+
+WITNESS_REQUESTS = {
+    "pair-on-triple-graph": (["--kind", "pair", "--graph", "TRIPLE", "--k", "8"],
+                             "needs a second energy graph"),
+    "triple-on-pair-graph": (["--kind", "triple", "--graph", "PAIR"],
+                             "needs a third energy graph"),
+    "k-not-a-multiple-of-4": (["--kind", "pair", "--graph", "PAIR", "--k", "6"],
+                              "k=6 must be a multiple of four and at least 8"),
+    "k-above-n": (["--kind", "pair", "--graph", "PAIR", "--k", "16"],
+                  "k=16 exceeds the 12 base vertices"),
+    "triple-below-24-vertices": (["--kind", "triple", "--graph", "TRIPLE"],
+                                 "needs at least 24 base vertices, have 12"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WITNESS_REQUESTS))
+def test_witness_checks_its_request_before_the_search(tmp_path, capsys, case):
+    coloring = tmp_path / "c.json"
+    save_coloring(random_coloring(12, 2, seed=0), coloring)
+    graphs = {"TRIPLE": tmp_path / "triple.json", "PAIR": tmp_path / "pair.json"}
+    assert run(["energy-graph", "--input", str(coloring), "--preset", "triple-cycle",
+                "--out", str(graphs["TRIPLE"])]) == 0
+    assert run(["energy-graph", "--input", str(coloring), "--preset", "pair-cycle",
+                "--k", "8", "--out", str(graphs["PAIR"])]) == 0
+    # neither graph has a cycle of any length searched here, so a request
+    # checked only after the search would print "no cycle" and exit 0
+    for name, length in (("TRIPLE", 4), ("TRIPLE", 8), ("PAIR", 3), ("PAIR", 8)):
+        assert run(["find", "--graph", str(graphs[name]), "--length", str(length)]) == 0
+    capsys.readouterr()
+    argv, message = WITNESS_REQUESTS[case]
+    argv = [str(graphs.get(a, a)) for a in argv]
+    assert run(["witness", "--input", str(coloring), *argv]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and "no cycle" not in captured.out

@@ -1,7 +1,11 @@
+import base64
 import itertools
 import random
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from locallab import (
     BudgetExceededError,
@@ -26,6 +30,7 @@ from locallab import (
     real_set,
     sign_decompose,
 )
+from locallab.jsonio import code_width, read_json, write_json
 
 
 def mono(n):
@@ -243,6 +248,50 @@ def test_json_round_trip():
     eg2 = build_rth_energy_graph(g, 2, part.parts)
     back2 = energy_graph_from_dict(energy_graph_to_dict(eg2))
     assert back2.parts == eg2.parts and back2.edges == eg2.edges
+
+
+def build_form(form, g):
+    """The full second energy graph, or the partitioned one of order 2
+    or 3 over the parts {v : v = j mod r}."""
+    if form == "full-2":
+        return build_second_energy_graph(g)
+    r = int(form[-1])
+    return build_rth_energy_graph(g, r, [range(j, g.n, r) for j in range(r)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(form=st.sampled_from(["full-2", "partitioned-2", "partitioned-3"]),
+       n=st.sampled_from([4, 7, 17, 41]), spread=st.integers(1, 8),
+       seed=st.integers(0, 2**16), threshold=st.integers(0, 12))
+# one byte per code, an empty graph, two bytes (n^r > 256), four (n^r > 65536)
+@example(form="full-2", n=7, spread=3, seed=0, threshold=0)
+@example(form="partitioned-2", n=7, spread=3, seed=0, threshold=10**6)
+@example(form="partitioned-3", n=17, spread=1, seed=1, threshold=0)
+@example(form="partitioned-3", n=41, spread=1, seed=2, threshold=0)
+def test_graph_file_round_trip(tmp_path_factory, form, n, spread, seed, threshold):
+    # the palette holds between an eighth of the base pairs and all of them
+    g = random_coloring(n, max(1, n * (n - 1) // 2 * spread // 8), seed=seed)
+    eg = prune_rare_colors(build_form(form, g), threshold)
+    path = tmp_path_factory.mktemp("graph") / "g.json"
+    write_json(energy_graph_to_dict(eg), path)
+    record = read_json(path)
+    back = energy_graph_from_dict(record)
+    width = code_width(n**eg.r - 1)
+    for name in ("xs", "ys", "cs"):
+        assert len(base64.b64decode(record[name])) == width * eg.num_edges
+        before, after = getattr(eg, name), getattr(back, name)
+        assert after.dtype == before.dtype and np.array_equal(after, before)
+    assert (back.r, back.n, back.parts) == (eg.r, eg.n, eg.parts)
+    assert back.color_base_edges == eg.color_base_edges
+    assert back.provenance == eg.provenance
+    write_json(energy_graph_to_dict(back), path.with_name("again.json"))
+    assert path.with_name("again.json").read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("n, r, width", [(16, 2, 1), (17, 2, 2), (6, 3, 1), (7, 3, 2),
+                                         (40, 3, 2), (41, 3, 4), (10, 19, 8)])
+def test_code_width_is_the_smallest_that_holds_n_to_the_r(n, r, width):
+    assert code_width(n**r - 1) == width
 
 
 def strictly_increasing(edges):

@@ -38,6 +38,7 @@ from locallab import (
     witness_from_cycle_3rd,
 )
 from locallab.energy_graph import csr_adjacency
+from locallab.jsonio import pack_codes
 from locallab.forbidden import _check_steps, _search_cycle
 
 
@@ -74,10 +75,10 @@ def validate_dict_cycle(graph, cycle):
 def graph_with_edges(eg, edges):
     """`eg` with its edges replaced by the sorted (X, Y, color id) tuples
     `edges`, read back through the graph file record."""
-    record = energy_graph_to_dict(eg)
-    record["xs"] = [eg.code(x) for x, _, _ in edges]
-    record["ys"] = [eg.code(y) for _, y, _ in edges]
-    record["cs"] = [c for _, _, c in edges]
+    record, top = energy_graph_to_dict(eg), eg.n**eg.r - 1
+    record["xs"] = pack_codes([eg.code(x) for x, _, _ in edges], top)
+    record["ys"] = pack_codes([eg.code(y) for _, y, _ in edges], top)
+    record["cs"] = pack_codes([c for _, _, c in edges], top)
     return energy_graph_from_dict(record)
 
 
