@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 from pathlib import Path
 
@@ -383,7 +384,10 @@ def _cmd_verify(args) -> int:
     return 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: parsing keeps no
+    state on it, so every `run` shares it."""
     parser = argparse.ArgumentParser(
         prog="locallab",
         description="experiments on edge colorings with local color constraints",

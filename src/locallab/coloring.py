@@ -300,13 +300,16 @@ def _scan(g, k, cap, trials=None, seed=None):
     best_subset = None
     slot = np.min_scalar_type(g.n * g.n - 1)
     for rows in chunks:
-        wide = rows.astype(slot)
-        slots = wide[:, first]
+        # pair-major: spans[j, s] is the color of the j-th pair of subset s
+        wide = rows.T.astype(slot)
+        slots = wide[first]
         slots *= g.n
-        slots += wide[:, second]
+        slots += wide[second]
         spans = matrix[slots]
-        spans.sort(axis=1)
-        counts = 1 + np.count_nonzero(spans[:, 1:] != spans[:, :-1], axis=1)
+        # a pair adds a color when it differs from every earlier pair
+        counts = np.ones(len(rows), dtype=np.intp)
+        for j in range(1, len(spans)):
+            counts += (spans[:j] != spans[j]).all(axis=0)
         if cap is not None:
             np.minimum(counts, cap, out=counts)
         i = int(np.argmin(counts))
@@ -338,7 +341,8 @@ def check_local_property(
 
     Exhaustive mode scans all C(n, k) subsets in lexicographic order.
     Sampled mode draws `trials` uniform k-subsets from random.Random(seed)
-    and can only refute, never prove.
+    and can only refute, never prove; it needs an int seed, so that the
+    same call always draws the same subsets.
     """
     _validate_k_l(g, k, l)
     if mode == "exhaustive":
@@ -347,6 +351,8 @@ def check_local_property(
     if mode == "sampled":
         if trials is None or trials < 1:
             raise ColoringError("sampled mode needs trials >= 1")
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            raise ColoringError(f"sampled mode needs an int seed, got {seed!r}")
         best, subset = _scan(g, k, l, trials, seed)
         return PropertyVerdict(best >= l, subset, best, k, l, "sampled", trials, seed)
     raise ColoringError(f"unknown mode {mode!r}")

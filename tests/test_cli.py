@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from locallab import new_coloring, random_coloring, real_set, save_coloring, save_real_set
+from locallab import cli, new_coloring, random_coloring, real_set, save_coloring, save_real_set
 from locallab.cli import run
 from locallab.jsonio import pack_codes
 
@@ -165,6 +165,49 @@ def test_verify_malformed_verdict_is_usage_error(tmp_path):
     del payload["min_colors_seen"]
     cert.write_text(json.dumps(payload))
     assert run(["verify", "--cert", str(cert), "--input", str(mono)]) == 2
+
+
+def test_verify_sampled_verdict_without_seed_exits_2(tmp_path, capsys):
+    coloring = tmp_path / "c.json"
+    save_coloring(random_coloring(12, 4, seed=1), coloring)
+    cert = tmp_path / "verdict.json"
+    assert run(["check", "--input", str(coloring), "--k", "4", "--l", "3", "--mode",
+                "sampled", "--trials", "30", "--seed", "3", "--cert", str(cert)]) in (0, 1)
+    capsys.readouterr()
+    payload = json.loads(cert.read_text())
+    payload["seed"] = None
+    cert.write_text(json.dumps(payload))
+    assert run(["verify", "--cert", str(cert), "--input", str(coloring)]) == 2
+    captured = capsys.readouterr()
+    assert "error: sampled mode needs an int seed, got None" in captured.err
+    assert captured.out == ""
+
+
+def test_parser_is_built_once_and_reused(tmp_path, capsys):
+    mono = mono_file(tmp_path, 6)
+    commands = [
+        ["check", "--input", str(mono), "--k", "3", "--l", "2"],  # exit 1
+        ["check", "--input", str(mono), "--k", "9", "--l", "2"],  # LocalLabError
+        ["check", "--input", str(mono), "--k", "x", "--l", "2"],  # argparse error
+        ["check", "--help"],
+    ]
+
+    def outcome(argv):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    passes = [[outcome(argv) for argv in commands] for _ in range(2)]
+    assert passes[0] == passes[1]
+    assert [code for code, _, _ in passes[0]] == [1, 2, ("exit", 2), ("exit", 0)]
+    assert cli.build_parser() is cli.build_parser()
+    fresh = cli.build_parser.__wrapped__()
+    with pytest.raises(SystemExit):
+        fresh.parse_args(["check", "--help"])
+    assert capsys.readouterr().out == passes[0][3][1]
 
 
 def test_repeated_runs_are_byte_identical(tmp_path):

@@ -157,6 +157,10 @@ def test_sampled_mode_is_seeded_and_refutes():
     assert not v1.holds and v1.min_colors_seen == 1
     with pytest.raises(ColoringError):
         check_local_property(mono, 4, 2, mode="sampled")
+    # without an int seed each call would draw other subsets
+    for seed in (None, True, 9.0):
+        with pytest.raises(ColoringError, match="int seed"):
+            check_local_property(mono, 4, 2, mode="sampled", trials=5, seed=seed)
     with pytest.raises(ColoringError):
         check_local_property(mono, 4, 2, mode="guess")
 

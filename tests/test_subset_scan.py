@@ -49,16 +49,23 @@ def reference_samples(n, k, trials, seed):
 @st.composite
 def scans(draw):
     """A coloring with int, string or Fraction labels, then k, l, trials
-    and seed for one scan; k is drawn as 2, as n, or in between."""
+    and seed for one scan; k is drawn as 2, as n, or in between.  The
+    palette reaches C(n, 2), so every pair can get its own color."""
     n = draw(st.integers(2, 9))
     label = LABELS[draw(st.sampled_from(sorted(LABELS)))]
-    palette = draw(st.integers(1, 6))
     pairs = list(itertools.combinations(range(n), 2))
+    palette = draw(st.integers(1, len(pairs)))
     ids = draw(st.lists(st.integers(0, palette - 1), min_size=len(pairs), max_size=len(pairs)))
     g = new_coloring(n, [(u, v, label(c)) for (u, v), c in zip(pairs, ids)])
     k = draw(st.sampled_from([2, n, draw(st.integers(2, n))]))
     l = draw(st.integers(1, k * (k - 1) // 2))
     return g, k, l, draw(st.integers(1, 40)), draw(st.integers(0, 1000))
+
+
+def coloring_by_pair(n, ids):
+    """K_n whose i-th pair, in lexicographic order, gets color ids[i]."""
+    return new_coloring(n, [(u, v, c) for (u, v), c in
+                            zip(itertools.combinations(range(n), 2), ids)])
 
 
 # chunk and table sizes small enough that even tiny inputs cross chunk
@@ -73,6 +80,9 @@ SIZES = [(4096, 1 << 18), (3, 4), (1, 1)]
 @example(case=(random_coloring(7, 3, seed=1), 7, 21, 25, 3))
 @example(case=(new_coloring(5, [(u, v, "m") for u, v in itertools.combinations(range(5), 2)]),
                3, 2, 5, 0))
+# k = n = 9: all 36 pairs distinct, then the last pair repeating the first
+@example(case=(coloring_by_pair(9, range(36)), 9, 36, 3, 0))
+@example(case=(coloring_by_pair(9, [*range(35), 0]), 9, 36, 3, 0))
 def test_scan_matches_reference(chunk_rows, table_rows, case):
     g, k, l, trials, seed = case
     everything = list(itertools.combinations(range(g.n), k))
