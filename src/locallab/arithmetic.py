@@ -215,19 +215,9 @@ def behrend_set(n: int) -> RealSet:
             for vec in _shell_vectors(tables, d, radius)
         )
         return RealSet(tuple(values[:n]))
-    values = []
-    x = 0
-    while len(values) < n:
-        if all(digit < 2 for digit in _base3_digits(x)):
-            values.append(x + 1)
-        x += 1
-    return RealSet(tuple(values))
-
-
-def _base3_digits(x: int):
-    while x:
-        yield x % 3
-        x //= 3
+    # the k-th integer whose base-3 digits are all 0 or 1 is k's binary
+    # digits read in base 3
+    return RealSet(tuple(int(format(k, "b"), 3) + 1 for k in range(n)))
 
 
 def real_set_to_dict(A: RealSet) -> dict:

@@ -10,6 +10,7 @@ or element set supplied by the caller.
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import asdict
 
 from .coloring import (
     EdgeColoring,
@@ -28,93 +29,57 @@ from .energy_graph import edge_sign_vector
 from .errors import LocalLabError, SignConsistencyError
 from .forbidden import CliqueWitness, WitnessSet, _UnionFind, clique_equality_edges
 from .jsonio import exact, exact_to_json, fields, read_json, write_json
-from .oracle import OracleResult
+from .oracle import OracleResult, exact_g_integers
+
+
+def _record(result) -> dict:
+    """The fields of a result dataclass as certificate keys: nested records
+    become dicts, tuples become lists, and every color or difference takes
+    its exact_to_json form, so a label with no JSON form raises."""
+    def plain(key, value):
+        if key in ("color", "difference"):
+            return exact_to_json(value)
+        if isinstance(value, dict):
+            return {k: plain(k, v) for k, v in value.items()}
+        if isinstance(value, tuple):
+            return [plain(None, v) for v in value]
+        return value
+    return plain(None, asdict(result))
 
 
 def witness_set_certificate(ws: WitnessSet) -> dict:
-    return {
-        "type": "witness-set",
-        "target_k": ws.target_k,
-        "vertices": list(ws.vertices),
-        "claimed_repetitions": ws.claimed_repetitions,
-        "colors_spanned": ws.colors_spanned,
-        "equalities": [
-            {
-                "edge1": list(eq.edge1),
-                "edge2": list(eq.edge2),
-                "color": exact_to_json(eq.color),
-                "kind": eq.kind,
-            }
-            for eq in ws.equalities
-        ],
-    }
+    return {"type": "witness-set", **_record(ws)}
 
 
 def clique_certificate(cw: CliqueWitness) -> dict:
-    return {
-        "type": "arith-clique",
-        "k": len(cw.clique) // 2,
-        "r": len(cw.clique[0]),
-        "clique": [list(row) for row in cw.clique],
-        "base_vertices": list(cw.base_vertices),
-        "repetitions": cw.repetitions,
-        "independent_repetitions": cw.independent_repetitions,
-        "equalities": [
-            {
-                "edge1": list(eq.edge1),
-                "edge2": list(eq.edge2),
-                "difference": exact_to_json(eq.difference),
-                "kind": eq.kind,
-                "rows": list(eq.rows),
-                "coordinates": list(eq.coordinates),
-            }
-            for eq in cw.equalities
-        ],
-    }
+    return {"type": "arith-clique", "k": len(cw.clique) // 2, "r": len(cw.clique[0]),
+            **_record(cw)}
 
 
 def verdict_certificate(v: PropertyVerdict) -> dict:
+    return {"type": "property-verdict", **_record(v)}
+
+
+def _oracle_certificate(ctype, res: OracleResult, witness_to_dict, **params) -> dict:
     return {
-        "type": "property-verdict",
-        "k": v.k,
-        "l": v.l,
-        "mode": v.mode,
-        "holds": v.holds,
-        "witness": None if v.witness is None else list(v.witness),
-        "min_colors_seen": v.min_colors_seen,
-        "trials": v.trials,
-        "seed": v.seed,
+        "type": ctype,
+        **params,
+        "value": res.value,
+        "status": res.status,
+        "nodes_explored": res.nodes_explored,
+        "canonical_classes": res.canonical_classes,
+        "witness": None if res.witness is None else witness_to_dict(res.witness),
     }
 
 
 def oracle_f_certificate(res: OracleResult, n: int, k: int, l: int) -> dict:
-    return {
-        "type": "oracle-f",
-        "n": n,
-        "k": k,
-        "l": l,
-        "value": res.value,
-        "status": res.status,
-        "nodes_explored": res.nodes_explored,
-        "canonical_classes": res.canonical_classes,
-        "witness": None if res.witness is None else coloring_to_dict(res.witness),
-    }
+    return _oracle_certificate("oracle-f", res, coloring_to_dict, n=n, k=k, l=l)
 
 
 def oracle_g_certificate(res: OracleResult, n: int, k: int, l: int,
                          max_value: int) -> dict:
-    return {
-        "type": "oracle-g",
-        "n": n,
-        "k": k,
-        "l": l,
-        "max_value": max_value,
-        "value": res.value,
-        "status": res.status,
-        "nodes_explored": res.nodes_explored,
-        "canonical_classes": res.canonical_classes,
-        "witness": None if res.witness is None else real_set_to_dict(res.witness),
-    }
+    return _oracle_certificate("oracle-g", res, real_set_to_dict, n=n, k=k, l=l,
+                               max_value=max_value)
 
 
 def save_certificate(cert: dict, path) -> None:
@@ -138,7 +103,7 @@ def _equality(eq, **claim):
 def _check_repetition_edges(vertices, claimed, equalities, g: EdgeColoring, messages):
     """Re-check every equality record and recount its independence."""
     vertex_set = set(vertices)
-    forests = {}
+    forest = _UnionFind()
     independent = 0
     for idx, eq in enumerate(equalities):
         e1, e2, color = _equality(eq, color=(int, str))
@@ -158,8 +123,7 @@ def _check_repetition_edges(vertices, claimed, equalities, g: EdgeColoring, mess
                 f"equality {idx}: colors {c1!r} and {c2!r} do not match the claim {color!r}"
             )
             continue
-        forest = forests.setdefault(c1, _UnionFind())
-        if forest.union(e1, e2):
+        if forest.union((c1, e1), (c1, e2)):
             independent += 1
     if independent < claimed:
         messages.append(
@@ -216,7 +180,7 @@ def _verify_clique(cert, elements, messages):
         )
     implied = Counter((e1, e2) for *_, e1, e2 in clique_equality_edges(rows, signs))
     listed = Counter()
-    forests = {}
+    forest = _UnionFind()
     independent = 0
     for idx, eq in enumerate(equalities):
         e1, e2, claim = _equality(eq, difference=(int, str))
@@ -232,10 +196,8 @@ def _verify_clique(cert, elements, messages):
                 f"equality {idx}: differences {d1} and {d2} do not match the claim {claim!r}"
             )
             continue
-        if e1 != e2:
-            forest = forests.setdefault(d1, _UnionFind())
-            if forest.union(e1, e2):
-                independent += 1
+        if forest.union((d1, e1), (d1, e2)):
+            independent += 1
     if listed != implied:
         messages.append("listed equalities are not the pairs the clique rows imply")
     if independent != independent_claim:
@@ -259,7 +221,7 @@ def _verify_verdict(cert, g: EdgeColoring, messages):
         messages.append(f"re-check min colors {fresh.min_colors_seen} differs from {min_colors}")
 
 
-def _verify_oracle_f(cert, messages):
+def _verify_oracle_f(cert, _, messages):
     n, k, l, status = fields(cert, n=int, k=int, l=int, status=str)
     if status == "infeasible":
         if l <= k * (k - 1) // 2:
@@ -277,10 +239,14 @@ def _verify_oracle_f(cert, messages):
         messages.append(f"witness coloring violates the ({k},{l}) property")
 
 
-def _verify_oracle_g(cert, messages):
+def _verify_oracle_g(cert, _, messages):
     n, k, l, max_value, status = fields(cert, n=int, k=int, l=int, max_value=int,
                                         status=str)
     if status == "infeasible":
+        # the search returns at once when the range or l rules every set out
+        if exact_g_integers(n, k, l, max_value).status != "infeasible":
+            messages.append(f"infeasible status but the search finds a ({k},{l}) set "
+                            f"in 0..{max_value}")
         return
     value, witness = fields(cert, value=int, witness=dict)
     A = real_set_from_dict(witness)
@@ -296,36 +262,34 @@ def _verify_oracle_g(cert, messages):
         messages.append(f"witness set violates the ({k},{l}) property")
 
 
+# type -> (verifier, the input it needs, if any)
+_VERIFIERS = {
+    "witness-set": (_verify_witness_set, "coloring"),
+    "arith-clique": (_verify_clique, "element set"),
+    "property-verdict": (_verify_verdict, "coloring"),
+    "oracle-f": (_verify_oracle_f, None),
+    "oracle-g": (_verify_oracle_g, None),
+}
+
+
 def verify_certificate(cert: dict, coloring: EdgeColoring | None = None,
                        elements=None) -> tuple[bool, list]:
     """Re-check a certificate; returns (ok, failure messages).
 
     witness-set and property-verdict certificates need the coloring they
     were issued for; arith-clique needs the element set; oracle
-    certificates embed their witness and need nothing.  A certificate
-    with a missing or mistyped field raises LocalLabError.
+    certificates embed their witness and need nothing, though an
+    infeasible oracle-g record re-runs its search under the oracle node
+    budget.  A certificate with a missing or mistyped field raises
+    LocalLabError.
     """
-    messages = []
     ctype = cert.get("type")
-    if ctype == "witness-set":
-        if coloring is None:
-            messages.append("witness-set verification needs the coloring")
-        else:
-            _verify_witness_set(cert, coloring, messages)
-    elif ctype == "arith-clique":
-        if elements is None:
-            messages.append("arith-clique verification needs the element set")
-        else:
-            _verify_clique(cert, elements, messages)
-    elif ctype == "property-verdict":
-        if coloring is None:
-            messages.append("property-verdict verification needs the coloring")
-        else:
-            _verify_verdict(cert, coloring, messages)
-    elif ctype == "oracle-f":
-        _verify_oracle_f(cert, messages)
-    elif ctype == "oracle-g":
-        _verify_oracle_g(cert, messages)
-    else:
-        messages.append(f"unknown certificate type {ctype!r}")
+    if not isinstance(ctype, str) or ctype not in _VERIFIERS:
+        return False, [f"unknown certificate type {ctype!r}"]
+    verifier, needs = _VERIFIERS[ctype]
+    given = {"coloring": coloring, "element set": elements}.get(needs)
+    if needs and given is None:
+        return False, [f"{ctype} verification needs the {needs}"]
+    messages = []
+    verifier(cert, given, messages)
     return not messages, messages

@@ -5,9 +5,9 @@ and monochromatic subdivisions by canonical exhaustive search, so a
 rerun always returns the same object.  The witness constructors convert
 a cycle in an energy graph into a k-set of base vertices with an
 explicit, independently re-checkable tally of color repetitions:
-equalities are counted through a union-find per color, so repeated or
-interlocking equalities are never double counted, and any shortfall is
-padded with unused edges of the first step's color.
+equalities are counted through one union-find over (color, base pair)
+nodes, so repeated or interlocking equalities are never double counted,
+and any shortfall is padded with unused edges of the first step's color.
 """
 
 from __future__ import annotations
@@ -133,11 +133,6 @@ class SubdivisionEmbedding:
 
     branch_vertices: tuple
     midpoints: dict
-
-    def edges(self):
-        for (u, v), m in sorted(self.midpoints.items()):
-            yield u, m
-            yield v, m
 
 
 def find_subdivision(g: EdgeColoring, color: int, t: int):
@@ -294,11 +289,11 @@ def _walk_cycle(g: EdgeColoring, eg: EnergyGraph, cycle: CyclePath):
     """Tally the independent color repetitions asserted by a cycle.
 
     Each step equates the r coordinate base pairs of consecutive cycle
-    vertices; chaining them through a per-color union-find counts every
-    equality at most once, even when steps repeat base edges.
+    vertices; chaining them through a union-find over (color, pair) nodes
+    counts every equality at most once, even when steps repeat base edges.
     """
     validate_cycle(eg, cycle)
-    forests = {}
+    forest = _UnionFind()
     vertices = set()
     equalities = []
     length = cycle.length
@@ -317,18 +312,17 @@ def _walk_cycle(g: EdgeColoring, eg: EnergyGraph, cycle: CyclePath):
                 raise WitnessError(f"cycle edge {x}-{y} mixes colors")
             pairs.append(_base_pair(x[t], y[t]))
         vertices.update(x)
-        forest = forests.setdefault(color, _UnionFind())
         for t in range(1, eg.r):
-            if forest.union(pairs[t - 1], pairs[t]):
+            if forest.union((color, pairs[t - 1]), (color, pairs[t])):
                 equalities.append(
                     ColorRepetition(pairs[t - 1], pairs[t], g.label_of(color), f"cycle-step-{i + 1}")
                 )
     anchor_color = g.color_of(cycle.vertices[0][0], cycle.vertices[1][0])
     anchor_pair = _base_pair(cycle.vertices[0][0], cycle.vertices[1][0])
-    return forests, vertices, equalities, anchor_color, anchor_pair
+    return forest, vertices, equalities, anchor_color, anchor_pair
 
 
-def _pad_witness(g, forests, vertices, equalities, anchor_color, anchor_pair,
+def _pad_witness(g, forest, vertices, equalities, anchor_color, anchor_pair,
                  target_reps, target_k):
     """Raise the repetition tally to target_reps with unused edges of the
     anchor color, then fill the vertex set to target_k.
@@ -337,15 +331,14 @@ def _pad_witness(g, forests, vertices, equalities, anchor_color, anchor_pair,
     possible (ties broken lexicographically), which keeps the set within
     its size budget even for degenerate cycles.
     """
-    forest = forests[anchor_color]
     anchor_edges = g.color_classes()[anchor_color]
     while len(equalities) < target_reps:
-        unused = [e for e in anchor_edges if e not in forest]
+        unused = [e for e in anchor_edges if (anchor_color, e) not in forest]
         if not unused:
             raise PaddingError(target_reps - len(equalities),
                                g.label_of(anchor_color))
         pad = min(unused, key=lambda e: (sum(1 for v in e if v not in vertices), e))
-        forest.union(anchor_pair, pad)
+        forest.union((anchor_color, anchor_pair), (anchor_color, pad))
         vertices.update(pad)
         equalities.append(
             ColorRepetition(anchor_pair, pad, g.label_of(anchor_color), "padding")
@@ -404,8 +397,8 @@ def witness_from_cycle_2nd(g: EdgeColoring, eg: EnergyGraph, cycle: CyclePath,
     check_pair_request(g, eg, k)
     if cycle.length != k // 2:
         raise WitnessError(f"cycle length {cycle.length} must equal k/2 = {k // 2}")
-    forests, vertices, equalities, anchor_color, anchor_pair = _walk_cycle(g, eg, cycle)
-    return _pad_witness(g, forests, vertices, equalities, anchor_color,
+    forest, vertices, equalities, anchor_color, anchor_pair = _walk_cycle(g, eg, cycle)
+    return _pad_witness(g, forest, vertices, equalities, anchor_color,
                         anchor_pair, k // 2, k)
 
 
@@ -430,8 +423,8 @@ def witness_from_cycle_3rd(g: EdgeColoring, eg: EnergyGraph,
     if rare.any():
         raise WitnessError(f"color id {int(eg.cs[np.argmax(rare)])} has fewer than {floor} "
                            "base edges; prune rare colors first")
-    forests, vertices, equalities, anchor_color, anchor_pair = _walk_cycle(g, eg, cycle)
-    return _pad_witness(g, forests, vertices, equalities, anchor_color,
+    forest, vertices, equalities, anchor_color, anchor_pair = _walk_cycle(g, eg, cycle)
+    return _pad_witness(g, forest, vertices, equalities, anchor_color,
                         anchor_pair, 16, 24)
 
 
@@ -536,12 +529,9 @@ def clique_from_cycle_arith(sub: EnergyGraph, cycle: CyclePath, k: int,
     expected = (k * (2 * k - 1)) * (r - 1 + r * (r - 1) // 2)
     if len(equalities) != expected:
         raise WitnessError(f"listed {len(equalities)} repetitions, expected {expected}")
-    forests = {}
-    independent = 0
-    for eq in equalities:
-        forest = forests.setdefault(eq.difference, _UnionFind())
-        if forest.union(eq.edge1, eq.edge2):
-            independent += 1
+    forest = _UnionFind()
+    independent = sum(forest.union((eq.difference, eq.edge1), (eq.difference, eq.edge2))
+                      for eq in equalities)
     return CliqueWitness(
         tuple(rows),
         tuple(sorted(base_ids)),

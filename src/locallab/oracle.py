@@ -10,6 +10,7 @@ within an explicit node budget and return canonically least witnesses.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -141,6 +142,15 @@ def exact_g_integers(n: int, k: int, l: int, max_value: int) -> OracleResult:
         return OracleResult(None, None, 0, 0, True, "infeasible")
 
     node_budget = config.budget(config.ORACLE_NODE_BUDGET)
+    # the pair slots and the k-subset getters are built before the first
+    # node, so they count against the same ceiling
+    setup = math.comb(n, 2) + (math.comb(n, k) if l > 1 else 0)
+    if setup > node_budget:
+        raise BudgetExceededError(
+            f"exact_g_integers({n},{k},{l},{max_value}) needs {setup} pair slots and "
+            f"{k}-subset getters before its first node, more than the {node_budget} "
+            "node budget"
+        )
     best = max_value * (max_value + 1)
     best_set = None
     nodes = classes = 0

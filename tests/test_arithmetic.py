@@ -19,6 +19,7 @@ from locallab import (
     real_set_to_dict,
     save_real_set,
 )
+from locallab import arithmetic
 from locallab.arithmetic import _shell_tables
 
 
@@ -175,6 +176,33 @@ BEHREND_DIGESTS = {
 def test_behrend_sets_are_pinned(n):
     joined = ",".join(map(str, behrend_set(n).elements))
     assert hashlib.sha256(joined.encode()).hexdigest()[:16] == BEHREND_DIGESTS[n]
+
+
+def fallback_reference(n):
+    """The base-3 fallback as it was first written: test every integer."""
+    values, x = [], 0
+    while len(values) < n:
+        y = x
+        while y and y % 3 < 2:
+            y //= 3
+        if y == 0:
+            values.append(x + 1)
+        x += 1
+    return tuple(values)
+
+
+def test_behrend_fallback_matches_the_enumeration(monkeypatch):
+    monkeypatch.setattr(arithmetic, "_best_d", lambda n, m: None)
+    for n in [*range(1, 301), 2000]:
+        assert behrend_set(n).elements == fallback_reference(n), n
+
+
+def test_behrend_fallback_size_is_built_directly():
+    # from n = 16381 every capped shell is too thin
+    elements = behrend_set(30000).elements
+    assert len(elements) == 30000
+    assert all(a < b for a, b in zip(elements, elements[1:]))
+    assert all(set(np.base_repr(x - 1, 3)) <= {"0", "1"} for x in elements)
 
 
 def test_json_round_trip(tmp_path):

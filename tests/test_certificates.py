@@ -1,11 +1,15 @@
 import copy
 import itertools
 import json
+from fractions import Fraction
 
 import pytest
 
 from locallab import (
+    CliqueWitness,
+    DifferenceEquality,
     LocalLabError,
+    WitnessSet,
     build_rth_energy_graph,
     build_second_energy_graph,
     check_local_property,
@@ -29,6 +33,7 @@ from locallab import (
     witness_from_cycle_2nd,
     witness_set_certificate,
 )
+from locallab.forbidden import ColorRepetition
 
 
 def mono(n):
@@ -204,6 +209,41 @@ def test_unknown_certificate_type():
     assert not ok and any("mystery" in m for m in messages)
     ok, messages = verify_certificate({})
     assert not ok and messages
+    # a type that is not a string, even an unhashable one, is unknown too
+    for ctype in (3, ["x"]):
+        assert verify_certificate({"type": ctype}) == (
+            False, [f"unknown certificate type {ctype!r}"])
+
+
+def label_witnesses(label):
+    """A witness set and a clique witness whose one equality carries `label`."""
+    ws = WitnessSet((0, 1, 2), 1, 3, 1, (ColorRepetition((0, 1), (0, 2), label, "padding"),))
+    cw = CliqueWitness(((0, 1), (2, 3), (4, 5), (6, 7)), tuple(range(8)), 1,
+                       (DifferenceEquality((0, 2), (1, 3), label, "direct", (0, 1), (0, 1)),), 1)
+    return ws, cw
+
+
+@pytest.mark.parametrize("label", [1.5, ("a", 1)])
+def test_label_without_json_form_cannot_be_certified(label):
+    ws, cw = label_witnesses(label)
+    with pytest.raises(LocalLabError, match="no JSON form"):
+        witness_set_certificate(ws)
+    with pytest.raises(LocalLabError, match="no JSON form"):
+        clique_certificate(cw)
+
+
+def test_certificate_records_hold_lists_and_exact_labels():
+    ws, cw = label_witnesses(Fraction(1, 3))
+    assert witness_set_certificate(ws) == {
+        "type": "witness-set", "vertices": [0, 1, 2], "claimed_repetitions": 1,
+        "target_k": 3, "colors_spanned": 1,
+        "equalities": [{"edge1": [0, 1], "edge2": [0, 2], "color": "1/3", "kind": "padding"}],
+    }
+    cert = clique_certificate(cw)
+    assert (cert["k"], cert["r"]) == (2, 2)
+    assert cert["clique"] == [[0, 1], [2, 3], [4, 5], [6, 7]]
+    assert cert["equalities"] == [{"edge1": [0, 2], "edge2": [1, 3], "difference": "1/3",
+                                   "kind": "direct", "rows": [0, 1], "coordinates": [0, 1]}]
 
 
 # every top-level field each verifier reads
@@ -251,6 +291,28 @@ def test_mistyped_field_is_an_input_error(ctype, key):
     cert[key] = 7 if isinstance(cert[key], str) else "7"
     with pytest.raises(LocalLabError, match=f"'{key}'"):
         verify_certificate(cert, **context)
+
+
+# int fields get 1 added and bool fields are flipped; every such claim is false
+TAMPER_CASES = [
+    ("witness-set", "target_k"), ("witness-set", "claimed_repetitions"),
+    ("witness-set", "colors_spanned"),
+    ("arith-clique", "k"), ("arith-clique", "r"), ("arith-clique", "repetitions"),
+    ("arith-clique", "independent_repetitions"),
+    ("property-verdict", "holds"), ("property-verdict", "min_colors_seen"),
+    ("oracle-f", "n"), ("oracle-f", "value"),
+    ("oracle-g", "n"), ("oracle-g", "value"),
+]
+
+
+@pytest.mark.parametrize("ctype,key", TAMPER_CASES)
+def test_tampered_field_fails_verification(ctype, key):
+    cert, context = issued(ctype)
+    assert cert.get("status", "optimal") == "optimal"
+    value = cert[key]
+    cert[key] = not value if isinstance(value, bool) else value + 1
+    ok, messages = verify_certificate(cert, **context)
+    assert not ok and messages
 
 
 @pytest.mark.parametrize("ctype,key,value", [

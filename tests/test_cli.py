@@ -109,6 +109,43 @@ def test_oracle_budget_exit_code(tmp_path, monkeypatch):
     assert run(["oracle-f", "--n", "6", "--k", "3", "--l", "2"]) == 3
 
 
+def test_forged_infeasible_oracle_g_record_is_invalid(tmp_path, capsys):
+    # oracle-g --n 4 --k 3 --l 2 --max-value 100 finds g = 3 with [0, 1, 2, 3]
+    cert = tmp_path / "forged.json"
+    cert.write_text(json.dumps({
+        "type": "oracle-g", "n": 4, "k": 3, "l": 2, "max_value": 100,
+        "status": "infeasible", "value": None, "witness": None,
+        "nodes_explored": 0, "canonical_classes": 0,
+    }))
+    assert run(["verify", "--cert", str(cert)]) == 1
+    assert "certificate oracle-g: INVALID" in capsys.readouterr().out
+
+
+def test_infeasible_oracle_g_records_are_rechecked(tmp_path, monkeypatch, capsys):
+    searched = tmp_path / "searched.json"
+    assert run(["oracle-g", "--n", "7", "--k", "4", "--l", "5", "--max-value", "18",
+                "--cert", str(searched)]) == 0
+    record = json.loads(searched.read_text())
+    assert (record["status"], record["nodes_explored"]) == ("infeasible", 27132)
+    assert run(["verify", "--cert", str(searched)]) == 0
+
+    # max_value < n - 1 leaves no room for n elements: no search needed
+    short = tmp_path / "short.json"
+    assert run(["oracle-g", "--n", "5", "--k", "3", "--l", "2", "--max-value", "3",
+                "--cert", str(short)]) == 0
+    assert json.loads(short.read_text())["status"] == "infeasible"
+    # C(40, 20) subset getters would exhaust memory before the first node
+    crafted = tmp_path / "crafted.json"
+    crafted.write_text(json.dumps({**json.loads(short.read_text()),
+                                   "n": 40, "k": 20, "max_value": 100}))
+    assert run(["verify", "--cert", str(crafted)]) == 3
+
+    monkeypatch.setenv("LOCALLAB_BUDGET", "10")
+    assert run(["verify", "--cert", str(short)]) == 0
+    assert capsys.readouterr().out.endswith("certificate oracle-g: OK\n")
+    assert run(["verify", "--cert", str(searched)]) == 3
+
+
 def test_behrend_and_diffset(tmp_path, capsys):
     out_file = tmp_path / "b.json"
     assert run(["behrend", "--n", "30", "--out", str(out_file)]) == 0

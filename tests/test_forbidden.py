@@ -247,8 +247,8 @@ def check_subdivision(g, color, emb, t):
     assert len(set(mids)) == len(mids)
     assert not set(mids) & set(emb.branch_vertices)
     assert len(mids) == t * (t - 1) // 2
-    for u, v in emb.edges():
-        assert g.color_of(u, v) == color
+    for (u, v), m in emb.midpoints.items():
+        assert g.color_of(u, m) == g.color_of(v, m) == color
 
 
 def test_find_subdivision_in_mono_k6():

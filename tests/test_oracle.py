@@ -294,6 +294,16 @@ def test_exact_g_matches_the_reference_search(monkeypatch):
                     assert got == outcome(reference_exact_g_integers, n, k, l, m), (n, k, l, m)
 
 
+def test_exact_g_setup_counts_against_the_node_budget(monkeypatch):
+    # 21 pair slots and C(7, 4) = 35 subset getters
+    monkeypatch.setenv("LOCALLAB_BUDGET", "55")
+    with pytest.raises(BudgetExceededError, match="needs 56 pair slots"):
+        exact_g_integers(7, 4, 5, 18)
+    monkeypatch.delenv("LOCALLAB_BUDGET")
+    with pytest.raises(BudgetExceededError, match="more than the 100000000 node budget"):
+        exact_g_integers(40, 20, 2, 100)
+
+
 @pytest.mark.parametrize("search, args, nodes", [
     (exact_f, (6, 5, 7), 29878),
     (exact_g_integers, (7, 4, 5, 18), 27132),
