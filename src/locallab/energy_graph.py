@@ -45,13 +45,29 @@ from .partition import RPartition
 def csr_adjacency(xs, ys) -> tuple:
     """CSR (codes, indptr, indices) of the edges {xs[i], ys[i]}: codes are
     the sorted distinct vertex codes on an edge, and indices[indptr[i]:
-    indptr[i + 1]] the positions in codes of codes[i]'s neighbors, ascending."""
-    codes = np.unique(np.concatenate((xs, ys)))
-    xi, yi = np.searchsorted(codes, xs), np.searchsorted(codes, ys)
-    src, dst = np.concatenate((xi, yi)), np.concatenate((yi, xi))
+    indptr[i + 1]] the positions in codes of codes[i]'s neighbors, ascending.
+
+    The edges must be strictly sorted by (xs, ys) with xs < ys, as every
+    EnergyGraph keeps them, so no sort is needed: a row is its lower
+    neighbors, ascending along a stable argsort of the ys, then its higher
+    ones, ascending in edge order; counted row lengths place both halves."""
+    m = len(xs)
+    if m and ys.max() < 8 * m:  # codes are dense enough to mark them
+        seen = np.zeros(ys.max() + 1, dtype=bool)
+        seen[xs] = seen[ys] = True
+        codes, rank = np.flatnonzero(seen).astype(xs.dtype), np.cumsum(seen) - 1
+        xi, yi = rank[xs], rank[ys]
+    else:
+        codes = np.unique(np.concatenate((xs, ys)))
+        xi, yi = np.searchsorted(codes, xs), np.searchsorted(codes, ys)
+    lower, higher = np.bincount(yi, minlength=len(codes)), np.bincount(xi, minlength=len(codes))
     indptr = np.zeros(len(codes) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=len(codes)), out=indptr[1:])
-    return codes, indptr, dst[np.lexsort((dst, src))]
+    np.cumsum(lower + higher, out=indptr[1:])
+    back, step = np.argsort(yi, kind="stable"), np.arange(m)
+    indices = np.empty(2 * m, dtype=np.int64)
+    indices[step + (np.cumsum(higher) - higher)[yi[back]]] = xi[back]
+    indices[step + np.cumsum(lower)[xi]] = yi
+    return codes, indptr, indices
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,11 +124,13 @@ class EnergyGraph:
         return np.isin(self.cs, [c for c, m in self.color_base_edges.items() if m >= threshold])
 
     def adjacency(self) -> tuple:
-        """csr_adjacency of the edges, built on the first call and kept, so
-        the cycle search and its audits share it: do not mutate it."""
+        """csr_adjacency of the edges, built on the first call and kept
+        read-only, so the cycle search and its audits share it."""
         adj = self.__dict__.get("_adjacency")
         if adj is None:
             adj = csr_adjacency(self.xs, self.ys)
+            for a in adj:
+                a.flags.writeable = False
             object.__setattr__(self, "_adjacency", adj)
         return adj
 

@@ -52,17 +52,23 @@ def _search_cycle(adj, length: int):
     """Positions in the codes of CSR adjacency `adj` of the first simple
     cycle of exactly `length`, or None.  The search is canonical: start
     vertices ascending, each cycle explored only from its smallest vertex,
-    neighbors in sorted order."""
+    neighbors in sorted order.  A row of neighbors becomes a list only
+    when the search first visits it."""
     if length < 3:
         raise LocalLabError(f"cycle length {length} must be at least 3")
-    ptr, nbrs = adj[1].tolist(), adj[2].tolist()
+    ptr, rows = adj[1].tolist(), {}
+
+    def row(v):
+        if v not in rows:
+            rows[v] = adj[2][ptr[v]:ptr[v + 1]].tolist()
+        return rows[v]
 
     # the adjacency is symmetric, so a path closes at a neighbor of its start
     def extend(start, closers, path, on_path):
         v = path[-1]
         if len(path) == length:
             return list(path) if v in closers else None
-        for w in nbrs[ptr[v]:ptr[v + 1]]:
+        for w in row(v):
             if w <= start or w in on_path:
                 continue
             path.append(w)
@@ -77,7 +83,7 @@ def _search_cycle(adj, length: int):
     for s in range(len(ptr) - 1):
         if ptr[s + 1] - ptr[s] < 2:
             continue
-        found = extend(s, set(nbrs[ptr[s]:ptr[s + 1]]), [s], {s})
+        found = extend(s, set(row(s)), [s], {s})
         if found:
             return found
     return None

@@ -30,6 +30,7 @@ from locallab import (
     real_set,
     sign_decompose,
 )
+from locallab.energy_graph import csr_adjacency
 from locallab.jsonio import code_width, read_json, write_json
 
 
@@ -336,6 +337,63 @@ def test_adjacency_is_built_once_symmetric_and_sorted():
         assert set(zip(eg.xs.tolist(), eg.ys.tolist())) == {
             (codes[v], codes[w]) for v, nbrs in enumerate(rows) for w in nbrs if v < w
         }
+
+
+def test_cached_adjacency_is_read_only():
+    eg = prune_diagonal(build_second_energy_graph(random_coloring(6, 2, seed=0)))
+    for array in eg.adjacency():
+        with pytest.raises(ValueError):
+            array[0] = array[-1]
+    assert eg.adjacency() is eg.adjacency()
+
+
+def reference_csr_adjacency(xs, ys):
+    """csr_adjacency as it was first written: one lexsort of both
+    directions of every edge."""
+    codes = np.unique(np.concatenate((xs, ys)))
+    xi, yi = np.searchsorted(codes, xs), np.searchsorted(codes, ys)
+    src, dst = np.concatenate((xi, yi)), np.concatenate((yi, xi))
+    indptr = np.zeros(len(codes) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=len(codes)), out=indptr[1:])
+    return codes, indptr, dst[np.lexsort((dst, src))]
+
+
+def sorted_edges(pairs, dtype):
+    """Edge arrays xs < ys, strictly sorted by (xs, ys), of the pairs."""
+    edges = sorted({(min(p), max(p)) for p in pairs if p[0] != p[1]})
+    return (np.array([x for x, _ in edges], dtype=dtype),
+            np.array([y for _, y in edges], dtype=dtype))
+
+
+@st.composite
+def edge_sets(draw):
+    # a few codes drawn up to `top`, so they leave gaps, joined at random:
+    # codes under 8 |E| take the presence-array path, the rest np.unique
+    dtype = draw(st.sampled_from([np.int32, np.int64]))
+    tops = [1, 30, 10**4, 2**31 - 1] + ([10**15] if dtype is np.int64 else [])
+    pool = draw(st.lists(st.integers(0, draw(st.sampled_from(tops))),
+                         min_size=2, max_size=12, unique=True))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(pool)),
+                          max_size=50))
+    return sorted_edges(pairs, dtype)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(case=edge_sets())
+@example(case=sorted_edges([], np.int32))
+@example(case=sorted_edges([], np.int64))
+@example(case=sorted_edges([(2, 5)], np.int64))
+@example(case=sorted_edges([(3, 9)], np.int32))
+@example(case=sorted_edges([(0, 10**15)], np.int64))
+@example(case=sorted_edges([(0, 2), (2, 5), (0, 7), (5, 7), (1, 7)], np.int32))
+@example(case=sorted_edges([(0, 2), (2, 5), (0, 7), (5, 7), (1, 7)], np.int64))
+@example(case=sorted_edges([(5, 10**15), (7, 10**15 - 1), (5, 7), (10**15 - 1, 10**15)],
+                           np.int64))
+def test_csr_adjacency_matches_the_sorting_reference(case):
+    xs, ys = case
+    for got, want in zip(csr_adjacency(xs, ys), reference_csr_adjacency(xs, ys)):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
 
 
 def test_codes_wider_than_64_bits_exceed_the_budget():

@@ -160,6 +160,61 @@ def test_find_cycle_agrees_with_networkx():
     assert len(found) == 90 and 0 < sum(found) < 90
 
 
+def reference_search_cycle(adj, length):
+    """_search_cycle as it was first written: every row turned into a
+    list before the search starts."""
+    ptr, nbrs = adj[1].tolist(), adj[2].tolist()
+
+    def extend(start, closers, path, on_path):
+        v = path[-1]
+        if len(path) == length:
+            return list(path) if v in closers else None
+        for w in nbrs[ptr[v]:ptr[v + 1]]:
+            if w <= start or w in on_path:
+                continue
+            path.append(w)
+            on_path.add(w)
+            found = extend(start, closers, path, on_path)
+            if found:
+                return found
+            path.pop()
+            on_path.remove(w)
+        return None
+
+    for s in range(len(ptr) - 1):
+        if ptr[s + 1] - ptr[s] < 2:
+            continue
+        found = extend(s, set(nbrs[ptr[s]:ptr[s + 1]]), [s], {s})
+        if found:
+            return found
+    return None
+
+
+def random_dict_graphs(count):
+    # dense and sparse graphs, forests and bipartite graphs, so that some
+    # lengths have no cycle and the search visits every row
+    rng = random.Random(7)
+    for _ in range(count):
+        n, p, kind = rng.randint(2, 13), rng.random(), rng.choice(["any", "forest", "bipartite"])
+        if kind == "forest":
+            yield {v: [rng.randrange(v)] for v in range(1, n) if rng.random() < 0.8}
+        else:
+            yield {v: [w for w in range(v + 1, n) if rng.random() < p
+                       and (kind == "any" or (v - w) % 2)] for v in range(n)}
+
+
+def test_search_cycle_matches_the_eager_reference():
+    adjacencies = [dict_adjacency(graph) for graph in random_dict_graphs(300)]
+    adjacencies += [eg.adjacency() for eg in small_energy_graphs()]
+    found = []
+    for adj in adjacencies:
+        for length in range(3, 9):
+            cycle = _search_cycle(adj, length)
+            assert cycle == reference_search_cycle(adj, length)
+            found.append(cycle is not None)
+    assert 0.2 < sum(found) / len(found) < 0.8
+
+
 # -- complete bipartite pairs ------------------------------------------------
 
 
