@@ -165,13 +165,13 @@ def _cmd_energy_graph(args) -> int:
         if token == "diagonal":
             eg = prune_diagonal(eg)
         elif token == "rare":
-            eg = prune_rare_colors(eg, ln_ceiling(g.n))
+            eg = prune_rare_colors(eg, g, ln_ceiling(g.n))
         elif token.startswith("rare:"):
             try:
                 threshold = int(token[len("rare:"):])
             except ValueError:
                 raise LocalLabError(f"stage {token!r} needs an integer threshold") from None
-            eg = prune_rare_colors(eg, threshold)
+            eg = prune_rare_colors(eg, g, threshold)
         elif token == "halve":
             eg = halve_parts_prune(eg, seed=args.seed)
         elif token == "coordinate":
@@ -244,11 +244,9 @@ def _cmd_witness(args) -> int:
     if args.kind == "pair":
         if args.k is None:
             raise LocalLabError("--kind pair needs --k")
-        check_pair_request(g, eg, args.k)
-        length = args.k // 2
+        length = check_pair_request(g, eg, args.k)
     else:
-        check_triple_request(g, eg)
-        length = 8
+        length = check_triple_request(g, eg)
     cycle = find_cycle(eg, length)
     if cycle is None:
         print(f"no cycle of length {length}")

@@ -153,12 +153,13 @@ def new_coloring(n: int, assignments) -> EdgeColoring:
 
     Raises a distinct error for self-loops, out-of-range vertices,
     duplicated pairs, and missing pairs.  Labels are normalized to dense
-    ids in order of first appearance.
+    ids in order of first appearance.  Memory follows the assignments
+    given, not the declared n, so a huge n fails on its first missing pair.
     """
     if not isinstance(n, int) or n < 2:
         raise ColoringError(f"need at least 2 vertices, got n={n!r}")
     total = n * (n - 1) // 2
-    colors = [None] * total
+    colors = {}  # pair index -> color id
     names = []
     ids = {}
     for u, v, label in assignments:
@@ -168,17 +169,19 @@ def new_coloring(n: int, assignments) -> EdgeColoring:
         if u == v:
             raise SelfLoopError(f"assignment colors the loop ({u}, {v})")
         idx = pair_index(n, u, v)
-        if colors[idx] is not None:
+        if idx in colors:
             raise DuplicatePairError(f"pair ({min(u, v)}, {max(u, v)}) assigned twice")
         if label not in ids:
             ids[label] = len(names)
             names.append(label)
         colors[idx] = ids[label]
-    if any(c is None for c in colors):
-        for idx, (u, v) in enumerate(itertools.combinations(range(n), 2)):
-            if colors[idx] is None:
+    if len(colors) < total:
+        # a generator: combinations() would first build tuple(range(n))
+        pairs = ((u, v) for u in range(n) for v in range(u + 1, n))
+        for idx, (u, v) in enumerate(pairs):
+            if idx not in colors:
                 raise MissingPairError(f"pair ({u}, {v}) received no color")
-    return EdgeColoring(n, tuple(colors), tuple(names))
+    return EdgeColoring(n, tuple(map(colors.__getitem__, range(total))), tuple(names))
 
 
 def random_coloring(n: int, c: int, seed: int) -> EdgeColoring:

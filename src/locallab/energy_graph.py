@@ -39,7 +39,7 @@ from .errors import (
     SignConsistencyError,
 )
 from .jsonio import fields, pack_codes, unpack_codes
-from .partition import RPartition
+from .partition import MAX_TRIALS, RPartition
 
 
 def csr_adjacency(xs, ys) -> tuple:
@@ -77,9 +77,8 @@ class EnergyGraph:
     parts is None for the full V x V form (r = 2 only) and a tuple of r
     disjoint vertex tuples for the partitioned form; the vertex set is
     implicit (the full product).  Edge i joins the vertex codes
-    xs[i] < ys[i] in color cs[i], sorted by (xs, ys).  color_base_edges
-    maps each color id seen on an edge to its base edge count in the
-    source coloring (unordered count, so m_c / 2).
+    xs[i] < ys[i] in color cs[i], the source coloring's dense id, sorted
+    by (xs, ys).
     """
 
     r: int
@@ -88,7 +87,6 @@ class EnergyGraph:
     xs: np.ndarray
     ys: np.ndarray
     cs: np.ndarray
-    color_base_edges: dict
     provenance: tuple = field(default_factory=tuple)
 
     @property
@@ -119,10 +117,6 @@ class EnergyGraph:
             return -1
         return sum(x * self.n ** (self.r - 1 - j) for j, x in enumerate(vertex))
 
-    def colors_at_least(self, threshold: int) -> np.ndarray:
-        """Mask of the edges whose color has at least `threshold` base edges."""
-        return np.isin(self.cs, [c for c, m in self.color_base_edges.items() if m >= threshold])
-
     def adjacency(self) -> tuple:
         """csr_adjacency of the edges, built on the first call and kept
         read-only, so the cycle search and its audits share it."""
@@ -137,8 +131,7 @@ class EnergyGraph:
     def _replaced(self, keep, stage: str) -> "EnergyGraph":
         """Same graph keeping the edges a mask or ascending indices select."""
         return EnergyGraph(self.r, self.n, self.parts, self.xs[keep], self.ys[keep],
-                           self.cs[keep], dict(self.color_base_edges),
-                           self.provenance + (stage,))
+                           self.cs[keep], self.provenance + (stage,))
 
 
 def _code_dtype(n: int, r: int):
@@ -191,8 +184,7 @@ def _product_graph(g: EdgeColoring, r: int, parts, pair_lists, stage: str) -> En
         cs.append(np.full(len(x), c, dtype))
     xs, ys, cs = np.concatenate(xs), np.concatenate(ys), np.concatenate(cs)
     order = np.lexsort((ys, xs))
-    counts = {c: len(pairs) for c, pairs in enumerate(g.color_classes())}
-    return EnergyGraph(r, g.n, parts, xs[order], ys[order], cs[order], counts, (stage,))
+    return EnergyGraph(r, g.n, parts, xs[order], ys[order], cs[order], (stage,))
 
 
 def build_second_energy_graph(g: EdgeColoring) -> EnergyGraph:
@@ -227,20 +219,26 @@ def prune_diagonal(eg: EnergyGraph) -> EnergyGraph:
     return eg._replaced((x0 != x1) | (y0 != y1), "prune_diagonal")
 
 
-def prune_rare_colors(eg: EnergyGraph, threshold: int) -> EnergyGraph:
+def colors_at_least(eg: EnergyGraph, g: EdgeColoring, threshold: int) -> np.ndarray:
+    """Mask of the edges of eg whose color has at least `threshold` base
+    edges in g; a color id that g does not have counts as rare."""
+    return np.isin(eg.cs, np.flatnonzero(np.bincount(g.colors) >= threshold))
+
+
+def prune_rare_colors(eg: EnergyGraph, g: EdgeColoring, threshold: int) -> EnergyGraph:
     """Drop every edge whose color has fewer than `threshold` base edges
-    in the source coloring (strict comparison)."""
+    in g, the coloring eg was built from (strict comparison)."""
     if threshold < 0:
         raise EnergyGraphError("threshold must be non-negative")
-    return eg._replaced(eg.colors_at_least(threshold), f"prune_rare_colors({threshold})")
+    return eg._replaced(colors_at_least(eg, g, threshold), f"prune_rare_colors({threshold})")
 
 
-def halve_parts_prune(eg: EnergyGraph, seed: int, max_trials: int = 1000) -> EnergyGraph:
+def halve_parts_prune(eg: EnergyGraph, seed: int) -> EnergyGraph:
     """Split every part in two balanced halves and keep only edges whose
     coordinate pairs all cross their split.
 
     The first split keeping at least a 3^(-r) fraction of the edges is
-    accepted; otherwise the best of max_trials is kept and the
+    accepted; otherwise the best of MAX_TRIALS is kept and the
     provenance notes the miss.
     """
     if eg.parts is None:
@@ -253,7 +251,7 @@ def halve_parts_prune(eg: EnergyGraph, seed: int, max_trials: int = 1000) -> Ene
     coordinates = list(zip(eg.digits(eg.xs), eg.digits(eg.ys)))
     side = np.zeros(eg.n, dtype=bool)
     best_count, best_keep = -1, None
-    for trial in range(1, max_trials + 1):
+    for trial in range(1, MAX_TRIALS + 1):
         for part in eg.parts:
             order = list(part)
             rng.shuffle(order)
@@ -267,7 +265,7 @@ def halve_parts_prune(eg: EnergyGraph, seed: int, max_trials: int = 1000) -> Ene
         if count * 3**eg.r >= total:
             stage = f"halve_parts(seed={seed},trials={trial},kept={count}/{total},met=True)"
             return eg._replaced(keep, stage)
-    stage = f"halve_parts(seed={seed},trials={max_trials},kept={best_count}/{total},met=False)"
+    stage = f"halve_parts(seed={seed},trials={MAX_TRIALS},kept={best_count}/{total},met=False)"
     return eg._replaced(best_keep, stage)
 
 
@@ -350,31 +348,29 @@ def sign_decompose(eg: EnergyGraph, values) -> dict:
 
 
 def energy_graph_to_dict(eg: EnergyGraph) -> dict:
-    """Format-3 JSON shape: the vertex set is left implicit, edges are the
-    three code arrays as pack_codes blobs of entries below n^r, and colors
-    are the source coloring's dense ids."""
+    """Format-4 JSON shape: the graph alone.  The vertex set is left
+    implicit, edges are the three code arrays as pack_codes blobs of
+    entries below n^r, and colors are the source coloring's dense ids;
+    base edge counts belong to the coloring, so the file holds none."""
     top = eg.n**eg.r - 1
     return {
-        "format": 3, "r": eg.r, "n": eg.n,
+        "format": 4, "r": eg.r, "n": eg.n,
         "parts": None if eg.parts is None else [list(p) for p in eg.parts],
         "xs": pack_codes(eg.xs, top), "ys": pack_codes(eg.ys, top),
-        "cs": pack_codes(eg.cs, top),
-        "color_base_edges": {str(c): m for c, m in sorted(eg.color_base_edges.items())},
-        "provenance": list(eg.provenance),
+        "cs": pack_codes(eg.cs, top), "provenance": list(eg.provenance),
     }
 
 
 def energy_graph_from_dict(data: dict) -> EnergyGraph:
-    """Read a format-3 record, checking what the builders guarantee: r
+    """Read a format-4 record, checking what the builders guarantee: r
     disjoint parts covering 0..n-1, code blobs that unpack_codes reads,
     codes in range and strictly sorted with xs < ys, every coordinate
-    differing across an edge and inside its part, and a base edge count
-    for every edge color."""
-    if not (isinstance(data, dict) and type(data.get("format")) is int and data["format"] == 3):
-        raise EnergyGraphError("not a format-3 energy graph; rebuild it with `energy-graph`")
-    r, n, parts, *blobs, counts, provenance = fields(
-        data, r=int, n=int, parts=([list], None), xs=str, ys=str, cs=str,
-        color_base_edges=dict, provenance=[str],
+    differing across an edge and inside its part, and color ids below
+    n(n-1)/2."""
+    if not (isinstance(data, dict) and type(data.get("format")) is int and data["format"] == 4):
+        raise EnergyGraphError("not a format-4 energy graph; rebuild it with `energy-graph`")
+    r, n, parts, *blobs, provenance = fields(
+        data, r=int, n=int, parts=([list], None), xs=str, ys=str, cs=str, provenance=[str],
     )
     if r < 2 or n < 2:
         raise EnergyGraphError(f"r={r} and n={n} must both be at least 2")
@@ -383,14 +379,6 @@ def energy_graph_from_dict(data: dict) -> EnergyGraph:
     # range and color checks below reject
     xs, ys, cs = (unpack_codes(blob, n**r - 1, name).astype(dtype)
                   for blob, name in zip(blobs, ("xs", "ys", "cs")))
-    try:
-        counts = {int(c): m for c, m in counts.items()}
-    except ValueError:
-        raise EnergyGraphError("color keys must be ints") from None
-    pairs = n * (n - 1) // 2
-    if any(type(m) is not int or m < 0 or not 0 <= c < pairs for c, m in counts.items()):
-        raise EnergyGraphError("color base edge counts must be non-negative ints, "
-                               f"keyed by color ids in 0..{pairs - 1}")
     if not len(xs) == len(ys) == len(cs):
         raise EnergyGraphError("xs, ys and cs must have one entry per edge")
     if len(xs) and (xs.min() < 0 or ys.max() >= n**r or (xs >= ys).any()):
@@ -398,10 +386,11 @@ def energy_graph_from_dict(data: dict) -> EnergyGraph:
     step = np.diff(xs)
     if not ((step > 0) | ((step == 0) & (np.diff(ys) > 0))).all():
         raise EnergyGraphError("edges must be strictly increasing in (xs, ys)")
-    if not np.isin(cs, list(counts)).all():
-        raise EnergyGraphError("every edge color needs a base edge count")
+    pairs = n * (n - 1) // 2
+    if len(cs) and (cs.min() < 0 or cs.max() >= pairs):
+        raise EnergyGraphError(f"edge colors must be color ids in 0..{pairs - 1}")
     eg = EnergyGraph(r, n, None if parts is None else tuple(tuple(p) for p in parts),
-                     xs, ys, cs, counts, tuple(provenance))
+                     xs, ys, cs, tuple(provenance))
     part_of = None if parts is None else _part_index(eg.parts, r, n)
     for j, (a, b) in enumerate(zip(eg.digits(eg.xs), eg.digits(eg.ys))):
         if (a == b).any():

@@ -22,6 +22,7 @@ from .coloring import EdgeColoring, _check_subset_budget, _lex_chunks
 from .energy import ln_ceiling
 from .energy_graph import (
     EnergyGraph,
+    colors_at_least,
     coordinate_neighbor_violations,
     edge_sign_vector,
 )
@@ -291,20 +292,26 @@ def _base_pair(x, y) -> tuple:
     return (x, y) if x < y else (y, x)
 
 
-def _walk_cycle(g: EdgeColoring, eg: EnergyGraph, cycle: CyclePath):
-    """Tally the independent color repetitions asserted by a cycle.
+def _cycle_witness(g: EdgeColoring, eg: EnergyGraph, cycle: CyclePath, length: int,
+                   target_k: int, target_reps: int) -> WitnessSet:
+    """Turn a `length`-cycle of eg into a witness target_k-set certified by
+    at least target_reps independent color repetitions.
 
     Each step equates the r coordinate base pairs of consecutive cycle
     vertices; chaining them through a union-find over (color, pair) nodes
     counts every equality at most once, even when steps repeat base edges.
+    A shortfall is padded with unused edges of the first step's color,
+    each adding as few new vertices as possible (ties broken
+    lexicographically), and the set is then filled with the smallest
+    unused base vertices.
     """
+    if cycle.length != length:
+        raise WitnessError(f"cycle length {cycle.length} must be {length}")
     validate_cycle(eg, cycle)
     forest = _UnionFind()
     vertices = set()
     equalities = []
-    length = cycle.length
-    for i in range(length):
-        x = cycle.vertices[i]
+    for i, x in enumerate(cycle.vertices):
         y = cycle.vertices[(i + 1) % length]
         pairs = []
         color = None
@@ -323,32 +330,17 @@ def _walk_cycle(g: EdgeColoring, eg: EnergyGraph, cycle: CyclePath):
                 equalities.append(
                     ColorRepetition(pairs[t - 1], pairs[t], g.label_of(color), f"cycle-step-{i + 1}")
                 )
-    anchor_color = g.color_of(cycle.vertices[0][0], cycle.vertices[1][0])
     anchor_pair = _base_pair(cycle.vertices[0][0], cycle.vertices[1][0])
-    return forest, vertices, equalities, anchor_color, anchor_pair
-
-
-def _pad_witness(g, forest, vertices, equalities, anchor_color, anchor_pair,
-                 target_reps, target_k):
-    """Raise the repetition tally to target_reps with unused edges of the
-    anchor color, then fill the vertex set to target_k.
-
-    Padding edges are chosen to introduce as few new vertices as
-    possible (ties broken lexicographically), which keeps the set within
-    its size budget even for degenerate cycles.
-    """
+    anchor_color = g.color_of(*anchor_pair)
     anchor_edges = g.color_classes()[anchor_color]
     while len(equalities) < target_reps:
         unused = [e for e in anchor_edges if (anchor_color, e) not in forest]
         if not unused:
-            raise PaddingError(target_reps - len(equalities),
-                               g.label_of(anchor_color))
+            raise PaddingError(target_reps - len(equalities), g.label_of(anchor_color))
         pad = min(unused, key=lambda e: (sum(1 for v in e if v not in vertices), e))
         forest.union((anchor_color, anchor_pair), (anchor_color, pad))
         vertices.update(pad)
-        equalities.append(
-            ColorRepetition(anchor_pair, pad, g.label_of(anchor_color), "padding")
-        )
+        equalities.append(ColorRepetition(anchor_pair, pad, g.label_of(anchor_color), "padding"))
     if len(vertices) > target_k:
         raise WitnessError(
             f"cycle is too degenerate: {len(vertices)} vertices exceed the target {target_k}"
@@ -363,15 +355,12 @@ def _pad_witness(g, forest, vertices, equalities, anchor_color, anchor_pair,
     spanned = g.colors_within(vertices)
     budget = target_k * (target_k - 1) // 2 - claimed
     if spanned > budget:
-        raise WitnessError(
-            f"witness spans {spanned} colors, more than the promised {budget}"
-        )
-    return WitnessSet(tuple(sorted(vertices)), claimed, target_k, spanned,
-                      tuple(equalities))
+        raise WitnessError(f"witness spans {spanned} colors, more than the promised {budget}")
+    return WitnessSet(tuple(sorted(vertices)), claimed, target_k, spanned, tuple(equalities))
 
 
-def check_pair_request(g: EdgeColoring, eg: EnergyGraph, k: int) -> None:
-    """Raise unless a k/2-cycle of `eg` can give a witness k-set: eg is a
+def check_pair_request(g: EdgeColoring, eg: EnergyGraph, k: int) -> int:
+    """The cycle length k/2 of a pair witness k-set; raises unless eg is a
     second energy graph and k is a multiple of four, at least 8 and at
     most n.  Needs no cycle, so a caller can check before searching."""
     if eg.r != 2:
@@ -380,16 +369,18 @@ def check_pair_request(g: EdgeColoring, eg: EnergyGraph, k: int) -> None:
         raise WitnessError(f"k={k} must be a multiple of four and at least 8")
     if k > g.n:
         raise WitnessError(f"k={k} exceeds the {g.n} base vertices")
+    return k // 2
 
 
-def check_triple_request(g: EdgeColoring, eg: EnergyGraph) -> None:
-    """Raise unless eg is a third energy graph over at least 24 base
-    vertices, the size of the witness; needs no cycle, like
-    check_pair_request."""
+def check_triple_request(g: EdgeColoring, eg: EnergyGraph) -> int:
+    """The cycle length 8 of a triple witness; raises unless eg is a third
+    energy graph over at least 24 base vertices, the size of the witness.
+    Needs no cycle, like check_pair_request."""
     if eg.r != 3:
         raise WitnessError("needs a third energy graph")
     if g.n < 24:
         raise WitnessError(f"needs at least 24 base vertices, have {g.n}")
+    return 8
 
 
 def witness_from_cycle_2nd(g: EdgeColoring, eg: EnergyGraph, cycle: CyclePath,
@@ -400,12 +391,8 @@ def witness_from_cycle_2nd(g: EdgeColoring, eg: EnergyGraph, cycle: CyclePath,
     k/2 independent repetitions; shortfalls from repeated base edges are
     padded with unused edges of the first step's color.
     """
-    check_pair_request(g, eg, k)
-    if cycle.length != k // 2:
-        raise WitnessError(f"cycle length {cycle.length} must equal k/2 = {k // 2}")
-    forest, vertices, equalities, anchor_color, anchor_pair = _walk_cycle(g, eg, cycle)
-    return _pad_witness(g, forest, vertices, equalities, anchor_color,
-                        anchor_pair, k // 2, k)
+    length = check_pair_request(g, eg, k)
+    return _cycle_witness(g, eg, cycle, length, k, length)
 
 
 def witness_from_cycle_3rd(g: EdgeColoring, eg: EnergyGraph,
@@ -413,25 +400,21 @@ def witness_from_cycle_3rd(g: EdgeColoring, eg: EnergyGraph,
     """Turn an 8-cycle in a pruned third energy graph into a witness
     24-set with at least 16 independent repetitions.
 
-    Preconditions: the graph went through part halving and the
-    coordinate-neighbor pruning (audited directly), and every color on
-    its edges kept at least ceil(ln n) base edges.
+    Preconditions, each audited directly: the graph went through part
+    halving and the coordinate-neighbor pruning, and every color on its
+    edges has at least ceil(ln n) base edges in g.
     """
-    check_triple_request(g, eg)
-    if cycle.length != 8:
-        raise WitnessError(f"cycle length {cycle.length} must be 8")
+    length = check_triple_request(g, eg)
     if not any(stage.startswith("halve_parts(") for stage in eg.provenance):
         raise WitnessError("energy graph was never halved")
     if coordinate_neighbor_violations(eg):
         raise WitnessError("two neighbors share a coordinate value")
     floor = ln_ceiling(g.n)
-    rare = ~eg.colors_at_least(floor)
+    rare = ~colors_at_least(eg, g, floor)
     if rare.any():
         raise WitnessError(f"color id {int(eg.cs[np.argmax(rare)])} has fewer than {floor} "
                            "base edges; prune rare colors first")
-    forest, vertices, equalities, anchor_color, anchor_pair = _walk_cycle(g, eg, cycle)
-    return _pad_witness(g, forest, vertices, equalities, anchor_color,
-                        anchor_pair, 16, 24)
+    return _cycle_witness(g, eg, cycle, length, 24, 16)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,9 @@ from dataclasses import dataclass
 from .coloring import pairs_within
 from .errors import PartitionError
 
+# random splits tried before the best one seen is kept
+MAX_TRIALS = 1000
+
 
 @dataclass(frozen=True)
 class Bipartition:
@@ -61,12 +64,12 @@ def _balanced_parts(n: int, r: int, rng: random.Random):
     return parts
 
 
-def balanced_bipartition(edges, n: int, seed: int, max_trials: int = 1000) -> Bipartition:
+def balanced_bipartition(edges, n: int, seed: int) -> Bipartition:
     """Balanced vertex split with at least a third of `edges` crossing.
 
     For n >= 100 the threshold is guaranteed reachable, so trials repeat
     until one succeeds.  For smaller n the first success within
-    max_trials is returned, else the best split seen, flagged.
+    MAX_TRIALS is returned, else the best split seen, flagged.
     """
     if n < 2:
         raise PartitionError(f"need n >= 2, got {n}")
@@ -88,11 +91,11 @@ def balanced_bipartition(edges, n: int, seed: int, max_trials: int = 1000) -> Bi
             best = Bipartition(part1, part2, cross, trial, 3 * cross >= len(edges))
         if 3 * cross >= len(edges):
             return Bipartition(part1, part2, cross, trial, True)
-        if n < 100 and trial >= max_trials:
+        if n < 100 and trial >= MAX_TRIALS:
             return best
 
 
-def partition_for_rth_energy(g, r: int, seed: int, max_trials: int = 1000) -> RPartition:
+def partition_for_rth_energy(g, r: int, seed: int) -> RPartition:
     """Balanced r-partition tuned for building an r-th energy graph.
 
     Survivors here are the ordered 2r-tuples behind E_r whose j-th pair
@@ -110,7 +113,7 @@ def partition_for_rth_energy(g, r: int, seed: int, max_trials: int = 1000) -> RP
     rng = random.Random(seed)
     scale = (4 * r) ** (2 * r)
     best = None
-    for trial in range(1, max_trials + 1):
+    for trial in range(1, MAX_TRIALS + 1):
         parts = _balanced_parts(g.n, r, rng)
         part_of = [0] * g.n
         for j, part in enumerate(parts):

@@ -147,7 +147,7 @@ def test_criterion_5_pair_cycle_mechanism():
         if not check_local_property(h, 8, 25).holds:
             continue
         survivors += 1
-        pruned = prune_rare_colors(prune_diagonal(build_second_energy_graph(h)), 100 * 8 * 8)
+        pruned = prune_rare_colors(prune_diagonal(build_second_energy_graph(h)), h, 100 * 8 * 8)
         if find_cycle(pruned, 4) is not None:
             ok = False
     elapsed = time.time() - t0
@@ -165,7 +165,7 @@ def test_criterion_6_sign_class_mechanism():
         g = coloring_from_set(A)
         part = partition_for_rth_energy(g, 2, seed=seed)
         eg = build_rth_energy_graph(g, 2, part.parts)
-        eg = prune_rare_colors(eg, ln_ceiling(12))
+        eg = prune_rare_colors(eg, g, ln_ceiling(12))
         classes = sign_decompose(eg, A)
         merged = []
         for key in classes:

@@ -331,6 +331,21 @@ def test_malformed_input_files_exit_2(tmp_path, capsys, reader, kind):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", [10**8, 10**20])
+def test_coloring_declaring_more_vertices_than_its_edges_exits_2(tmp_path, capsys, n):
+    # memory must follow the edges given: C(n, 2) slots would not fit
+    coloring = {"n": n, "edges": []}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(coloring))
+    assert run(["energy", "--input", str(path)]) == 2
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps({"type": "oracle-f", "n": n, "k": 3, "l": 2,
+                                "status": "optimal", "value": 1, "witness": coloring}))
+    assert run(["verify", "--cert", str(cert)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error: pair (0, 1) received no color") == 2
+
+
 def test_non_integer_rare_threshold_exits_2(tmp_path, capsys):
     mono = mono_file(tmp_path, 6)
     assert run(["energy-graph", "--input", str(mono), "--stages", "rare:x",
@@ -359,11 +374,11 @@ def codes(*values, top=15):
 
 
 def graph_file(tmp_path, drop=(), **fields):
-    """A well-formed format-3 order-2 graph file on n=4, with `fields`
+    """A well-formed format-4 order-2 graph file on n=4, with `fields`
     replaced and the keys in `drop` removed.  Its one edge joins the
     vertices (0, 2) and (1, 3), whose codes are 0*4+2 and 1*4+3."""
-    record = {"format": 3, "r": 2, "n": 4, "parts": None, "xs": codes(2), "ys": codes(7),
-              "cs": codes(0), "color_base_edges": {"0": 1}, "provenance": ["build_partitioned"]}
+    record = {"format": 4, "r": 2, "n": 4, "parts": None, "xs": codes(2), "ys": codes(7),
+              "cs": codes(0), "provenance": ["build_partitioned"]}
     record.update(fields)
     for key in drop:
         del record[key]
@@ -381,7 +396,6 @@ PARTS = [[0, 1], [2, 3]]
 REBUILD = "rebuild it with `energy-graph`"
 RANGE = "edge codes must satisfy 0 <= xs[i] < ys[i] < 4^2"
 PARTS_ERROR = "parts must be 2 disjoint sets covering 0..3"
-COUNTS = "color base edge counts must be non-negative ints"
 ORDER = "edges must be strictly increasing in (xs, ys)"
 # each bad record and the fragment its error message must hold
 BAD_GRAPHS = {
@@ -397,11 +411,9 @@ BAD_GRAPHS = {
     "entry-outside-part": ({"ys": codes(4), "parts": PARTS},
                            "an edge leaves part 2 in coordinate 2"),
     "fewer-parts-than-r": ({"parts": [[0, 1, 2, 3]]}, PARTS_ERROR),
-    "uncounted-color": ({"cs": codes(7)}, "every edge color needs a base edge count"),
+    # K_4 has 6 base pairs, so no coloring on n=4 has a color id 6
+    "uncounted-color": ({"cs": codes(6)}, "edge colors must be color ids in 0..5"),
     "bool-color": ({"cs": True}, "field 'cs' has the wrong type"),
-    "string-count": ({"color_base_edges": {"0": "x"}}, COUNTS),
-    "negative-count": ({"color_base_edges": {"0": -1}}, COUNTS),
-    "string-color-key": ({"color_base_edges": {"x": 1}}, "color keys must be ints"),
     "int-provenance": ({"provenance": [5]}, "field 'provenance' has the wrong type"),
     "overlapping-parts": ({"parts": [[0, 1, 2], [2, 3]]}, PARTS_ERROR),
     "part-entry-at-least-n": ({"parts": [[0, 1], [2, 7]]}, PARTS_ERROR),
@@ -409,7 +421,9 @@ BAD_GRAPHS = {
     "equal-coordinate": ({"ys": codes(6)}, "an edge repeats its base vertex in coordinate 2"),
     "format-1": ({"format": 1}, REBUILD),
     "format-2": ({"format": 2, "xs": [2], "ys": [7], "cs": [0]}, REBUILD),
-    "string-format": ({"format": "3"}, REBUILD),
+    # the record the previous version wrote, with its base edge tally
+    "format-3": ({"format": 3, "color_base_edges": {"0": 1}}, REBUILD),
+    "string-format": ({"format": "4"}, REBUILD),
     "unsorted-edges": ({"xs": codes(2, 2), "ys": codes(11, 7), "cs": codes(0, 0)}, ORDER),
     "duplicate-edges": ({"xs": codes(2, 2), "ys": codes(7, 7), "cs": codes(0, 0)}, ORDER),
     "xs-not-below-ys": ({"xs": codes(7), "ys": codes(2)}, RANGE),

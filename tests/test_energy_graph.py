@@ -30,8 +30,8 @@ from locallab import (
     real_set,
     sign_decompose,
 )
-from locallab.energy_graph import csr_adjacency
-from locallab.jsonio import code_width, read_json, write_json
+from locallab.energy_graph import colors_at_least, csr_adjacency
+from locallab.jsonio import code_width, pack_codes, read_json, write_json
 
 
 def mono(n):
@@ -88,9 +88,6 @@ def test_second_graph_edge_count_is_half_the_energy():
         eg = build_second_energy_graph(g)
         assert 2 * eg.num_edges == energy(g, 2).value
         assert set(eg.edges) == brute_full_edges(g)
-        # base edge bookkeeping: unordered count per color
-        classes = g.color_classes()
-        assert eg.color_base_edges == {c_: len(e) for c_, e in enumerate(classes)}
 
 
 def test_diagonal_pruning_removes_exactly_one_per_base_pair():
@@ -114,17 +111,45 @@ def test_diagonal_pruning_needs_full_second_graph():
 
 
 def test_rare_color_pruning_uses_strict_threshold():
-    # color 0 has 5 base edges, color 1 has 5, color 2 has 5: K_6 split
     g = random_coloring(6, 3, seed=2)
     eg = build_second_energy_graph(g)
-    counts = eg.color_base_edges
+    counts = {c: len(pairs) for c, pairs in enumerate(g.color_classes())}
     cut = sorted(counts.values())[1]
-    pruned = prune_rare_colors(eg, cut)
+    pruned = prune_rare_colors(eg, g, cut)
     kept = {c for _, _, c in pruned.edges}
     assert kept == {c for c, m in counts.items() if m >= cut}
-    assert prune_rare_colors(eg, 0).num_edges == eg.num_edges
-    big = prune_rare_colors(eg, 10**6)
+    assert prune_rare_colors(eg, g, 0).num_edges == eg.num_edges
+    big = prune_rare_colors(eg, g, 10**6)
     assert big.num_edges == 0
+    with pytest.raises(EnergyGraphError):
+        prune_rare_colors(eg, g, -1)
+
+
+def test_colors_at_least_reads_the_class_sizes_of_the_coloring():
+    rng = random.Random(13)
+    for _ in range(20):
+        n = rng.randrange(3, 12)
+        g = random_coloring(n, rng.randrange(1, 8), seed=rng.randrange(10**6))
+        sizes = [len(pairs) for pairs in g.color_classes()]
+        eg = build_second_energy_graph(g)
+        for threshold in {0, 1, *sizes, max(sizes) + 1}:
+            expected = [sizes[c] >= threshold for c in eg.cs.tolist()]
+            assert colors_at_least(eg, g, threshold).tolist() == expected
+
+
+def test_colors_at_least_counts_an_unknown_color_as_rare():
+    # mono(4) has one color, id 0, with 6 base edges; ids 1 and 5 are not
+    # in its palette, yet a graph file may name them
+    g = mono(4)
+    eg = build_second_energy_graph(g)
+    record = energy_graph_to_dict(eg)
+    cs = np.zeros(eg.num_edges, dtype=np.int64)
+    cs[:2] = (1, 5)
+    record["cs"] = pack_codes(cs, 15)
+    forged = energy_graph_from_dict(record)
+    assert colors_at_least(forged, g, 0).tolist() == [False, False] + [True] * (eg.num_edges - 2)
+    assert prune_rare_colors(forged, g, 6).num_edges == eg.num_edges - 2
+    assert not colors_at_least(forged, g, 7).any()
 
 
 def test_partitioned_build_matches_brute_force():
@@ -242,8 +267,8 @@ def test_json_round_trip():
     back = energy_graph_from_dict(data)
     assert back.edges == eg.edges
     assert back.r == eg.r and back.n == eg.n and back.parts == eg.parts
-    assert back.color_base_edges == eg.color_base_edges
     assert back.provenance == eg.provenance
+    assert data["format"] == 4 and "color_base_edges" not in data
 
     part = partition_for_rth_energy(g, 2, seed=0)
     eg2 = build_rth_energy_graph(g, 2, part.parts)
@@ -272,7 +297,7 @@ def build_form(form, g):
 def test_graph_file_round_trip(tmp_path_factory, form, n, spread, seed, threshold):
     # the palette holds between an eighth of the base pairs and all of them
     g = random_coloring(n, max(1, n * (n - 1) // 2 * spread // 8), seed=seed)
-    eg = prune_rare_colors(build_form(form, g), threshold)
+    eg = prune_rare_colors(build_form(form, g), g, threshold)
     path = tmp_path_factory.mktemp("graph") / "g.json"
     write_json(energy_graph_to_dict(eg), path)
     record = read_json(path)
@@ -283,7 +308,6 @@ def test_graph_file_round_trip(tmp_path_factory, form, n, spread, seed, threshol
         before, after = getattr(eg, name), getattr(back, name)
         assert after.dtype == before.dtype and np.array_equal(after, before)
     assert (back.r, back.n, back.parts) == (eg.r, eg.n, eg.parts)
-    assert back.color_base_edges == eg.color_base_edges
     assert back.provenance == eg.provenance
     write_json(energy_graph_to_dict(back), path.with_name("again.json"))
     assert path.with_name("again.json").read_bytes() == path.read_bytes()
@@ -304,12 +328,12 @@ def test_every_stage_keeps_edges_strictly_increasing():
     for seed in range(4):
         g = random_coloring(10, 3, seed=seed)
         full = build_second_energy_graph(g)
-        stages = [full, prune_diagonal(full), prune_rare_colors(full, 12)]
+        stages = [full, prune_diagonal(full), prune_rare_colors(full, g, 12)]
         for r in (2, 3):
             part = partition_for_rth_energy(g, r, seed=seed)
             eg = build_rth_energy_graph(g, r, part.parts)
             halved = halve_parts_prune(eg, seed=seed)
-            stages += [eg, prune_rare_colors(eg, 12), halved,
+            stages += [eg, prune_rare_colors(eg, g, 12), halved,
                        prune_coordinate_neighbors(halved)]
         values = real_set(sorted(random.Random(seed).sample(range(1, 60), 12)))
         h = coloring_from_set(values)

@@ -39,7 +39,15 @@ from locallab import (
 )
 from locallab.energy_graph import csr_adjacency
 from locallab.jsonio import pack_codes
-from locallab.forbidden import _check_steps, _search_cycle
+from locallab.forbidden import (
+    ColorRepetition,
+    WitnessSet,
+    _base_pair,
+    _check_steps,
+    _cycle_witness,
+    _search_cycle,
+    _UnionFind,
+)
 
 
 def mono(n, label=0):
@@ -120,14 +128,15 @@ def test_validate_cycle_rejects_non_cycles():
 
 
 def test_find_cycle_in_energy_graphs():
-    eg = prune_diagonal(build_second_energy_graph(mono(4)))
+    g = mono(4)
+    eg = prune_diagonal(build_second_energy_graph(g))
     c = find_cycle(eg, 4)
     check_cycle(eg, c, 4)
     assert c.vertices == ((0, 0), (1, 2), (0, 1), (1, 3))
     assert {type(x) for v in c.vertices for x in v} == {int}
     assert find_cycle(eg, 3).vertices == ((0, 0), (1, 2), (2, 1))
     # rare pruning with an impossible threshold leaves nothing to find
-    empty = prune_rare_colors(eg, 10**6)
+    empty = prune_rare_colors(eg, g, 10**6)
     assert find_cycle(empty, 4) is None
 
 
@@ -454,12 +463,15 @@ def test_witness_from_clean_cycle_needs_no_padding():
     assert min_colors_over_k_subsets(g, 8)[0] == 1
 
 
+MIRRORED = CyclePath(((0, 1), (1, 0), (0, 2), (2, 0)), 4)
+
+
 def test_witness_padding_fills_shortfalls():
     # a mirrored cycle reuses base pairs, so only one step yields a fresh
     # repetition and three padding edges of the anchor color are needed
     g = mono(12)
     eg = prune_diagonal(build_second_energy_graph(g))
-    cycle = CyclePath(((0, 1), (1, 0), (0, 2), (2, 0)), 4)
+    cycle = MIRRORED
     validate_cycle(eg, cycle)
     ws = witness_from_cycle_2nd(g, eg, cycle, 8)
     assert ws.claimed_repetitions == 4
@@ -471,15 +483,16 @@ def test_witness_padding_fills_shortfalls():
         assert g.color_of(*e.edge1) == g.color_of(*e.edge2) == g.color_id(e.color)
 
 
+def two_edge_anchor():
+    """K_12 whose color "A" has only the two base edges MIRRORED reuses."""
+    return new_coloring(12, [(u, v, "A" if (u, v) in ((0, 1), (0, 2)) else "B")
+                             for u, v in itertools.combinations(range(12), 2)])
+
+
 def test_witness_padding_runs_out():
-    # the anchor color has exactly the two base edges the cycle reuses
-    edges = []
-    for u in range(12):
-        for v in range(u + 1, 12):
-            edges.append((u, v, "A" if (u, v) in ((0, 1), (0, 2)) else "B"))
-    g = new_coloring(12, edges)
+    g = two_edge_anchor()
     eg = prune_diagonal(build_second_energy_graph(g))
-    cycle = CyclePath(((0, 1), (1, 0), (0, 2), (2, 0)), 4)
+    cycle = MIRRORED
     validate_cycle(eg, cycle)
     with pytest.raises(PaddingError) as err:
         witness_from_cycle_2nd(g, eg, cycle, 8)
@@ -497,8 +510,8 @@ def test_witness_2nd_rejects_bad_inputs():
         witness_from_cycle_2nd(g, eg, cycle, 4)  # too small
     with pytest.raises(WitnessError):
         witness_from_cycle_2nd(g, eg, cycle, 16)  # exceeds n
-    with pytest.raises(WitnessError):
-        witness_from_cycle_2nd(g, eg, find_cycle(eg, 3), 8)  # wrong length
+    with pytest.raises(WitnessError, match="cycle length 3 must be 4"):
+        witness_from_cycle_2nd(g, eg, find_cycle(eg, 3), 8)
     part = partition_for_rth_energy(g, 3, seed=0)
     eg3 = build_rth_energy_graph(g, 3, part.parts)
     c3 = find_cycle(eg3, 4)
@@ -510,7 +523,7 @@ def third_order_pipeline(n, seed):
     g = mono(n)
     part = partition_for_rth_energy(g, 3, seed=seed)
     eg = build_rth_energy_graph(g, 3, part.parts)
-    eg = prune_rare_colors(eg, ln_ceiling(n))
+    eg = prune_rare_colors(eg, g, ln_ceiling(n))
     eg = halve_parts_prune(eg, seed=seed)
     eg = prune_coordinate_neighbors(eg)
     return g, eg
@@ -541,7 +554,7 @@ def test_witness_3rd_rejects_missing_pruning():
     g = mono(30)
     part = partition_for_rth_energy(g, 3, seed=0)
     eg = build_rth_energy_graph(g, 3, part.parts)
-    raw = prune_rare_colors(eg, ln_ceiling(30))
+    raw = prune_rare_colors(eg, g, ln_ceiling(30))
     cycle = find_cycle(raw, 8)
     with pytest.raises(WitnessError):
         witness_from_cycle_3rd(g, raw, cycle)  # never halved
@@ -559,6 +572,120 @@ def test_witness_3rd_rejects_small_base():
     if cycle is not None:
         with pytest.raises(WitnessError):
             witness_from_cycle_3rd(small, eg, cycle)
+
+
+def reference_walk_cycle(g, eg, cycle):
+    """The cycle walk that _cycle_witness replaced, kept as a reference."""
+    validate_cycle(eg, cycle)
+    forest = _UnionFind()
+    vertices = set()
+    equalities = []
+    length = cycle.length
+    for i in range(length):
+        x = cycle.vertices[i]
+        y = cycle.vertices[(i + 1) % length]
+        pairs = []
+        color = None
+        for t in range(eg.r):
+            if x[t] == y[t]:
+                raise WitnessError(f"cycle edge {x}-{y} repeats coordinate {t}")
+            c = g.color_of(x[t], y[t])
+            if color is None:
+                color = c
+            elif c != color:
+                raise WitnessError(f"cycle edge {x}-{y} mixes colors")
+            pairs.append(_base_pair(x[t], y[t]))
+        vertices.update(x)
+        for t in range(1, eg.r):
+            if forest.union((color, pairs[t - 1]), (color, pairs[t])):
+                equalities.append(
+                    ColorRepetition(pairs[t - 1], pairs[t], g.label_of(color), f"cycle-step-{i + 1}")
+                )
+    anchor_color = g.color_of(cycle.vertices[0][0], cycle.vertices[1][0])
+    anchor_pair = _base_pair(cycle.vertices[0][0], cycle.vertices[1][0])
+    return forest, vertices, equalities, anchor_color, anchor_pair
+
+
+def reference_pad_witness(g, forest, vertices, equalities, anchor_color, anchor_pair,
+                          target_reps, target_k):
+    """The padding that _cycle_witness replaced, kept as a reference."""
+    anchor_edges = g.color_classes()[anchor_color]
+    while len(equalities) < target_reps:
+        unused = [e for e in anchor_edges if (anchor_color, e) not in forest]
+        if not unused:
+            raise PaddingError(target_reps - len(equalities),
+                               g.label_of(anchor_color))
+        pad = min(unused, key=lambda e: (sum(1 for v in e if v not in vertices), e))
+        forest.union((anchor_color, anchor_pair), (anchor_color, pad))
+        vertices.update(pad)
+        equalities.append(
+            ColorRepetition(anchor_pair, pad, g.label_of(anchor_color), "padding")
+        )
+    if len(vertices) > target_k:
+        raise WitnessError(
+            f"cycle is too degenerate: {len(vertices)} vertices exceed the target {target_k}"
+        )
+    for v in range(g.n):
+        if len(vertices) == target_k:
+            break
+        vertices.add(v)
+    if len(vertices) < target_k:
+        raise WitnessError(f"only {g.n} base vertices, cannot reach size {target_k}")
+    claimed = len(equalities)
+    spanned = g.colors_within(vertices)
+    budget = target_k * (target_k - 1) // 2 - claimed
+    if spanned > budget:
+        raise WitnessError(
+            f"witness spans {spanned} colors, more than the promised {budget}"
+        )
+    return WitnessSet(tuple(sorted(vertices)), claimed, target_k, spanned,
+                      tuple(equalities))
+
+
+def outcome(make):
+    """What make() returns, or the type and message of what it raises."""
+    try:
+        return make()
+    except LocalLabError as exc:
+        return type(exc), str(exc)
+
+
+def witness_corpus():
+    """(g, eg, cycle, target_k, target_reps) cases: clean and mirrored
+    cycles, padding that runs out, random colorings, and pruned third
+    energy graphs."""
+    g = mono(12)
+    eg = prune_diagonal(build_second_energy_graph(g))
+    for k in (8, 12):
+        yield g, eg, find_cycle(eg, k // 2), k, k // 2
+    yield g, eg, MIRRORED, 8, 4
+    h = two_edge_anchor()
+    yield h, prune_diagonal(build_second_energy_graph(h)), MIRRORED, 8, 4
+    rng = random.Random(47)
+    for n in range(12, 17):
+        for colors in range(2, 5):
+            g = random_coloring(n, colors, seed=rng.randrange(10**6))
+            eg = prune_diagonal(build_second_energy_graph(g))
+            for k in range(8, n + 1, 4):
+                yield g, eg, find_cycle(eg, k // 2), k, k // 2
+    for n in (24, 30):
+        for seed in range(4):
+            g, eg = third_order_pipeline(n, seed)
+            cycle = find_cycle(eg, 8)
+            if cycle is not None:
+                yield g, eg, cycle, 24, 16
+
+
+def test_cycle_witness_matches_the_two_step_reference():
+    kinds = set()
+    for g, eg, cycle, target_k, target_reps in witness_corpus():
+        new = outcome(lambda: _cycle_witness(g, eg, cycle, cycle.length, target_k, target_reps))
+        old = outcome(lambda: reference_pad_witness(g, *reference_walk_cycle(g, eg, cycle),
+                                                    target_reps, target_k))
+        assert new == old, (g.n, eg.r, cycle, target_k)
+        kinds.add((eg.r, type(new).__name__))
+    # both orders give witnesses, and padding that runs out raises
+    assert {(2, "WitnessSet"), (3, "WitnessSet"), (2, "tuple")} <= kinds
 
 
 # -- arithmetic clique witnesses ---------------------------------------------
