@@ -77,8 +77,8 @@ class EnergyGraph:
     parts is None for the full V x V form (r = 2 only) and a tuple of r
     disjoint vertex tuples for the partitioned form; the vertex set is
     implicit (the full product).  Edge i joins the vertex codes
-    xs[i] < ys[i] in color cs[i], the source coloring's dense id, sorted
-    by (xs, ys).
+    xs[i] < ys[i], sorted by (xs, ys); its color is the source coloring's,
+    read by edge_colors.
     """
 
     r: int
@@ -86,7 +86,6 @@ class EnergyGraph:
     parts: tuple | None
     xs: np.ndarray
     ys: np.ndarray
-    cs: np.ndarray
     provenance: tuple = field(default_factory=tuple)
 
     @property
@@ -99,8 +98,8 @@ class EnergyGraph:
 
     @property
     def edges(self) -> tuple:
-        """The edges as sorted (X, Y, color id) tuples of Python ints."""
-        return tuple(zip(self.vertices(self.xs), self.vertices(self.ys), self.cs.tolist()))
+        """The edges as sorted (X, Y) pairs of tuples of Python ints."""
+        return tuple(zip(self.vertices(self.xs), self.vertices(self.ys)))
 
     def digits(self, codes) -> list:
         """Coordinate j of every code in `codes`, one array per j."""
@@ -131,7 +130,7 @@ class EnergyGraph:
     def _replaced(self, keep, stage: str) -> "EnergyGraph":
         """Same graph keeping the edges a mask or ascending indices select."""
         return EnergyGraph(self.r, self.n, self.parts, self.xs[keep], self.ys[keep],
-                           self.cs[keep], self.provenance + (stage,))
+                           self.provenance + (stage,))
 
 
 def _code_dtype(n: int, r: int):
@@ -170,8 +169,8 @@ def _product_graph(g: EdgeColoring, r: int, parts, pair_lists, stage: str) -> En
                     for lists in pair_lists)
     if predicted > cap:
         raise BudgetExceededError(f"{predicted} energy edges exceed the budget {cap}")
-    xs, ys, cs = [], [], []
-    for c, lists in enumerate(pair_lists):
+    xs, ys = [], []
+    for lists in pair_lists:
         x = y = np.zeros(1, dtype)
         for j, pairs in enumerate(lists):
             a, b = np.array(pairs, dtype).reshape(-1, 2).T
@@ -181,10 +180,9 @@ def _product_graph(g: EdgeColoring, r: int, parts, pair_lists, stage: str) -> En
             y = (y[:, None] + b * g.n ** (r - 1 - j)).ravel()
         xs.append(x)
         ys.append(y)
-        cs.append(np.full(len(x), c, dtype))
-    xs, ys, cs = np.concatenate(xs), np.concatenate(ys), np.concatenate(cs)
+    xs, ys = np.concatenate(xs), np.concatenate(ys)
     order = np.lexsort((ys, xs))
-    return EnergyGraph(r, g.n, parts, xs[order], ys[order], cs[order], (stage,))
+    return EnergyGraph(r, g.n, parts, xs[order], ys[order], (stage,))
 
 
 def build_second_energy_graph(g: EdgeColoring) -> EnergyGraph:
@@ -219,10 +217,17 @@ def prune_diagonal(eg: EnergyGraph) -> EnergyGraph:
     return eg._replaced((x0 != x1) | (y0 != y1), "prune_diagonal")
 
 
+def edge_colors(eg: EnergyGraph, g: EdgeColoring) -> np.ndarray:
+    """Color id in g of every edge of eg, read at its first coordinate
+    pair; raises unless eg and g have the same n."""
+    if eg.n != g.n:
+        raise EnergyGraphError(f"the energy graph has n={eg.n} but the coloring n={g.n}")
+    return g.color_matrix()[eg.xs // eg.n ** (eg.r - 1), eg.ys // eg.n ** (eg.r - 1)]
+
+
 def colors_at_least(eg: EnergyGraph, g: EdgeColoring, threshold: int) -> np.ndarray:
-    """Mask of the edges of eg whose color has at least `threshold` base
-    edges in g; a color id that g does not have counts as rare."""
-    return np.isin(eg.cs, np.flatnonzero(np.bincount(g.colors) >= threshold))
+    """Mask of the edges of eg whose color has `threshold` or more base edges in g."""
+    return (np.bincount(g.colors) >= threshold)[edge_colors(eg, g)]
 
 
 def prune_rare_colors(eg: EnergyGraph, g: EdgeColoring, threshold: int) -> EnergyGraph:
@@ -348,49 +353,43 @@ def sign_decompose(eg: EnergyGraph, values) -> dict:
 
 
 def energy_graph_to_dict(eg: EnergyGraph) -> dict:
-    """Format-4 JSON shape: the graph alone.  The vertex set is left
-    implicit, edges are the three code arrays as pack_codes blobs of
-    entries below n^r, and colors are the source coloring's dense ids;
-    base edge counts belong to the coloring, so the file holds none."""
+    """Format-5 JSON shape: the graph alone.  The vertex set is left
+    implicit and edges are the two code arrays as pack_codes blobs of
+    entries below n^r; edge colors and base edge counts belong to the
+    coloring, so the file holds neither."""
     top = eg.n**eg.r - 1
     return {
-        "format": 4, "r": eg.r, "n": eg.n,
+        "format": 5, "r": eg.r, "n": eg.n,
         "parts": None if eg.parts is None else [list(p) for p in eg.parts],
         "xs": pack_codes(eg.xs, top), "ys": pack_codes(eg.ys, top),
-        "cs": pack_codes(eg.cs, top), "provenance": list(eg.provenance),
+        "provenance": list(eg.provenance),
     }
 
 
 def energy_graph_from_dict(data: dict) -> EnergyGraph:
-    """Read a format-4 record, checking what the builders guarantee: r
+    """Read a format-5 record, checking what the builders guarantee: r
     disjoint parts covering 0..n-1, code blobs that unpack_codes reads,
-    codes in range and strictly sorted with xs < ys, every coordinate
-    differing across an edge and inside its part, and color ids below
-    n(n-1)/2."""
-    if not (isinstance(data, dict) and type(data.get("format")) is int and data["format"] == 4):
-        raise EnergyGraphError("not a format-4 energy graph; rebuild it with `energy-graph`")
-    r, n, parts, *blobs, provenance = fields(
-        data, r=int, n=int, parts=([list], None), xs=str, ys=str, cs=str, provenance=[str],
+    codes in range and strictly sorted with xs < ys, and every coordinate
+    differing across an edge and inside its part."""
+    if not (isinstance(data, dict) and type(data.get("format")) is int and data["format"] == 5):
+        raise EnergyGraphError("not a format-5 energy graph; rebuild it with `energy-graph`")
+    r, n, parts, _, _, provenance = fields(
+        data, r=int, n=int, parts=([list], None), xs=str, ys=str, provenance=[str],
     )
     if r < 2 or n < 2:
         raise EnergyGraphError(f"r={r} and n={n} must both be at least 2")
     dtype = _code_dtype(n, r)  # first: it raises when n^r needs more than 64 bits
-    # entries past dtype's signed range wrap to negative codes, which the
-    # range and color checks below reject
-    xs, ys, cs = (unpack_codes(blob, n**r - 1, name).astype(dtype)
-                  for blob, name in zip(blobs, ("xs", "ys", "cs")))
-    if not len(xs) == len(ys) == len(cs):
-        raise EnergyGraphError("xs, ys and cs must have one entry per edge")
+    # entries past dtype's signed range wrap to negative codes, rejected below
+    xs, ys = (unpack_codes(data[name], n**r - 1, name).astype(dtype) for name in ("xs", "ys"))
+    if len(xs) != len(ys):
+        raise EnergyGraphError("xs and ys must have one entry per edge")
     if len(xs) and (xs.min() < 0 or ys.max() >= n**r or (xs >= ys).any()):
         raise EnergyGraphError(f"edge codes must satisfy 0 <= xs[i] < ys[i] < {n}^{r}")
     step = np.diff(xs)
     if not ((step > 0) | ((step == 0) & (np.diff(ys) > 0))).all():
         raise EnergyGraphError("edges must be strictly increasing in (xs, ys)")
-    pairs = n * (n - 1) // 2
-    if len(cs) and (cs.min() < 0 or cs.max() >= pairs):
-        raise EnergyGraphError(f"edge colors must be color ids in 0..{pairs - 1}")
     eg = EnergyGraph(r, n, None if parts is None else tuple(tuple(p) for p in parts),
-                     xs, ys, cs, tuple(provenance))
+                     xs, ys, tuple(provenance))
     part_of = None if parts is None else _part_index(eg.parts, r, n)
     for j, (a, b) in enumerate(zip(eg.digits(eg.xs), eg.digits(eg.ys))):
         if (a == b).any():

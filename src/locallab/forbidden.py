@@ -24,6 +24,7 @@ from .energy_graph import (
     EnergyGraph,
     colors_at_least,
     coordinate_neighbor_violations,
+    edge_colors,
     edge_sign_vector,
 )
 from .errors import (
@@ -412,8 +413,8 @@ def witness_from_cycle_3rd(g: EdgeColoring, eg: EnergyGraph,
     floor = ln_ceiling(g.n)
     rare = ~colors_at_least(eg, g, floor)
     if rare.any():
-        raise WitnessError(f"color id {int(eg.cs[np.argmax(rare)])} has fewer than {floor} "
-                           "base edges; prune rare colors first")
+        raise WitnessError(f"color id {int(edge_colors(eg, g)[np.argmax(rare)])} has fewer "
+                           f"than {floor} base edges; prune rare colors first")
     return _cycle_witness(g, eg, cycle, length, 24, 16)
 
 

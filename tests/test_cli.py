@@ -374,11 +374,11 @@ def codes(*values, top=15):
 
 
 def graph_file(tmp_path, drop=(), **fields):
-    """A well-formed format-4 order-2 graph file on n=4, with `fields`
+    """A well-formed format-5 order-2 graph file on n=4, with `fields`
     replaced and the keys in `drop` removed.  Its one edge joins the
     vertices (0, 2) and (1, 3), whose codes are 0*4+2 and 1*4+3."""
-    record = {"format": 4, "r": 2, "n": 4, "parts": None, "xs": codes(2), "ys": codes(7),
-              "cs": codes(0), "provenance": ["build_partitioned"]}
+    record = {"format": 5, "r": 2, "n": 4, "parts": None, "xs": codes(2), "ys": codes(7),
+              "provenance": ["build_partitioned"]}
     record.update(fields)
     for key in drop:
         del record[key]
@@ -411,9 +411,6 @@ BAD_GRAPHS = {
     "entry-outside-part": ({"ys": codes(4), "parts": PARTS},
                            "an edge leaves part 2 in coordinate 2"),
     "fewer-parts-than-r": ({"parts": [[0, 1, 2, 3]]}, PARTS_ERROR),
-    # K_4 has 6 base pairs, so no coloring on n=4 has a color id 6
-    "uncounted-color": ({"cs": codes(6)}, "edge colors must be color ids in 0..5"),
-    "bool-color": ({"cs": True}, "field 'cs' has the wrong type"),
     "int-provenance": ({"provenance": [5]}, "field 'provenance' has the wrong type"),
     "overlapping-parts": ({"parts": [[0, 1, 2], [2, 3]]}, PARTS_ERROR),
     "part-entry-at-least-n": ({"parts": [[0, 1], [2, 7]]}, PARTS_ERROR),
@@ -421,20 +418,22 @@ BAD_GRAPHS = {
     "equal-coordinate": ({"ys": codes(6)}, "an edge repeats its base vertex in coordinate 2"),
     "format-1": ({"format": 1}, REBUILD),
     "format-2": ({"format": 2, "xs": [2], "ys": [7], "cs": [0]}, REBUILD),
-    # the record the previous version wrote, with its base edge tally
+    # an older record, with its base edge tally
     "format-3": ({"format": 3, "color_base_edges": {"0": 1}}, REBUILD),
-    "string-format": ({"format": "4"}, REBUILD),
-    "unsorted-edges": ({"xs": codes(2, 2), "ys": codes(11, 7), "cs": codes(0, 0)}, ORDER),
-    "duplicate-edges": ({"xs": codes(2, 2), "ys": codes(7, 7), "cs": codes(0, 0)}, ORDER),
+    # the record the previous version wrote, with its edge color blob
+    "format-4": ({"format": 4, "cs": codes(0)}, REBUILD),
+    "string-format": ({"format": "5"}, REBUILD),
+    "unsorted-edges": ({"xs": codes(2, 2), "ys": codes(11, 7)}, ORDER),
+    "duplicate-edges": ({"xs": codes(2, 2), "ys": codes(7, 7)}, ORDER),
     "xs-not-below-ys": ({"xs": codes(7), "ys": codes(2)}, RANGE),
-    "length-mismatch": ({"cs": codes(0, 0)}, "xs, ys and cs must have one entry per edge"),
+    "length-mismatch": ({"ys": codes(7, 11)}, "xs and ys must have one entry per edge"),
     # blob errors
     "list-blob": ({"xs": [2]}, "field 'xs' has the wrong type"),
     # "Ag==" is the blob of [2]; a lenient decoder would drop the "*"
     "not-base64": ({"xs": "A*g=="}, "xs is not a base64 string"),
     # n=17 gives codes up to 288, two bytes each; xs holds one byte
     "short-blob": ({"n": 17, "xs": base64.b64encode(b"\x02").decode(),
-                    "ys": codes(20, top=288), "cs": codes(0, top=288)},
+                    "ys": codes(20, top=288)},
                    "xs decodes to a length of 1, not a whole number of 2-byte entries"),
     "format-2-body-as-3": ({"xs": [2], "ys": [7], "cs": [0]},
                            "field 'xs' has the wrong type"),
@@ -447,7 +446,7 @@ def test_malformed_graph_file_exits_2(tmp_path, capsys, kind):
         path, fragment = graph_file(tmp_path, drop=["format"]), REBUILD
     elif kind == "format-1-file":
         # the record older versions wrote, with tuple vertices and no format key
-        path = graph_file(tmp_path, drop=["format", "xs", "ys", "cs"],
+        path = graph_file(tmp_path, drop=["format", "xs", "ys"],
                           edges=[[[0, 2], [1, 3], 0]])
         fragment = REBUILD
     else:
@@ -459,7 +458,7 @@ def test_malformed_graph_file_exits_2(tmp_path, capsys, kind):
 
 
 def test_graph_codes_wider_than_64_bits_exit_3(tmp_path, capsys):
-    path = graph_file(tmp_path, n=10, r=20, xs="", ys="", cs="")
+    path = graph_file(tmp_path, n=10, r=20, xs="", ys="")
     assert run(["find", "--graph", str(path), "--length", "4"]) == 3
     assert "10^20 vertices need codes wider than 64 bits" in capsys.readouterr().err
 
@@ -538,3 +537,45 @@ def test_witness_checks_its_request_before_the_search(tmp_path, capsys, case):
     assert run(["witness", "--input", str(coloring), *argv]) == 2
     captured = capsys.readouterr()
     assert message in captured.err and "no cycle" not in captured.out
+
+
+# color B on one base pair inside each part, crossing its halves, so that
+# 4 of the edges left after halving and coordinate pruning are B edges;
+# B has 3 base edges, fewer than ceil(ln 30) = 4.  The first B edge is edge
+# 0 of the first graph and edge 721 of the second.
+@pytest.mark.parametrize("b, edges", [({(0, 3), (2, 4), (1, 8)}, 1892),
+                                      ({(2, 20), (5, 14), (13, 28)}, 1850)])
+def test_triple_witness_reads_edge_colors_from_the_coloring(tmp_path, capsys, b, edges):
+    g = new_coloring(30, [(u, v, "B" if (u, v) in b else "A")
+                          for u in range(30) for v in range(u + 1, 30)])
+    coloring, graph = tmp_path / "c.json", tmp_path / "g.json"
+    save_coloring(g, coloring)
+    assert run(["energy-graph", "--input", str(coloring), "--r", "3", "--partitioned",
+                "--stages", "halve,coordinate", "--seed", "0", "--out", str(graph)]) == 0
+    assert f"coordinate: {edges} edges remain" in capsys.readouterr().out
+    witness = ["witness", "--kind", "triple", "--input", str(coloring), "--graph", str(graph)]
+    assert run(witness) == 2
+    assert "color id 1 has fewer than 4 base edges" in capsys.readouterr().err
+    # a graph file of the previous format, whose edge colors say all A
+    record = json.loads(graph.read_text())
+    record["format"] = 4
+    record["cs"] = pack_codes([0] * edges, 30**3 - 1)
+    graph.write_text(json.dumps(record))
+    assert run(witness) == 2
+    captured = capsys.readouterr()
+    assert "rebuild it with `energy-graph`" in captured.err and "witness" not in captured.out
+
+
+@pytest.mark.parametrize("other", [24, 36])
+def test_triple_witness_on_a_coloring_of_another_n_exits_2(tmp_path, capsys, other):
+    graph = tmp_path / "g.json"
+    assert run(["energy-graph", "--input", str(mono_file(tmp_path, 30)),
+                "--preset", "triple-cycle", "--out", str(graph)]) == 0
+    assert run(["find", "--graph", str(graph), "--length", "8"]) == 1
+    capsys.readouterr()
+    coloring = mono_file(tmp_path, other, name="other.json")
+    assert run(["witness", "--kind", "triple", "--input", str(coloring),
+                "--graph", str(graph)]) == 2
+    captured = capsys.readouterr()
+    assert f"the energy graph has n=30 but the coloring n={other}" in captured.err
+    assert "witness" not in captured.out

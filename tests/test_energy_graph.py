@@ -30,8 +30,9 @@ from locallab import (
     real_set,
     sign_decompose,
 )
-from locallab.energy_graph import colors_at_least, csr_adjacency
-from locallab.jsonio import code_width, pack_codes, read_json, write_json
+from locallab.coloring import pairs_within
+from locallab.energy_graph import _part_index, colors_at_least, csr_adjacency, edge_colors
+from locallab.jsonio import code_width, read_json, write_json
 
 
 def mono(n):
@@ -53,6 +54,11 @@ def brute_full_edges(g):
     return edges
 
 
+def colored(eg, g):
+    """The edges of eg as (X, Y, color id in g) triples."""
+    return {(x, y, c) for (x, y), c in zip(eg.edges, edge_colors(eg, g).tolist())}
+
+
 def brute_part_edges(g, r, parts):
     mat = g.color_matrix()
     edges = set()
@@ -69,7 +75,7 @@ def brute_part_edges(g, r, parts):
 def test_second_graph_on_tiny_colorings():
     g2 = mono(2)
     eg = build_second_energy_graph(g2)
-    assert set(eg.edges) == {(((0, 0), (1, 1), 0)), ((0, 1), (1, 0), 0)}
+    assert colored(eg, g2) == {(((0, 0), (1, 1), 0)), ((0, 1), (1, 0), 0)}
     assert eg.num_vertices == 4 and eg.r == 2 and eg.parts is None
 
     rainbow3 = new_coloring(3, [(0, 1, "a"), (0, 2, "b"), (1, 2, "c")])
@@ -87,7 +93,7 @@ def test_second_graph_edge_count_is_half_the_energy():
         g = random_coloring(n, c, seed=rng.randrange(10**6))
         eg = build_second_energy_graph(g)
         assert 2 * eg.num_edges == energy(g, 2).value
-        assert set(eg.edges) == brute_full_edges(g)
+        assert colored(eg, g) == brute_full_edges(g)
 
 
 def test_diagonal_pruning_removes_exactly_one_per_base_pair():
@@ -98,7 +104,7 @@ def test_diagonal_pruning_removes_exactly_one_per_base_pair():
         eg = build_second_energy_graph(g)
         pruned = prune_diagonal(eg)
         assert eg.num_edges - pruned.num_edges == n * (n - 1) // 2
-        assert all(x[0] != x[1] or y[0] != y[1] for x, y, _ in pruned.edges)
+        assert all(x[0] != x[1] or y[0] != y[1] for x, y in pruned.edges)
         assert pruned.provenance[-1] == "prune_diagonal"
 
 
@@ -116,7 +122,7 @@ def test_rare_color_pruning_uses_strict_threshold():
     counts = {c: len(pairs) for c, pairs in enumerate(g.color_classes())}
     cut = sorted(counts.values())[1]
     pruned = prune_rare_colors(eg, g, cut)
-    kept = {c for _, _, c in pruned.edges}
+    kept = set(edge_colors(pruned, g).tolist())
     assert kept == {c for c, m in counts.items() if m >= cut}
     assert prune_rare_colors(eg, g, 0).num_edges == eg.num_edges
     big = prune_rare_colors(eg, g, 10**6)
@@ -132,24 +138,96 @@ def test_colors_at_least_reads_the_class_sizes_of_the_coloring():
         g = random_coloring(n, rng.randrange(1, 8), seed=rng.randrange(10**6))
         sizes = [len(pairs) for pairs in g.color_classes()]
         eg = build_second_energy_graph(g)
+        mat = g.color_matrix()
         for threshold in {0, 1, *sizes, max(sizes) + 1}:
-            expected = [sizes[c] >= threshold for c in eg.cs.tolist()]
+            expected = [sizes[mat[x[0], y[0]]] >= threshold for x, y in eg.edges]
             assert colors_at_least(eg, g, threshold).tolist() == expected
 
 
-def test_colors_at_least_counts_an_unknown_color_as_rare():
-    # mono(4) has one color, id 0, with 6 base edges; ids 1 and 5 are not
-    # in its palette, yet a graph file may name them
-    g = mono(4)
-    eg = build_second_energy_graph(g)
-    record = energy_graph_to_dict(eg)
-    cs = np.zeros(eg.num_edges, dtype=np.int64)
-    cs[:2] = (1, 5)
-    record["cs"] = pack_codes(cs, 15)
-    forged = energy_graph_from_dict(record)
-    assert colors_at_least(forged, g, 0).tolist() == [False, False] + [True] * (eg.num_edges - 2)
-    assert prune_rare_colors(forged, g, 6).num_edges == eg.num_edges - 2
-    assert not colors_at_least(forged, g, 7).any()
+def reference_build(g, r, parts):
+    """Edge codes and colors as the build made them while a graph stored a
+    color per edge: each color's edges filled in with np.full, then all
+    three arrays gathered by the lexsort of (xs, ys)."""
+    if parts is None:
+        pair_lists = [[pairs, pairs] for pairs in g.color_classes()]
+    else:
+        pair_lists = pairs_within(g, _part_index(parts, r, g.n).tolist(), r)
+    xs, ys, cs = [], [], []
+    for c, lists in enumerate(pair_lists):
+        x = y = np.zeros(1, np.int64)
+        for j, pairs in enumerate(lists):
+            a, b = np.array(pairs, np.int64).reshape(-1, 2).T
+            if j:
+                a, b = np.concatenate((a, b)), np.concatenate((b, a))
+            x = (x[:, None] + a * g.n ** (r - 1 - j)).ravel()
+            y = (y[:, None] + b * g.n ** (r - 1 - j)).ravel()
+        xs.append(x)
+        ys.append(y)
+        cs.append(np.full(len(x), c))
+    xs, ys, cs = (np.concatenate(a) for a in (xs, ys, cs))
+    order = np.lexsort((ys, xs))
+    return xs[order], ys[order], cs[order]
+
+
+def staged_graphs(form, g, seed, values):
+    """The graph of `form` built from g, its parts, and the graph after each
+    pruning stage that applies to that form; the sign forms also split the
+    build into its sign classes over `values`.  Rare pruning keeps only the
+    largest color classes."""
+    largest = int(np.bincount(g.colors).max())
+    if form == "full-2":
+        eg = build_second_energy_graph(g)
+        diagonal = prune_diagonal(eg)
+        return eg, None, [diagonal, prune_rare_colors(eg, g, largest),
+                          prune_rare_colors(diagonal, g, largest)]
+    r = int(form[-1])
+    parts = partition_for_rth_energy(g, r, seed=seed).parts
+    eg = build_rth_energy_graph(g, r, parts)
+    halved = halve_parts_prune(eg, seed=seed)
+    stages = [prune_rare_colors(eg, g, largest), halved, prune_coordinate_neighbors(halved),
+              prune_coordinate_neighbors(eg)]
+    if form.startswith("sign"):
+        stages += sign_decompose(eg, values).values()
+    return eg, parts, stages
+
+
+@pytest.mark.parametrize("form", ["full-2", "partitioned-2", "partitioned-3",
+                                  "partitioned-4", "sign-2", "sign-3"])
+def test_edge_colors_match_the_stored_color_reference(form):
+    # the colors the build used to store per edge, against those read from g
+    rng = random.Random(form)
+    edges = 0
+    for seed in range(6):
+        n = rng.randrange(8, 17)
+        values = real_set(sorted(rng.sample(range(1, 4 * n), n)))
+        if form.startswith("sign"):
+            g = coloring_from_set(values)
+        else:
+            g = random_coloring(n, rng.randrange(1, 9), seed=rng.randrange(10**6))
+        eg, parts, stages = staged_graphs(form, g, seed, values)
+        xs, ys, cs = reference_build(g, eg.r, parts)
+        assert np.array_equal(eg.xs, xs) and np.array_equal(eg.ys, ys)
+        reference = dict(zip(zip(xs.tolist(), ys.tolist()), cs.tolist()))
+        mat = g.color_matrix()
+        for stage in [eg, *stages]:
+            colors = edge_colors(stage, g)
+            want = [reference[e] for e in zip(stage.xs.tolist(), stage.ys.tolist())]
+            assert colors.tolist() == want
+            for a, b in zip(stage.digits(stage.xs), stage.digits(stage.ys)):
+                assert np.array_equal(mat[a, b], colors)
+            edges += stage.num_edges
+    assert edges
+
+
+@pytest.mark.parametrize("other", [24, 36])
+def test_graph_and_coloring_on_different_n_are_rejected(other):
+    g = random_coloring(30, 3, seed=0)
+    eg = build_rth_energy_graph(g, 3, partition_for_rth_energy(g, 3, seed=0))
+    h = random_coloring(other, 3, seed=0)
+    message = f"the energy graph has n=30 but the coloring n={other}"
+    for call in (lambda: prune_rare_colors(eg, h, 1), lambda: edge_colors(eg, h)):
+        with pytest.raises(EnergyGraphError, match=message):
+            call()
 
 
 def test_partitioned_build_matches_brute_force():
@@ -162,7 +240,7 @@ def test_partitioned_build_matches_brute_force():
         g = random_coloring(n, rng.randrange(1, 4), seed=rng.randrange(10**6))
         part = partition_for_rth_energy(g, r, seed=rng.randrange(100))
         eg = build_rth_energy_graph(g, r, part.parts)
-        assert set(eg.edges) == brute_part_edges(g, r, part.parts)
+        assert colored(eg, g) == brute_part_edges(g, r, part.parts)
         # survivor tuples counted by the partition equal twice the edges
         assert part.within_tuple_count == 2 * eg.num_edges
 
@@ -170,7 +248,7 @@ def test_partitioned_build_matches_brute_force():
 def test_partitioned_build_frozen_example():
     g = mono(4)
     eg = build_rth_energy_graph(g, 2, ((0, 1), (2, 3)))
-    assert set(e[:2] for e in eg.edges) == {(((0, 2), (1, 3))), ((0, 3), (1, 2))}
+    assert set(eg.edges) == {(((0, 2), (1, 3))), ((0, 3), (1, 2))}
     assert eg.num_vertices == 4
 
 
@@ -198,7 +276,7 @@ def test_halving_keeps_cross_half_edges_only():
     # reconstruct the halves from the stage record: every surviving edge
     # must split each coordinate across the two halves
     assert halved.edges
-    for x, y, _ in halved.edges:
+    for x, y in halved.edges:
         assert all(x[j] != y[j] for j in range(2))
 
 
@@ -249,7 +327,7 @@ def test_sign_decomposition_partitions_the_graph():
         together = []
         for key, sub in classes.items():
             together.extend(sub.edges)
-            assert all(edge_sign_vector(x, y, values) == key for x, y, _ in sub.edges)
+            assert all(edge_sign_vector(x, y, values) == key for x, y in sub.edges)
         assert sorted(together) == list(eg.edges)
 
 
@@ -268,7 +346,8 @@ def test_json_round_trip():
     assert back.edges == eg.edges
     assert back.r == eg.r and back.n == eg.n and back.parts == eg.parts
     assert back.provenance == eg.provenance
-    assert data["format"] == 4 and "color_base_edges" not in data
+    assert data["format"] == 5
+    assert list(data) == ["format", "r", "n", "parts", "xs", "ys", "provenance"]
 
     part = partition_for_rth_energy(g, 2, seed=0)
     eg2 = build_rth_energy_graph(g, 2, part.parts)
@@ -303,7 +382,7 @@ def test_graph_file_round_trip(tmp_path_factory, form, n, spread, seed, threshol
     record = read_json(path)
     back = energy_graph_from_dict(record)
     width = code_width(n**eg.r - 1)
-    for name in ("xs", "ys", "cs"):
+    for name in ("xs", "ys"):
         assert len(base64.b64decode(record[name])) == width * eg.num_edges
         before, after = getattr(eg, name), getattr(back, name)
         assert after.dtype == before.dtype and np.array_equal(after, before)

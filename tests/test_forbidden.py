@@ -81,12 +81,11 @@ def validate_dict_cycle(graph, cycle):
 
 
 def graph_with_edges(eg, edges):
-    """`eg` with its edges replaced by the sorted (X, Y, color id) tuples
-    `edges`, read back through the graph file record."""
+    """`eg` with its edges replaced by the sorted (X, Y) pairs `edges`,
+    read back through the graph file record."""
     record, top = energy_graph_to_dict(eg), eg.n**eg.r - 1
-    record["xs"] = pack_codes([eg.code(x) for x, _, _ in edges], top)
-    record["ys"] = pack_codes([eg.code(y) for _, y, _ in edges], top)
-    record["cs"] = pack_codes([c for _, _, c in edges], top)
+    record["xs"] = pack_codes([eg.code(x) for x, _ in edges], top)
+    record["ys"] = pack_codes([eg.code(y) for _, y in edges], top)
     return energy_graph_from_dict(record)
 
 
@@ -156,7 +155,7 @@ def test_find_cycle_agrees_with_networkx():
     nx = pytest.importorskip("networkx")
     found = []
     for eg in small_energy_graphs():
-        G = nx.Graph((x, y) for x, y, _ in eg.edges)
+        G = nx.Graph(eg.edges)
         for length in (3, 4, 5):
             cycle = find_cycle(eg, length)
             exists = any(len(c) == length for c in nx.simple_cycles(G, length_bound=length))
@@ -768,7 +767,7 @@ def test_clique_rejects_repeated_base_elements():
     g = coloring_from_set(A)
     template = build_rth_energy_graph(g, 2, ((0, 1, 2, 3, 4), (5, 6, 7, 8, 9)))
     square = [((0, 5), (1, 6)), ((0, 5), (1, 8)), ((0, 7), (1, 6)), ((0, 7), (1, 8))]
-    eg = graph_with_edges(template, [(x, y, g.color_of(0, 1)) for x, y in square])
+    eg = graph_with_edges(template, square)
     cycle = find_cycle(eg, 4)
     assert cycle.vertices == ((0, 5), (1, 6), (0, 7), (1, 8))
     with pytest.raises(WitnessError, match="repeats a base element"):
