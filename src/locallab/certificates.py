@@ -173,12 +173,12 @@ def _verify_clique(cert, elements, messages):
     except SignConsistencyError as exc:
         messages.append(f"clique rows 0 and 1 are not an energy edge: {exc}")
         return
-    expected = (k * (2 * k - 1)) * (r - 1 + r * (r - 1) // 2)
+    implied = Counter((e1, e2) for *_, e1, e2 in clique_equality_edges(rows, signs))
+    expected = sum(implied.values())
     if repetitions != expected or len(equalities) != expected:
         messages.append(
             f"expected {expected} listed repetitions, certificate has {repetitions}"
         )
-    implied = Counter((e1, e2) for *_, e1, e2 in clique_equality_edges(rows, signs))
     listed = Counter()
     forest = _UnionFind()
     independent = 0

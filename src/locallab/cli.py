@@ -49,14 +49,13 @@ from .energy_graph import (
 )
 from .errors import BudgetExceededError, LocalLabError
 from .forbidden import (
-    check_pair_request,
-    check_triple_request,
+    _cycle_witness,
     clique_from_cycle_arith,
+    clique_request,
     find_complete_bipartite,
     find_cycle,
     find_subdivision,
-    witness_from_cycle_2nd,
-    witness_from_cycle_3rd,
+    witness_request,
 )
 from .jsonio import exact_to_json, label_from_json, read_json, write_json
 from .oracle import exact_f, exact_g_integers, upper_bound_exponent
@@ -225,9 +224,10 @@ def _cmd_witness(args) -> int:
         if not args.values or args.k is None:
             raise LocalLabError("--kind arith needs --values and --k")
         values = load_real_set(args.values)
-        cycle = find_cycle(eg, 2 * args.k)
+        length = clique_request(eg, args.k, values)
+        cycle = find_cycle(eg, length)
         if cycle is None:
-            print(f"no cycle of length {2 * args.k} in the sign class")
+            print(f"no cycle of length {length} in the sign class")
             return 0
         witness = clique_from_cycle_arith(eg, cycle, args.k, values)
         print(f"clique on {len(witness.clique)} tuple vertices")
@@ -240,21 +240,15 @@ def _cmd_witness(args) -> int:
 
     if not args.input:
         raise LocalLabError(f"--kind {args.kind} needs --input")
+    if args.kind == "pair" and args.k is None:
+        raise LocalLabError("--kind pair needs --k")
     g = load_coloring(args.input)
-    if args.kind == "pair":
-        if args.k is None:
-            raise LocalLabError("--kind pair needs --k")
-        length = check_pair_request(g, eg, args.k)
-    else:
-        length = check_triple_request(g, eg)
-    cycle = find_cycle(eg, length)
+    request = witness_request(g, eg, args.kind, args.k)
+    cycle = find_cycle(eg, request[0])
     if cycle is None:
-        print(f"no cycle of length {length}")
+        print(f"no cycle of length {request[0]}")
         return 0
-    if args.kind == "pair":
-        witness = witness_from_cycle_2nd(g, eg, cycle, args.k)
-    else:
-        witness = witness_from_cycle_3rd(g, eg, cycle)
+    witness = _cycle_witness(g, eg, cycle, *request)
     cap = witness.target_k * (witness.target_k - 1) // 2 - witness.claimed_repetitions
     print(f"witness set: {list(witness.vertices)}")
     print(f"repetitions: {witness.claimed_repetitions}, "
@@ -349,7 +343,7 @@ def _cmd_sweep(args) -> int:
                 violations += 1
         rate = violations / args.seeds
         rows.append({
-            "family": args.family,
+            "family": "random",
             "n": args.n,
             "k": args.k,
             "l": args.l,
@@ -469,7 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_diffset)
 
     p = sub.add_parser("sweep", help="violation frequency across palette sizes")
-    p.add_argument("--family", choices=["random"], default="random")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--c", required=True, help="palette size or range A..B")
     p.add_argument("--k", type=int, required=True)

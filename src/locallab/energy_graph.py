@@ -217,11 +217,16 @@ def prune_diagonal(eg: EnergyGraph) -> EnergyGraph:
     return eg._replaced((x0 != x1) | (y0 != y1), "prune_diagonal")
 
 
+def check_same_n(eg: EnergyGraph, g: EdgeColoring) -> None:
+    """Raise unless eg and g have the same n, as a graph built from g has."""
+    if eg.n != g.n:
+        raise EnergyGraphError(f"the energy graph has n={eg.n} but the coloring n={g.n}")
+
+
 def edge_colors(eg: EnergyGraph, g: EdgeColoring) -> np.ndarray:
     """Color id in g of every edge of eg, read at its first coordinate
     pair; raises unless eg and g have the same n."""
-    if eg.n != g.n:
-        raise EnergyGraphError(f"the energy graph has n={eg.n} but the coloring n={g.n}")
+    check_same_n(eg, g)
     return g.color_matrix()[eg.xs // eg.n ** (eg.r - 1), eg.ys // eg.n ** (eg.r - 1)]
 
 
@@ -274,13 +279,22 @@ def halve_parts_prune(eg: EnergyGraph, seed: int) -> EnergyGraph:
     return eg._replaced(best_keep, stage)
 
 
+def _coordinate_marks(eg: EnergyGraph) -> np.ndarray:
+    """One int64 row of 2r marks per edge, (p * r + j) * n + w_j for each
+    end at position p in eg.adjacency()'s codes, coordinate j and other
+    end w: equal marks are two neighbors of one vertex agreeing at j.
+    Positions, not codes, keep the marks in int64 when n^r is near it."""
+    codes, r, n = eg.adjacency()[0], eg.r, eg.n
+    return np.stack([(np.searchsorted(codes, a) * r + j) * n + w_j
+                     for a, b in ((eg.xs, eg.ys), (eg.ys, eg.xs))
+                     for j, w_j in enumerate(eg.digits(b))], axis=1)
+
+
 def prune_coordinate_neighbors(eg: EnergyGraph) -> EnergyGraph:
     """Greedy edge retention in lexicographic order so that no vertex
     ends up with two neighbors sharing a value in any coordinate."""
-    used = set()  # (vertex, coordinate, value of a kept neighbor there)
-    kept = []
-    for i, (x, y) in enumerate(zip(eg.vertices(eg.xs), eg.vertices(eg.ys))):
-        marks = [(x, j, y[j]) for j in range(eg.r)] + [(y, j, x[j]) for j in range(eg.r)]
+    used, kept = set(), []
+    for i, marks in enumerate(_coordinate_marks(eg).tolist()):
         if used.isdisjoint(marks):
             used.update(marks)
             kept.append(i)
@@ -289,19 +303,12 @@ def prune_coordinate_neighbors(eg: EnergyGraph) -> EnergyGraph:
 
 def coordinate_neighbor_violations(eg: EnergyGraph):
     """All (vertex, coordinate, value) triples where two neighbors of the
-    vertex agree; empty after prune_coordinate_neighbors."""
-    codes, ptr, nbrs = eg.adjacency()
-    vertices = eg.vertices(codes)
-    violations = []
-    for i, v in enumerate(vertices):
-        row = [vertices[w] for w in nbrs[ptr[i]:ptr[i + 1]].tolist()]
-        for j in range(eg.r):
-            seen = set()
-            for w in row:
-                if w[j] in seen:
-                    violations.append((v, j, w[j]))
-                seen.add(w[j])
-    return violations
+    vertex agree, once per neighbor past the first, sorted; empty after
+    prune_coordinate_neighbors."""
+    marks, counts = np.unique(_coordinate_marks(eg), return_counts=True)
+    position, rest = np.divmod(np.repeat(marks, counts - 1), eg.r * eg.n)
+    j, value = np.divmod(rest, eg.n)
+    return list(zip(eg.vertices(eg.adjacency()[0][position]), j.tolist(), value.tolist()))
 
 
 def all_sign_sequences(r: int):

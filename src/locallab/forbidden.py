@@ -22,6 +22,7 @@ from .coloring import EdgeColoring, _check_subset_budget, _lex_chunks
 from .energy import ln_ceiling
 from .energy_graph import (
     EnergyGraph,
+    check_same_n,
     colors_at_least,
     coordinate_neighbor_violations,
     edge_colors,
@@ -346,12 +347,10 @@ def _cycle_witness(g: EdgeColoring, eg: EnergyGraph, cycle: CyclePath, length: i
         raise WitnessError(
             f"cycle is too degenerate: {len(vertices)} vertices exceed the target {target_k}"
         )
-    for v in range(g.n):
+    for v in range(g.n):  # witness_request checked that target_k <= g.n
         if len(vertices) == target_k:
             break
         vertices.add(v)
-    if len(vertices) < target_k:
-        raise WitnessError(f"only {g.n} base vertices, cannot reach size {target_k}")
     claimed = len(equalities)
     spanned = g.colors_within(vertices)
     budget = target_k * (target_k - 1) // 2 - claimed
@@ -360,28 +359,37 @@ def _cycle_witness(g: EdgeColoring, eg: EnergyGraph, cycle: CyclePath, length: i
     return WitnessSet(tuple(sorted(vertices)), claimed, target_k, spanned, tuple(equalities))
 
 
-def check_pair_request(g: EdgeColoring, eg: EnergyGraph, k: int) -> int:
-    """The cycle length k/2 of a pair witness k-set; raises unless eg is a
-    second energy graph and k is a multiple of four, at least 8 and at
-    most n.  Needs no cycle, so a caller can check before searching."""
-    if eg.r != 2:
-        raise WitnessError("needs a second energy graph")
-    if k % 4 != 0 or k < 8:
-        raise WitnessError(f"k={k} must be a multiple of four and at least 8")
-    if k > g.n:
-        raise WitnessError(f"k={k} exceeds the {g.n} base vertices")
-    return k // 2
-
-
-def check_triple_request(g: EdgeColoring, eg: EnergyGraph) -> int:
-    """The cycle length 8 of a triple witness; raises unless eg is a third
-    energy graph over at least 24 base vertices, the size of the witness.
-    Needs no cycle, like check_pair_request."""
+def witness_request(g: EdgeColoring, eg: EnergyGraph, kind: str, k: int | None = None) -> tuple:
+    """(cycle length, target_k, target_reps) of a `kind` witness from eg:
+    "pair", a k-set from a k/2-cycle, or "triple", a 24-set from an
+    8-cycle.  Raises unless the order and size rules hold and eg and g
+    have the same n, and for "triple" unless its audits pass: the graph
+    was halved and pruned of coordinate neighbors, and each of its edge
+    colors has ceil(ln n) or more base edges in g.  Needs no cycle, so a
+    caller can check before searching."""
+    if kind == "pair":
+        if eg.r != 2:
+            raise WitnessError("needs a second energy graph")
+        if k % 4 != 0 or k < 8:
+            raise WitnessError(f"k={k} must be a multiple of four and at least 8")
+        if k > g.n:
+            raise WitnessError(f"k={k} exceeds the {g.n} base vertices")
+        check_same_n(eg, g)
+        return k // 2, k, k // 2
     if eg.r != 3:
         raise WitnessError("needs a third energy graph")
     if g.n < 24:
         raise WitnessError(f"needs at least 24 base vertices, have {g.n}")
-    return 8
+    if not any(stage.startswith("halve_parts(") for stage in eg.provenance):
+        raise WitnessError("energy graph was never halved")
+    if coordinate_neighbor_violations(eg):
+        raise WitnessError("two neighbors share a coordinate value")
+    floor = ln_ceiling(g.n)
+    rare = ~colors_at_least(eg, g, floor)
+    if rare.any():
+        raise WitnessError(f"color id {int(edge_colors(eg, g)[np.argmax(rare)])} has fewer "
+                           f"than {floor} base edges; prune rare colors first")
+    return 8, 24, 16
 
 
 def witness_from_cycle_2nd(g: EdgeColoring, eg: EnergyGraph, cycle: CyclePath,
@@ -392,30 +400,15 @@ def witness_from_cycle_2nd(g: EdgeColoring, eg: EnergyGraph, cycle: CyclePath,
     k/2 independent repetitions; shortfalls from repeated base edges are
     padded with unused edges of the first step's color.
     """
-    length = check_pair_request(g, eg, k)
-    return _cycle_witness(g, eg, cycle, length, k, length)
+    return _cycle_witness(g, eg, cycle, *witness_request(g, eg, "pair", k))
 
 
 def witness_from_cycle_3rd(g: EdgeColoring, eg: EnergyGraph,
                            cycle: CyclePath) -> WitnessSet:
-    """Turn an 8-cycle in a pruned third energy graph into a witness
-    24-set with at least 16 independent repetitions.
-
-    Preconditions, each audited directly: the graph went through part
-    halving and the coordinate-neighbor pruning, and every color on its
-    edges has at least ceil(ln n) base edges in g.
-    """
-    length = check_triple_request(g, eg)
-    if not any(stage.startswith("halve_parts(") for stage in eg.provenance):
-        raise WitnessError("energy graph was never halved")
-    if coordinate_neighbor_violations(eg):
-        raise WitnessError("two neighbors share a coordinate value")
-    floor = ln_ceiling(g.n)
-    rare = ~colors_at_least(eg, g, floor)
-    if rare.any():
-        raise WitnessError(f"color id {int(edge_colors(eg, g)[np.argmax(rare)])} has fewer "
-                           f"than {floor} base edges; prune rare colors first")
-    return _cycle_witness(g, eg, cycle, length, 24, 16)
+    """Turn an 8-cycle in a pruned third energy graph, as witness_request
+    audits it, into a witness 24-set with at least 16 independent
+    repetitions."""
+    return _cycle_witness(g, eg, cycle, *witness_request(g, eg, "triple"))
 
 
 # ---------------------------------------------------------------------------
@@ -442,8 +435,8 @@ class DifferenceEquality:
 class CliqueWitness:
     """A 2k-clique of tuple vertices over 2kr distinct base elements.
 
-    repetitions counts the listed equalities, C(2k,2) * (r-1 + C(r,2))
-    of them, each an exact difference identity.  They need not all be
+    repetitions counts the listed equalities, those clique_equality_edges
+    yields, each an exact difference identity.  They need not all be
     independent: all-plus sign classes collapse some regrouped
     equalities, so independent_repetitions carries the union-find count.
     """
@@ -473,59 +466,46 @@ def clique_equality_edges(rows, signs):
             yield p, q, "regrouped", (l, m), e1, e2
 
 
+def clique_request(sub: EnergyGraph, k: int, values) -> int:
+    """The cycle length 2k of a clique witness from the sign class `sub`;
+    raises unless k >= 2 and values holds exactly sub.n elements, the set
+    sub was built from.  Needs no cycle, like witness_request."""
+    if k < 2:
+        raise WitnessError(f"k={k} must be at least 2")
+    size = len(getattr(values, "elements", values))
+    if size != sub.n:
+        raise WitnessError(f"the energy graph has n={sub.n} but the element set {size} values")
+    return 2 * k
+
+
 def clique_from_cycle_arith(sub: EnergyGraph, cycle: CyclePath, k: int,
                             values) -> CliqueWitness:
     """Expand a 2k-cycle in one sign class into a full clique witness.
 
-    Telescoping the per-edge sign identities shows every vertex pair of
-    the cycle satisfies them too, which forces all 2kr base elements to
-    be distinct and yields r-1 direct plus C(r,2) regrouped difference
-    repetitions per pair.  Everything is verified with exact arithmetic;
-    any failure means the subgraph was not sign-homogeneous.
+    The cycle's base elements must be distinct and each of its edges in
+    the sign class of its first.  Telescoping the per-edge sign identities
+    then shows every pair of cycle vertices satisfies them too, so each
+    difference equality clique_equality_edges lists holds exactly.
     """
     vals = getattr(values, "elements", values)
-    if cycle.length != 2 * k or k < 2:
-        raise WitnessError(f"need a cycle of length 2k with k >= 2, got {cycle.length}")
+    length = clique_request(sub, k, vals)
+    if cycle.length != length:
+        raise WitnessError(f"cycle length {cycle.length} must be {length}")
     validate_cycle(sub, cycle)
-    r = sub.r
     rows = cycle.vertices
     base_ids = [v for row in rows for v in row]
-    if len(set(base_ids)) != 2 * k * r:
+    if len(set(base_ids)) != len(base_ids):
         raise WitnessError("cycle repeats a base element; not a simple witness")
-
     signs = edge_sign_vector(rows[0], rows[1], vals)
-    sgn = [1] + [1 if s == "+" else -1 for s in signs]
-    for i in range(1, cycle.length):
-        x, y = rows[i], rows[(i + 1) % cycle.length]
+    for x, y in zip(rows[1:], rows[2:] + rows[:1]):
         if edge_sign_vector(x, y, vals) != signs:
             raise SignConsistencyError(f"edge {x}-{y} is not in the {signs} class")
-
-    equalities = []
-    for p, q, kind, coords, e1, e2 in clique_equality_edges(rows, signs):
-        d1 = abs(vals[e1[0]] - vals[e1[1]])
-        l, m = coords
-        if kind == "direct":
-            a, b = rows[p], rows[q]
-            if vals[a[m]] - vals[b[m]] != sgn[m] * (vals[a[0]] - vals[b[0]]):
-                raise SignConsistencyError(
-                    f"rows {p} and {q} break the sign identity in coordinate {m}"
-                )
-        elif d1 != abs(vals[e2[0]] - vals[e2[1]]):
-            raise SignConsistencyError(
-                f"regrouped repetition fails for rows {p},{q} coordinates {l},{m}"
-            )
-        equalities.append(DifferenceEquality(e1, e2, d1, kind, (p, q), coords))
-
-    expected = (k * (2 * k - 1)) * (r - 1 + r * (r - 1) // 2)
-    if len(equalities) != expected:
-        raise WitnessError(f"listed {len(equalities)} repetitions, expected {expected}")
+    equalities = tuple(
+        DifferenceEquality(e1, e2, abs(vals[e1[0]] - vals[e1[1]]), kind, (p, q), coords)
+        for p, q, kind, coords, e1, e2 in clique_equality_edges(rows, signs)
+    )
     forest = _UnionFind()
     independent = sum(forest.union((eq.difference, eq.edge1), (eq.difference, eq.edge2))
                       for eq in equalities)
-    return CliqueWitness(
-        tuple(rows),
-        tuple(sorted(base_ids)),
-        len(equalities),
-        tuple(equalities),
-        independent,
-    )
+    return CliqueWitness(tuple(rows), tuple(sorted(base_ids)), len(equalities), equalities,
+                         independent)

@@ -1,6 +1,8 @@
 import base64
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -300,6 +302,10 @@ READERS = {
     "find-graph": ["find", "--graph", "BAD", "--length", "4"],
     "witness-graph": ["witness", "--kind", "pair", "--graph", "BAD", "--input", "GOOD",
                       "--k", "8"],
+    "witness-input": ["witness", "--kind", "pair", "--input", "BAD", "--graph", "GRAPH",
+                      "--k", "8"],
+    "witness-values": ["witness", "--kind", "arith", "--values", "BAD", "--graph", "GRAPH",
+                       "--k", "2"],
     "diffset-input": ["diffset", "--input", "BAD"],
     "verify-cert": ["verify", "--cert", "BAD"],
     "verify-input": ["verify", "--cert", "CERT", "--input", "BAD"],
@@ -326,7 +332,9 @@ def test_malformed_input_files_exit_2(tmp_path, capsys, reader, kind):
     cert = tmp_path / "cert.json"
     assert run(["oracle-f", "--n", "4", "--k", "3", "--l", "2", "--cert", str(cert)]) == 0
     paths = {"BAD": bad, "GOOD": mono_file(tmp_path, 6), "CERT": cert,
-             "OUT": tmp_path / "out.json"}
+             "OUT": tmp_path / "out.json", "GRAPH": tmp_path / "graph.json"}
+    assert run(["energy-graph", "--input", str(paths["GOOD"]), "--stages", "diagonal",
+                "--out", str(paths["GRAPH"])]) == 0
     assert run([str(paths.get(a, a)) for a in READERS[reader]]) == 2
     assert "error:" in capsys.readouterr().err
 
@@ -579,3 +587,74 @@ def test_triple_witness_on_a_coloring_of_another_n_exits_2(tmp_path, capsys, oth
     captured = capsys.readouterr()
     assert f"the energy graph has n=30 but the coloring n={other}" in captured.err
     assert "witness" not in captured.out
+
+
+def rainbow_file(tmp_path, n, name="rainbow.json"):
+    """K_n with one color per pair, so rare-color pruning empties any
+    energy graph built from it."""
+    pairs = itertools.combinations(range(n), 2)
+    path = tmp_path / name
+    save_coloring(new_coloring(n, [(u, v, i) for i, (u, v) in enumerate(pairs)]), path)
+    return path
+
+
+# each case returns witness arguments the request check must reject, and
+# the message it gives; checked only after the search, the graphs with no
+# cycle would print "no cycle" and exit 0
+
+
+def triple_of_another_n(tmp_path):
+    graph = tmp_path / "g.json"
+    assert run(["energy-graph", "--input", str(rainbow_file(tmp_path, 24)),
+                "--preset", "triple-cycle", "--out", str(graph)]) == 0
+    assert run(["find", "--graph", str(graph), "--length", "8"]) == 0
+    coloring = rainbow_file(tmp_path, 30, name="other.json")
+    return (["--kind", "triple", "--input", str(coloring), "--graph", str(graph)],
+            "the energy graph has n=24 but the coloring n=30")
+
+
+def pair_of_another_n(tmp_path):
+    # the graph has cycles whose steps all pass the color checks in a
+    # one-color coloring, so only comparing n stops a witness for a
+    # coloring the graph was not built from
+    graph = tmp_path / "g.json"
+    assert run(["energy-graph", "--input", str(mono_file(tmp_path, 12)),
+                "--stages", "diagonal", "--out", str(graph)]) == 0
+    coloring = mono_file(tmp_path, 16, name="other.json")
+    return (["--kind", "pair", "--k", "8", "--input", str(coloring), "--graph", str(graph)],
+            "the energy graph has n=12 but the coloring n=16")
+
+
+def arith_of_another_set(tmp_path):
+    values, seven = tmp_path / "values.json", tmp_path / "seven.json"
+    elements = real_set(random.Random(5).sample(range(1, 241), 120)).elements
+    save_real_set(real_set(elements), values)
+    save_real_set(real_set(elements[:7]), seven)
+    assert run(["energy-graph", "--values", str(values), "--preset", "sign-split",
+                "--out", str(tmp_path / "sign.json")]) == 0
+    graph = tmp_path / "sign.p.json"
+    # the 6-cycle's base elements reach past the first seven
+    assert run(["find", "--graph", str(graph), "--length", "6"]) == 1
+    return (["--kind", "arith", "--k", "3", "--values", str(seven), "--graph", str(graph)],
+            "the energy graph has n=120 but the element set 7 values")
+
+
+def triple_never_halved(tmp_path):
+    coloring, graph = rainbow_file(tmp_path, 24), tmp_path / "g.json"
+    assert run(["energy-graph", "--input", str(coloring), "--r", "3", "--partitioned",
+                "--stages", "rare", "--out", str(graph)]) == 0
+    assert run(["find", "--graph", str(graph), "--length", "8"]) == 0
+    return (["--kind", "triple", "--input", str(coloring), "--graph", str(graph)],
+            "energy graph was never halved")
+
+
+@pytest.mark.parametrize("case", [triple_of_another_n, pair_of_another_n,
+                                  arith_of_another_set, triple_never_halved])
+def test_witness_rejects_inputs_that_do_not_match_before_the_search(tmp_path, capsys, case):
+    argv, message = case(tmp_path)
+    capsys.readouterr()
+    assert run(["witness", *argv]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "no cycle" not in captured.out and "witness" not in captured.out
+    assert "clique" not in captured.out

@@ -1,4 +1,5 @@
 import base64
+import collections
 import itertools
 import random
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from locallab import (
     BudgetExceededError,
+    EnergyGraph,
     EnergyGraphError,
     SignConsistencyError,
     all_sign_sequences,
@@ -297,6 +299,82 @@ def test_coordinate_neighbor_pruning():
     assert pruned.provenance[-1] == "prune_coordinate_neighbors"
     # idempotent once clean
     assert prune_coordinate_neighbors(pruned).edges == pruned.edges
+
+
+def reference_prune_coordinate_neighbors(eg):
+    """The tuple-decoding greedy pass that the integer marks replaced, kept
+    as a reference: the indices of the edges it keeps."""
+    used = set()  # (vertex, coordinate, value of a kept neighbor there)
+    kept = []
+    for i, (x, y) in enumerate(zip(eg.vertices(eg.xs), eg.vertices(eg.ys))):
+        marks = [(x, j, y[j]) for j in range(eg.r)] + [(y, j, x[j]) for j in range(eg.r)]
+        if used.isdisjoint(marks):
+            used.update(marks)
+            kept.append(i)
+    return kept
+
+
+def reference_coordinate_neighbor_violations(eg):
+    """The tuple-decoding audit that the integer marks replaced, kept as a
+    reference."""
+    codes, ptr, nbrs = eg.adjacency()
+    vertices = eg.vertices(codes)
+    violations = []
+    for i, v in enumerate(vertices):
+        row = [vertices[w] for w in nbrs[ptr[i]:ptr[i + 1]].tolist()]
+        for j in range(eg.r):
+            seen = set()
+            for w in row:
+                if w[j] in seen:
+                    violations.append((v, j, w[j]))
+                seen.add(w[j])
+    return violations
+
+
+def coordinate_corpus():
+    """Seeded graphs for the coordinate rule: partitioned graphs at r = 2,
+    3 and 4, each raw and halved, and every sign class of arithmetic
+    colorings at r = 2 and 3."""
+    rng = random.Random(61)
+    for r in (2, 3, 4):
+        for seed in range(4):
+            n = rng.randrange(12, {2: 25, 3: 20, 4: 18}[r])
+            g = random_coloring(n, rng.randrange(1, 4), seed=rng.randrange(10**6))
+            eg = build_rth_energy_graph(g, r, partition_for_rth_energy(g, r, seed=seed))
+            yield eg
+            yield halve_parts_prune(eg, seed=seed)
+    for r in (2, 3):
+        for seed in range(3):
+            values = real_set(sorted(rng.sample(range(1, 41), 24)))
+            g = coloring_from_set(values)
+            eg = build_rth_energy_graph(g, r, partition_for_rth_energy(g, r, seed=seed))
+            yield from sign_decompose(eg, values).values()
+
+
+def test_coordinate_rule_matches_the_tuple_reference():
+    repeats = []
+    for eg in coordinate_corpus():
+        pruned = prune_coordinate_neighbors(eg)
+        kept = reference_prune_coordinate_neighbors(eg)
+        assert np.array_equal(pruned.xs, eg.xs[kept]) and np.array_equal(pruned.ys, eg.ys[kept])
+        violations = coordinate_neighbor_violations(eg)
+        assert violations == sorted(reference_coordinate_neighbor_violations(eg))
+        assert coordinate_neighbor_violations(pruned) == []
+        repeats.append(max(collections.Counter(violations).values(), default=0))
+    # some graphs are clean, and some have three or more neighbors agreeing
+    assert min(repeats) == 0 and max(repeats) >= 2
+
+
+def test_coordinate_marks_stay_in_int64_when_n_to_the_r_is_near_it():
+    # (0, 0) has two neighbors with n - 1 in coordinate 1; the vertex code
+    # times r * n would pass 2^63 here
+    n = 3_000_000_000
+    eg = EnergyGraph(2, n, None, np.array([0, 0], dtype=np.int64),
+                     np.array([2 * n - 1, 3 * n - 1], dtype=np.int64))
+    assert coordinate_neighbor_violations(eg) == [((0, 0), 1, n - 1)]
+    assert coordinate_neighbor_violations(eg) == reference_coordinate_neighbor_violations(eg)
+    assert prune_coordinate_neighbors(eg).edges == (((0, 0), (1, n - 1)),)
+    assert reference_prune_coordinate_neighbors(eg) == [0]
 
 
 def test_sign_vectors_on_a_frozen_set():

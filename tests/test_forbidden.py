@@ -8,14 +8,18 @@ import pytest
 from locallab import (
     CliqueWitness,
     CyclePath,
+    DifferenceEquality,
     LocalLabError,
     PaddingError,
     SignConsistencyError,
     WitnessError,
+    all_sign_sequences,
     build_rth_energy_graph,
     build_second_energy_graph,
+    clique_certificate,
     clique_from_cycle_arith,
     coloring_from_set,
+    edge_sign_vector,
     energy_graph_from_dict,
     energy_graph_to_dict,
     extremal_edge_reference,
@@ -34,6 +38,7 @@ from locallab import (
     real_set,
     sign_decompose,
     validate_cycle,
+    verify_certificate,
     witness_from_cycle_2nd,
     witness_from_cycle_3rd,
 )
@@ -47,6 +52,7 @@ from locallab.forbidden import (
     _cycle_witness,
     _search_cycle,
     _UnionFind,
+    clique_equality_edges,
 )
 
 
@@ -772,3 +778,98 @@ def test_clique_rejects_repeated_base_elements():
     assert cycle.vertices == ((0, 5), (1, 6), (0, 7), (1, 8))
     with pytest.raises(WitnessError, match="repeats a base element"):
         clique_from_cycle_arith(eg, cycle, 2, A)
+
+
+def reference_clique_from_cycle_arith(sub, cycle, k, values):
+    """The clique construction that checked every listed equality and its
+    count again, kept as a reference."""
+    vals = getattr(values, "elements", values)
+    if cycle.length != 2 * k or k < 2:
+        raise WitnessError(f"need a cycle of length 2k with k >= 2, got {cycle.length}")
+    validate_cycle(sub, cycle)
+    r = sub.r
+    rows = cycle.vertices
+    base_ids = [v for row in rows for v in row]
+    if len(set(base_ids)) != 2 * k * r:
+        raise WitnessError("cycle repeats a base element; not a simple witness")
+
+    signs = edge_sign_vector(rows[0], rows[1], vals)
+    sgn = [1] + [1 if s == "+" else -1 for s in signs]
+    for i in range(1, cycle.length):
+        x, y = rows[i], rows[(i + 1) % cycle.length]
+        if edge_sign_vector(x, y, vals) != signs:
+            raise SignConsistencyError(f"edge {x}-{y} is not in the {signs} class")
+
+    equalities = []
+    for p, q, kind, coords, e1, e2 in clique_equality_edges(rows, signs):
+        d1 = abs(vals[e1[0]] - vals[e1[1]])
+        l, m = coords
+        if kind == "direct":
+            a, b = rows[p], rows[q]
+            if vals[a[m]] - vals[b[m]] != sgn[m] * (vals[a[0]] - vals[b[0]]):
+                raise SignConsistencyError(
+                    f"rows {p} and {q} break the sign identity in coordinate {m}"
+                )
+        elif d1 != abs(vals[e2[0]] - vals[e2[1]]):
+            raise SignConsistencyError(
+                f"regrouped repetition fails for rows {p},{q} coordinates {l},{m}"
+            )
+        equalities.append(DifferenceEquality(e1, e2, d1, kind, (p, q), coords))
+
+    expected = (k * (2 * k - 1)) * (r - 1 + r * (r - 1) // 2)
+    if len(equalities) != expected:
+        raise WitnessError(f"listed {len(equalities)} repetitions, expected {expected}")
+    forest = _UnionFind()
+    independent = sum(forest.union((eq.difference, eq.edge1), (eq.difference, eq.edge2))
+                      for eq in equalities)
+    return CliqueWitness(
+        tuple(rows),
+        tuple(sorted(base_ids)),
+        len(equalities),
+        tuple(equalities),
+        independent,
+    )
+
+
+def clique_corpus():
+    """(graph, cycle, k, values) cases: the first 2k-cycle, k = 2 and 3, in
+    every sign class and in the unsplit graph of seeded arithmetic
+    colorings at r = 2, 3 and 4.  Part j is 100j + s_j P for one random
+    6-set P and random signs s_j, so every class holds cycles."""
+    rng = random.Random(67)
+    for r in (2, 3, 4):
+        for _ in range(3):
+            P = rng.sample(range(12), 6)
+            signs = [rng.choice((1, -1)) for _ in range(r)]
+            blocks = [[100 * j + s * p for p in P] for j, s in enumerate(signs)]
+            values = real_set(sorted(v for block in blocks for v in block))
+            index = {v: i for i, v in enumerate(values.elements)}
+            g = coloring_from_set(values)
+            eg = build_rth_energy_graph(g, r, [sorted(index[v] for v in b) for b in blocks])
+            for graph in [eg, *sign_decompose(eg, values).values()]:
+                for k in (2, 3):
+                    cycle = find_cycle(graph, 2 * k)
+                    if cycle is not None:
+                        yield graph, cycle, k, values
+    # the cycle of test_clique_rejects_inconsistent_cycles, straddling two classes
+    B = real_set([0, 1, 3, 4, 10, 11, 13, 14])
+    eg = build_rth_energy_graph(coloring_from_set(B), 2, ((0, 1, 2, 3), (4, 5, 6, 7)))
+    yield eg, CyclePath(((0, 5), (1, 4), (3, 6), (2, 7)), 4), 2, B
+
+
+def test_clique_matches_the_checking_reference():
+    kinds = set()
+    for graph, cycle, k, values in clique_corpus():
+        new = outcome(lambda: clique_from_cycle_arith(graph, cycle, k, values))
+        assert new == outcome(lambda: reference_clique_from_cycle_arith(graph, cycle, k, values))
+        if isinstance(new, CliqueWitness):
+            ok, messages = verify_certificate(clique_certificate(new), elements=values)
+            assert ok, messages
+            kinds.add((graph.r, graph.provenance[-1]))
+        else:
+            kinds.add((graph.r, new[0].__name__))
+    # a clique from every sign class, and cycles that mix classes or repeat
+    # a base element
+    assert {(r, f"sign_class({''.join(s)})") for r in (2, 3, 4)
+            for s in all_sign_sequences(r)} <= kinds
+    assert {(2, "SignConsistencyError"), (2, "WitnessError")} <= kinds
