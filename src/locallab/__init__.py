@@ -81,8 +81,7 @@ from .forbidden import (
     find_cycle,
     find_subdivision,
     validate_cycle,
-    witness_from_cycle_2nd,
-    witness_from_cycle_3rd,
+    witness_from_cycle,
 )
 from .arithmetic import (
     DifferenceSet,

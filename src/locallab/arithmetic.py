@@ -43,6 +43,9 @@ class RealSet:
     def __iter__(self):
         return iter(self.elements)
 
+    def __getitem__(self, index):
+        return self.elements[index]
+
 
 def real_set(values) -> RealSet:
     """Normalize arbitrary exact inputs into a sorted, distinct RealSet."""
@@ -97,7 +100,7 @@ def check_g_property(A: RealSet, k: int, l: int, mode: str = "exhaustive",
 
 def is_3ap_free(A) -> bool:
     """True iff no distinct x, y, z in A satisfy x + z = 2y; exact."""
-    elems = tuple(getattr(A, "elements", A))
+    elems = tuple(A)
     n = len(elems)
     if n < 3:
         return True

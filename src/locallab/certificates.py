@@ -156,7 +156,6 @@ def _verify_clique(cert, elements, messages):
         cert, k=int, r=int, clique=[[int]], base_vertices=[int], repetitions=int,
         independent_repetitions=int, equalities=[dict],
     )
-    vals = list(getattr(elements, "elements", elements))
     rows = [tuple(row) for row in clique]
     if k < 2 or r < 1 or len(rows) != 2 * k or any(len(row) != r for row in rows):
         messages.append(f"clique shape is not {2 * k} rows of width {r}, k >= 2, r >= 1")
@@ -165,11 +164,11 @@ def _verify_clique(cert, elements, messages):
     if sorted(flat) != sorted(base) or len(set(flat)) != len(flat):
         messages.append("base vertices do not match the clique rows or repeat")
         return
-    if any(not 0 <= v < len(vals) for v in flat):
+    if any(not 0 <= v < len(elements) for v in flat):
         messages.append("base vertex out of range of the element set")
         return
     try:
-        signs = edge_sign_vector(rows[0], rows[1], vals)
+        signs = edge_sign_vector(rows[0], rows[1], elements)
     except SignConsistencyError as exc:
         messages.append(f"clique rows 0 and 1 are not an energy edge: {exc}")
         return
@@ -186,11 +185,11 @@ def _verify_clique(cert, elements, messages):
         e1, e2, claim = _equality(eq, difference=(int, str))
         listed[e1, e2] += 1
         difference = exact(claim)
-        if any(not 0 <= v < len(vals) for v in e1 + e2):
+        if any(not 0 <= v < len(elements) for v in e1 + e2):
             messages.append(f"equality {idx}: an edge leaves the element set")
             continue
-        d1 = abs(vals[e1[0]] - vals[e1[1]])
-        d2 = abs(vals[e2[0]] - vals[e2[1]])
+        d1 = abs(elements[e1[0]] - elements[e1[1]])
+        d2 = abs(elements[e2[0]] - elements[e2[1]])
         if not d1 == d2 == difference:
             messages.append(
                 f"equality {idx}: differences {d1} and {d2} do not match the claim {claim!r}"

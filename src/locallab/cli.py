@@ -49,12 +49,12 @@ from .energy_graph import (
 )
 from .errors import BudgetExceededError, LocalLabError
 from .forbidden import (
-    _cycle_witness,
     clique_from_cycle_arith,
     clique_request,
     find_complete_bipartite,
     find_cycle,
     find_subdivision,
+    witness_from_cycle,
     witness_request,
 )
 from .jsonio import exact_to_json, label_from_json, read_json, write_json
@@ -105,31 +105,33 @@ def _cmd_energy(args) -> int:
         if brute.value != value.value:
             return 1
     if args.bound:
-        bound = implied_color_lower_bound(g.n, args.r, value)
+        bound = implied_color_lower_bound(g.n, args.r, value.value)
         print(f"energy this high needs at least {bound.minimum_colors} colors")
     return 0
 
 
-def _stage_tokens(args) -> list:
+def _stage_tokens(args) -> tuple:
+    """(order r, stage tokens) of an energy-graph run: a preset's, else
+    --r and the --stages list."""
     if args.preset == "pair-cycle":
         if args.k is None:
             raise LocalLabError("the pair-cycle preset needs --k for its threshold")
-        return ["diagonal", f"rare:{100 * args.k * args.k}"]
+        return 2, ["diagonal", f"rare:{100 * args.k * args.k}"]
     if args.preset == "triple-cycle":
-        return ["rare", "halve", "coordinate"]
+        return 3, ["rare", "halve", "coordinate"]
     if args.preset == "sign-split":
-        return ["rare", "sign"]
+        return args.r, ["rare", "sign"]
     tokens = [t for t in (args.stages or "").split(",") if t]
     if "sign" in tokens[:-1]:
         raise LocalLabError("the sign stage must be the last stage")
-    return tokens
+    return args.r, tokens
 
 
 def _cmd_energy_graph(args) -> int:
-    tokens = _stage_tokens(args)
+    r, tokens = _stage_tokens(args)
     values = load_real_set(args.values) if args.values else None
-    if args.preset == "sign-split" and values is None:
-        raise LocalLabError("the sign-split preset needs --values")
+    if "sign" in tokens and values is None:
+        raise LocalLabError("the sign stage needs --values")
     if args.input:
         g = load_coloring(args.input)
     elif values is not None:
@@ -137,23 +139,15 @@ def _cmd_energy_graph(args) -> int:
     else:
         raise LocalLabError("need --input or --values")
 
-    r = args.r
-    if args.preset == "pair-cycle":
-        r = 2
-    elif args.preset == "triple-cycle":
-        r = 3
-
     if r == 2 and args.preset != "sign-split" and not args.partitioned:
         eg = build_second_energy_graph(g)
     else:
         partition = partition_for_rth_energy(g, r, seed=args.seed)
-        eg = build_rth_energy_graph(g, r, partition)
+        eg = build_rth_energy_graph(g, r, partition.parts)
     print(f"built: {eg.num_vertices} vertices, {eg.num_edges} edges (r={r})")
 
     for token in tokens:
         if token == "sign":
-            if values is None:
-                raise LocalLabError("the sign stage needs --values")
             classes = sign_decompose(eg, values)
             out = Path(args.out)
             for signs, class_eg in classes.items():
@@ -243,12 +237,12 @@ def _cmd_witness(args) -> int:
     if args.kind == "pair" and args.k is None:
         raise LocalLabError("--kind pair needs --k")
     g = load_coloring(args.input)
-    request = witness_request(g, eg, args.kind, args.k)
-    cycle = find_cycle(eg, request[0])
+    length = witness_request(g, eg, args.kind, args.k)[0]
+    cycle = find_cycle(eg, length)
     if cycle is None:
-        print(f"no cycle of length {request[0]}")
+        print(f"no cycle of length {length}")
         return 0
-    witness = _cycle_witness(g, eg, cycle, *request)
+    witness = witness_from_cycle(g, eg, cycle, args.kind, args.k)
     cap = witness.target_k * (witness.target_k - 1) // 2 - witness.claimed_repetitions
     print(f"witness set: {list(witness.vertices)}")
     print(f"repetitions: {witness.claimed_repetitions}, "

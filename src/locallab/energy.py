@@ -111,17 +111,15 @@ def _ceil_root(num: int, den: int, r: int) -> int:
     return hi
 
 
-def implied_color_lower_bound(n: int, r: int, e) -> ColorCountBound:
-    """Rearrange the energy bound: |C|^(r-1) >= (n(n-1))^r / E_r.
-
-    Accepts an EnergyValue or a plain integer.  Exact throughout.
+def implied_color_lower_bound(n: int, r: int, e: int) -> ColorCountBound:
+    """Rearrange the energy bound: |C|^(r-1) >= (n(n-1))^r / E_r, for
+    the integer E_r = e.  Exact throughout.
     """
-    value = e.value if isinstance(e, EnergyValue) else int(e)
-    if value <= 0:
+    if e <= 0:
         raise LocalLabError("energy must be positive")
     if r < 2:
         raise LocalLabError("the palette bound needs r >= 2")
-    base = Fraction((n * (n - 1)) ** r, value)
+    base = Fraction((n * (n - 1)) ** r, e)
     k = _ceil_root(base.numerator, base.denominator, r - 1)
     return ColorCountBound(base, Fraction(1, r - 1), k)
 

@@ -39,7 +39,7 @@ from .errors import (
     SignConsistencyError,
 )
 from .jsonio import fields, pack_codes, unpack_codes
-from .partition import MAX_TRIALS, RPartition
+from .partition import MAX_TRIALS
 
 
 def csr_adjacency(xs, ys) -> tuple:
@@ -195,16 +195,15 @@ def build_second_energy_graph(g: EdgeColoring) -> EnergyGraph:
 
 
 def build_rth_energy_graph(g: EdgeColoring, r: int, parts) -> EnergyGraph:
-    """Partitioned r-th energy graph; coordinate j draws its base pairs
-    from inside part j only, so 2 * |edges| counts the ordered 2r-tuples
-    whose j-th pair lies inside V_j."""
+    """Partitioned r-th energy graph over r disjoint `parts` covering
+    0..n-1; coordinate j draws its base pairs from inside part j only, so
+    2 * |edges| counts the ordered 2r-tuples whose j-th pair lies inside
+    V_j."""
     if r < 2:
         raise EnergyGraphError(f"order r={r} must be >= 2")
-    part_tuples = parts.parts if isinstance(parts, RPartition) else tuple(
-        tuple(sorted(p)) for p in parts
-    )
-    within = pairs_within(g, _part_index(part_tuples, r, g.n).tolist(), r)
-    return _product_graph(g, r, part_tuples, within, "build_partitioned")
+    parts = tuple(tuple(sorted(p)) for p in parts)
+    within = pairs_within(g, _part_index(parts, r, g.n).tolist(), r)
+    return _product_graph(g, r, parts, within, "build_partitioned")
 
 
 def prune_diagonal(eg: EnergyGraph) -> EnergyGraph:
@@ -319,7 +318,6 @@ def edge_sign_vector(x, y, values) -> tuple:
     """Sign pattern of an arithmetic energy edge: entry j-1 is '+' when
     value(x1) - value(y1) = value(xj) - value(yj) and '-' when it equals
     the negation.  Raises when neither holds."""
-    values = getattr(values, "elements", values)
     d1 = values[x[0]] - values[y[0]]
     if d1 == 0:
         raise SignConsistencyError(f"edge {x}-{y} has a zero first difference")
@@ -335,17 +333,16 @@ def edge_sign_vector(x, y, values) -> tuple:
 def sign_decompose(eg: EnergyGraph, values) -> dict:
     """Partition an arithmetic energy graph into its 2^(r-1) sign classes.
 
-    values maps base vertex i to its exact number (a RealSet or any
-    indexable of exact values).  Every class is present in the result,
-    possibly with no edges; the classes are edge-disjoint and exhaustive.
+    values is the RealSet whose element i is base vertex i's exact
+    number.  Every class is present in the result, possibly with no
+    edges; the classes are edge-disjoint and exhaustive.
     Differences are taken over an object array, so they stay exact.
     """
     if eg.parts is None:
         raise EnergyGraphError("sign classes need the partitioned form")
-    vals = getattr(values, "elements", values)
-    if len(vals) < eg.n:
+    if len(values) < eg.n:
         raise SignConsistencyError(f"need a value for each of {eg.n} base vertices")
-    table = np.array(vals[:eg.n], dtype=object)
+    table = np.array(values[:eg.n], dtype=object)
     d1, *rest = (table[a] - table[b] for a, b in zip(eg.digits(eg.xs), eg.digits(eg.ys)))
     bad = d1 == 0
     index = np.zeros(eg.num_edges, dtype=np.int64)  # '-' is bit 1, coordinate 2 the top bit
@@ -354,7 +351,7 @@ def sign_decompose(eg: EnergyGraph, values) -> dict:
         index = 2 * index + (d == -d1)
     if bad.any():  # edge_sign_vector raises the error of the first bad edge
         i = int(np.argmax(bad))
-        edge_sign_vector(eg.vertices(eg.xs[i:i + 1])[0], eg.vertices(eg.ys[i:i + 1])[0], vals)
+        edge_sign_vector(eg.vertices(eg.xs[i:i + 1])[0], eg.vertices(eg.ys[i:i + 1])[0], values)
     return {s: eg._replaced(index == k, f"sign_class({''.join(s)})")
             for k, s in enumerate(all_sign_sequences(eg.r))}
 

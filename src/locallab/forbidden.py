@@ -42,13 +42,14 @@ class CyclePath:
     (cyclically) are adjacent in the graph the cycle was found in."""
 
     vertices: tuple
-    length: int
 
     def __post_init__(self):
-        if len(self.vertices) != self.length:
-            raise LocalLabError("cycle length does not match its vertex list")
-        if len(set(self.vertices)) != self.length:
+        if len(set(self.vertices)) != len(self.vertices):
             raise LocalLabError("cycle vertices must be distinct")
+
+    @property
+    def length(self) -> int:
+        return len(self.vertices)
 
 
 def _search_cycle(adj, length: int):
@@ -108,7 +109,7 @@ def find_cycle(eg: EnergyGraph, length: int):
     """First simple cycle of exactly `length` in the canonical search
     order (vertices compared as tuples), or None."""
     found = _search_cycle(eg.adjacency(), length)
-    return None if found is None else CyclePath(tuple(eg.vertices(eg.adjacency()[0][found])), length)
+    return None if found is None else CyclePath(tuple(eg.vertices(eg.adjacency()[0][found])))
 
 
 def validate_cycle(eg: EnergyGraph, cycle: CyclePath) -> None:
@@ -294,10 +295,11 @@ def _base_pair(x, y) -> tuple:
     return (x, y) if x < y else (y, x)
 
 
-def _cycle_witness(g: EdgeColoring, eg: EnergyGraph, cycle: CyclePath, length: int,
-                   target_k: int, target_reps: int) -> WitnessSet:
-    """Turn a `length`-cycle of eg into a witness target_k-set certified by
-    at least target_reps independent color repetitions.
+def witness_from_cycle(g: EdgeColoring, eg: EnergyGraph, cycle: CyclePath, kind: str,
+                       k: int | None = None) -> WitnessSet:
+    """Turn a cycle of eg into the `kind` witness that witness_request
+    states: a target_k-set of base vertices certified by at least
+    target_reps independent color repetitions.
 
     Each step equates the r coordinate base pairs of consecutive cycle
     vertices; chaining them through a union-find over (color, pair) nodes
@@ -307,6 +309,7 @@ def _cycle_witness(g: EdgeColoring, eg: EnergyGraph, cycle: CyclePath, length: i
     lexicographically), and the set is then filled with the smallest
     unused base vertices.
     """
+    length, target_k, target_reps = witness_request(g, eg, kind, k)
     if cycle.length != length:
         raise WitnessError(f"cycle length {cycle.length} must be {length}")
     validate_cycle(eg, cycle)
@@ -392,25 +395,6 @@ def witness_request(g: EdgeColoring, eg: EnergyGraph, kind: str, k: int | None =
     return 8, 24, 16
 
 
-def witness_from_cycle_2nd(g: EdgeColoring, eg: EnergyGraph, cycle: CyclePath,
-                           k: int) -> WitnessSet:
-    """Turn a k/2-cycle in a second energy graph into a witness k-set.
-
-    The set spans at most C(k, 2) - k/2 colors, certified by at least
-    k/2 independent repetitions; shortfalls from repeated base edges are
-    padded with unused edges of the first step's color.
-    """
-    return _cycle_witness(g, eg, cycle, *witness_request(g, eg, "pair", k))
-
-
-def witness_from_cycle_3rd(g: EdgeColoring, eg: EnergyGraph,
-                           cycle: CyclePath) -> WitnessSet:
-    """Turn an 8-cycle in a pruned third energy graph, as witness_request
-    audits it, into a witness 24-set with at least 16 independent
-    repetitions."""
-    return _cycle_witness(g, eg, cycle, *witness_request(g, eg, "triple"))
-
-
 # ---------------------------------------------------------------------------
 # Cliques from sign-homogeneous arithmetic cycles
 
@@ -472,7 +456,7 @@ def clique_request(sub: EnergyGraph, k: int, values) -> int:
     sub was built from.  Needs no cycle, like witness_request."""
     if k < 2:
         raise WitnessError(f"k={k} must be at least 2")
-    size = len(getattr(values, "elements", values))
+    size = len(values)
     if size != sub.n:
         raise WitnessError(f"the energy graph has n={sub.n} but the element set {size} values")
     return 2 * k
@@ -487,8 +471,7 @@ def clique_from_cycle_arith(sub: EnergyGraph, cycle: CyclePath, k: int,
     then shows every pair of cycle vertices satisfies them too, so each
     difference equality clique_equality_edges lists holds exactly.
     """
-    vals = getattr(values, "elements", values)
-    length = clique_request(sub, k, vals)
+    length = clique_request(sub, k, values)
     if cycle.length != length:
         raise WitnessError(f"cycle length {cycle.length} must be {length}")
     validate_cycle(sub, cycle)
@@ -496,12 +479,12 @@ def clique_from_cycle_arith(sub: EnergyGraph, cycle: CyclePath, k: int,
     base_ids = [v for row in rows for v in row]
     if len(set(base_ids)) != len(base_ids):
         raise WitnessError("cycle repeats a base element; not a simple witness")
-    signs = edge_sign_vector(rows[0], rows[1], vals)
+    signs = edge_sign_vector(rows[0], rows[1], values)
     for x, y in zip(rows[1:], rows[2:] + rows[:1]):
-        if edge_sign_vector(x, y, vals) != signs:
+        if edge_sign_vector(x, y, values) != signs:
             raise SignConsistencyError(f"edge {x}-{y} is not in the {signs} class")
     equalities = tuple(
-        DifferenceEquality(e1, e2, abs(vals[e1[0]] - vals[e1[1]]), kind, (p, q), coords)
+        DifferenceEquality(e1, e2, abs(values[e1[0]] - values[e1[1]]), kind, (p, q), coords)
         for p, q, kind, coords, e1, e2 in clique_equality_edges(rows, signs)
     )
     forest = _UnionFind()

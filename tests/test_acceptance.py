@@ -37,7 +37,7 @@ from locallab import (
     real_set,
     save_coloring,
     sign_decompose,
-    witness_from_cycle_2nd,
+    witness_from_cycle,
 )
 from locallab.cli import run
 
@@ -129,7 +129,7 @@ def test_criterion_5_pair_cycle_mechanism():
     cycle = find_cycle(eg, 4)
     ok = cycle is not None
     if ok:
-        ws = witness_from_cycle_2nd(g, eg, cycle, 8)
+        ws = witness_from_cycle(g, eg, cycle, "pair", 8)
         mat = g.color_matrix()
         spanned = len({mat[u][v] for i, u in enumerate(ws.vertices)
                        for v in ws.vertices[i + 1:]})

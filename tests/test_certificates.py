@@ -30,7 +30,7 @@ from locallab import (
     sign_decompose,
     verdict_certificate,
     verify_certificate,
-    witness_from_cycle_2nd,
+    witness_from_cycle,
     witness_set_certificate,
 )
 from locallab.forbidden import ColorRepetition
@@ -44,7 +44,7 @@ def witness_pair():
     g = mono(12)
     eg = prune_diagonal(build_second_energy_graph(g))
     cycle = find_cycle(eg, 4)
-    ws = witness_from_cycle_2nd(g, eg, cycle, 8)
+    ws = witness_from_cycle(g, eg, cycle, "pair", 8)
     return g, witness_set_certificate(ws)
 
 
@@ -331,3 +331,49 @@ def test_bool_is_not_an_integer_field():
     cert["k"] = True
     with pytest.raises(LocalLabError, match="'k'"):
         verify_certificate(cert, **context)
+
+
+# (certificate type, {field path: new value}, the one failure message it
+# must give), one case per verifier failure branch the tests above leave
+# unreached; issued() gives the certificate the paths point into
+VERIFIER_FAILURES = {
+    "witness-pair-not-an-edge": ("witness-set", {("equalities", 0, "edge1"): [2, 2]},
+                                 "equality 0: pair (2,2) is not an edge"),
+    "witness-edges-coincide": ("witness-set", {("equalities", 0, "edge2"): [0, 1]},
+                               "equality 0: the two edges coincide"),
+    "witness-color-claim": ("witness-set", {("equalities", 0, "color"): "x"},
+                            "equality 0: colors 'm' and 'm' do not match the claim 'x'"),
+    "witness-vertex-out-of-range": ("witness-set", {("vertices", 7): 12},
+                                    "witness vertex out of range"),
+    "witness-above-the-bound": ("witness-set", {("claimed_repetitions",): 28},
+                                "set spans 1 colors, more than the implied bound 0"),
+    "clique-base-out-of-range": ("arith-clique", {("clique", 0): [0, 8],
+                                                  ("base_vertices",): [0, 1, 2, 3, 5, 6, 7, 8]},
+                                 "base vertex out of range of the element set"),
+    "clique-rows-not-an-edge": ("arith-clique", {("clique", 1): [1, 6], ("clique", 2): [2, 5]},
+                                "clique rows 0 and 1 are not an energy edge: edge (0, 4)-(1, 6) "
+                                "has no consistent sign in coordinate 2"),
+    "verdict-witness-differs": ("property-verdict", {("witness",): [0, 1, 2, 4]},
+                                "re-check witness (0, 1, 2, 3) differs from (0, 1, 2, 4)"),
+    "oracle-f-infeasible-below-the-pairs": ("oracle-f", {("status",): "infeasible"},
+                                            "infeasible status but l <= C(k,2)"),
+    "oracle-f-witness-violates": ("oracle-f", {("witness", "edges", 4): [1, 2, 0]},
+                                  "witness coloring violates the (3,3) property"),
+    "oracle-g-witness-out-of-range": ("oracle-g", {("witness", "elements", 3): 7},
+                                      "witness leaves the normalized range 0..6"),
+    "oracle-g-witness-violates": ("oracle-g", {("l",): 4},
+                                  "witness set violates the (4,4) property"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VERIFIER_FAILURES))
+def test_each_verifier_failure_gives_its_own_message(case):
+    ctype, changes, message = VERIFIER_FAILURES[case]
+    cert, context = issued(ctype)
+    for (*path, last), value in changes.items():
+        record = cert
+        for key in path:
+            record = record[key]
+        record[last] = value
+    ok, messages = verify_certificate(cert, **context)
+    assert not ok and message in messages, messages

@@ -486,6 +486,17 @@ def test_sign_stage_must_be_last(tmp_path, capsys):
     assert (tmp_path / "g.p.json").exists() and (tmp_path / "g.m.json").exists()
 
 
+@pytest.mark.parametrize("chain", [["--preset", "sign-split"], ["--stages", "rare,sign"]])
+def test_sign_stage_without_values_exits_2_before_the_build(tmp_path, capsys, chain):
+    mono = mono_file(tmp_path, 12)
+    assert run(["energy-graph", "--input", str(mono), *chain,
+                "--out", str(tmp_path / "g.json")]) == 2
+    captured = capsys.readouterr()
+    assert "the sign stage needs --values" in captured.err
+    assert "built:" not in captured.out
+    assert list(tmp_path.iterdir()) == [mono]
+
+
 def test_preset_and_stages_exclude_each_other(tmp_path, capsys):
     mono = mono_file(tmp_path, 9)
     with pytest.raises(SystemExit) as exc:
@@ -658,3 +669,65 @@ def test_witness_rejects_inputs_that_do_not_match_before_the_search(tmp_path, ca
     assert message in captured.err
     assert "no cycle" not in captured.out and "witness" not in captured.out
     assert "clique" not in captured.out
+
+
+def test_witness_on_a_graph_of_another_coloring_exits_2(tmp_path, capsys):
+    # both colorings have n = 12, so only the cycle's own color check
+    # tells that the graph was built from the one-color coloring
+    graph, cert = tmp_path / "g.json", tmp_path / "w.json"
+    assert run(["energy-graph", "--input", str(mono_file(tmp_path, 12)), "--stages", "diagonal",
+                "--out", str(graph)]) == 0
+    capsys.readouterr()
+    assert run(["witness", "--kind", "pair", "--k", "8", "--graph", str(graph),
+                "--input", str(rainbow_file(tmp_path, 12)), "--cert", str(cert)]) == 2
+    captured = capsys.readouterr()
+    assert "mixes colors" in captured.err
+    assert captured.out == "" and not cert.exists()
+
+
+def pinned_files(tmp_path):
+    """The input files of PINNED_OUTCOMES, by the name its argv uses."""
+    rainbow6 = tmp_path / "rainbow6.json"
+    save_coloring(new_coloring(6, [(u, v, f"{u}-{v}")
+                                   for u, v in itertools.combinations(range(6), 2)]), rainbow6)
+    rainbow12, pair = rainbow_file(tmp_path, 12), tmp_path / "pair.json"
+    assert run(["energy-graph", "--input", str(rainbow12), "--stages", "diagonal",
+                "--out", str(pair)]) == 0
+    values, sign = tmp_path / "values.json", tmp_path / "s.json"
+    save_real_set(real_set([0, 1, 2, 3, 10, 11, 12, 13]), values)
+    assert run(["energy-graph", "--values", str(values), "--r", "2", "--preset", "sign-split",
+                "--seed", "6", "--out", str(sign)]) == 0
+    return {"RAINBOW6": rainbow6, "RAINBOW12": rainbow12, "PAIR": pair, "VALUES": values,
+            "SIGN": tmp_path / "s.p.json", "CSV": tmp_path / "sweep.csv"}
+
+
+SWEEP = ["sweep", "--n", "6", "--k", "3", "--l", "2", "--seeds", "2", "--out", "CSV", "--c"]
+# argv, exit code and exact stdout of outcomes no other test runs
+PINNED_OUTCOMES = {
+    "bipartite-absent": (["find", "--input", "RAINBOW6", "--color", "0-1", "--bipartite", "1", "2"],
+                         0, "no complete bipartite 1x2 in color 0-1\n"),
+    "subdivision-absent": (["find", "--input", "RAINBOW6", "--color", "0-1", "--subdivision", "3"],
+                           0, "no subdivision of K_3 in color 0-1\n"),
+    "pair-without-a-cycle": (["witness", "--kind", "pair", "--k", "8", "--input", "RAINBOW12",
+                              "--graph", "PAIR"], 0, "no cycle of length 4\n"),
+    "arith-without-a-cycle": (["witness", "--kind", "arith", "--k", "3", "--values", "VALUES",
+                               "--graph", "SIGN"], 0, "no cycle of length 6 in the sign class\n"),
+    "oracle-f-infeasible": (["oracle-f", "--n", "4", "--k", "3", "--l", "4"],
+                            0, "f(4,3,4): infeasible, l exceeds C(k,2)\n"),
+    "sweep-one-palette": (SWEEP + ["7"], 0, "c=7: 1/2 violated (rate 0.500000)\nwrote CSV\n"),
+    "sweep-empty-range": (SWEEP + ["5..2"], 2, ""),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_OUTCOMES))
+def test_pinned_outcomes(tmp_path, capsys, case):
+    files = pinned_files(tmp_path)
+    capsys.readouterr()
+    argv, code, stdout = PINNED_OUTCOMES[case]
+    assert run([str(files.get(a, a)) for a in argv]) == code
+    captured = capsys.readouterr()
+    assert captured.out == stdout.replace("CSV", str(files["CSV"]))
+    if case == "sweep-one-palette":
+        assert files["CSV"].read_text().splitlines()[1:] == ["random,6,3,2,7,2,200,1,0.500000"]
+    if case == "sweep-empty-range":
+        assert "empty palette range '5..2'" in captured.err and not files["CSV"].exists()

@@ -90,7 +90,7 @@ def test_energy_lower_bound_equality_cases():
 
 
 def test_implied_color_lower_bound():
-    b = implied_color_lower_bound(4, 2, energy(mono(4), 2))
+    b = implied_color_lower_bound(4, 2, energy(mono(4), 2).value)
     assert (b.base, b.minimum_colors) == (Fraction(1), 1)
     b = implied_color_lower_bound(3, 2, 12)
     assert (b.base, b.exponent, b.minimum_colors) == (Fraction(3), Fraction(1), 3)
@@ -112,7 +112,7 @@ def test_implied_bound_never_exceeds_true_palette():
         c = rng.randrange(1, 10)
         g = random_coloring(n, c, seed=rng.randrange(10**6))
         for r in (2, 3):
-            b = implied_color_lower_bound(n, r, energy(g, r))
+            b = implied_color_lower_bound(n, r, energy(g, r).value)
             assert b.minimum_colors <= g.num_colors
 
 

@@ -224,7 +224,7 @@ def test_edge_colors_match_the_stored_color_reference(form):
 @pytest.mark.parametrize("other", [24, 36])
 def test_graph_and_coloring_on_different_n_are_rejected(other):
     g = random_coloring(30, 3, seed=0)
-    eg = build_rth_energy_graph(g, 3, partition_for_rth_energy(g, 3, seed=0))
+    eg = build_rth_energy_graph(g, 3, partition_for_rth_energy(g, 3, seed=0).parts)
     h = random_coloring(other, 3, seed=0)
     message = f"the energy graph has n=30 but the coloring n={other}"
     for call in (lambda: prune_rare_colors(eg, h, 1), lambda: edge_colors(eg, h)):
@@ -340,14 +340,14 @@ def coordinate_corpus():
         for seed in range(4):
             n = rng.randrange(12, {2: 25, 3: 20, 4: 18}[r])
             g = random_coloring(n, rng.randrange(1, 4), seed=rng.randrange(10**6))
-            eg = build_rth_energy_graph(g, r, partition_for_rth_energy(g, r, seed=seed))
+            eg = build_rth_energy_graph(g, r, partition_for_rth_energy(g, r, seed=seed).parts)
             yield eg
             yield halve_parts_prune(eg, seed=seed)
     for r in (2, 3):
         for seed in range(3):
             values = real_set(sorted(rng.sample(range(1, 41), 24)))
             g = coloring_from_set(values)
-            eg = build_rth_energy_graph(g, r, partition_for_rth_energy(g, r, seed=seed))
+            eg = build_rth_energy_graph(g, r, partition_for_rth_energy(g, r, seed=seed).parts)
             yield from sign_decompose(eg, values).values()
 
 

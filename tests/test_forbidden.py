@@ -39,8 +39,7 @@ from locallab import (
     sign_decompose,
     validate_cycle,
     verify_certificate,
-    witness_from_cycle_2nd,
-    witness_from_cycle_3rd,
+    witness_from_cycle,
 )
 from locallab.energy_graph import csr_adjacency
 from locallab.jsonio import pack_codes
@@ -49,7 +48,6 @@ from locallab.forbidden import (
     WitnessSet,
     _base_pair,
     _check_steps,
-    _cycle_witness,
     _search_cycle,
     _UnionFind,
     clique_equality_edges,
@@ -78,7 +76,7 @@ def find_dict_cycle(graph, length):
     """find_cycle's search kernel on a dict graph."""
     adj = dict_adjacency(graph)
     found = _search_cycle(adj, length)
-    return None if found is None else CyclePath(tuple(adj[0][found].tolist()), length)
+    return None if found is None else CyclePath(tuple(adj[0][found].tolist()))
 
 
 def validate_dict_cycle(graph, cycle):
@@ -125,11 +123,12 @@ def test_find_cycle_returns_lex_least_start():
 def test_validate_cycle_rejects_non_cycles():
     square = {0: [1, 3], 1: [2], 2: [3], 3: []}
     with pytest.raises(LocalLabError):
-        validate_dict_cycle(square, CyclePath((0, 1, 3, 2), 4))
+        validate_dict_cycle(square, CyclePath((0, 1, 3, 2)))
     with pytest.raises(LocalLabError):
-        CyclePath((0, 1, 1, 2), 4)
-    with pytest.raises(LocalLabError):
-        CyclePath((0, 1, 2), 4)
+        CyclePath((0, 1, 1, 2))
+    eg = prune_diagonal(build_second_energy_graph(mono(4)))
+    with pytest.raises(WitnessError, match=r"\(1, 2\) -> \(0, 4\) is not an edge"):
+        validate_cycle(eg, CyclePath(((0, 0), (1, 2), (0, 4), (1, 3))))  # (0, 4) has no code
 
 
 def test_find_cycle_in_energy_graphs():
@@ -457,7 +456,7 @@ def test_witness_from_clean_cycle_needs_no_padding():
     g = mono(12)
     eg = prune_diagonal(build_second_energy_graph(g))
     cycle = find_cycle(eg, 4)
-    ws = witness_from_cycle_2nd(g, eg, cycle, 8)
+    ws = witness_from_cycle(g, eg, cycle, "pair", 8)
     assert ws.vertices == (0, 1, 2, 3, 4, 5, 6, 7)
     assert ws.target_k == 8
     assert ws.claimed_repetitions == 4
@@ -468,7 +467,7 @@ def test_witness_from_clean_cycle_needs_no_padding():
     assert min_colors_over_k_subsets(g, 8)[0] == 1
 
 
-MIRRORED = CyclePath(((0, 1), (1, 0), (0, 2), (2, 0)), 4)
+MIRRORED = CyclePath(((0, 1), (1, 0), (0, 2), (2, 0)))
 
 
 def test_witness_padding_fills_shortfalls():
@@ -478,7 +477,7 @@ def test_witness_padding_fills_shortfalls():
     eg = prune_diagonal(build_second_energy_graph(g))
     cycle = MIRRORED
     validate_cycle(eg, cycle)
-    ws = witness_from_cycle_2nd(g, eg, cycle, 8)
+    ws = witness_from_cycle(g, eg, cycle, "pair", 8)
     assert ws.claimed_repetitions == 4
     kinds = [e.kind for e in ws.equalities]
     assert kinds.count("padding") == 3 and kinds.count("cycle-step-2") == 1
@@ -500,7 +499,7 @@ def test_witness_padding_runs_out():
     cycle = MIRRORED
     validate_cycle(eg, cycle)
     with pytest.raises(PaddingError) as err:
-        witness_from_cycle_2nd(g, eg, cycle, 8)
+        witness_from_cycle(g, eg, cycle, "pair", 8)
     assert "3 more unused edge(s)" in str(err.value)
     assert "'A'" in str(err.value)
 
@@ -510,18 +509,18 @@ def test_witness_2nd_rejects_bad_inputs():
     eg = prune_diagonal(build_second_energy_graph(g))
     cycle = find_cycle(eg, 4)
     with pytest.raises(WitnessError):
-        witness_from_cycle_2nd(g, eg, cycle, 6)  # not a multiple of four
+        witness_from_cycle(g, eg, cycle, "pair", 6)  # not a multiple of four
     with pytest.raises(WitnessError):
-        witness_from_cycle_2nd(g, eg, cycle, 4)  # too small
+        witness_from_cycle(g, eg, cycle, "pair", 4)  # too small
     with pytest.raises(WitnessError):
-        witness_from_cycle_2nd(g, eg, cycle, 16)  # exceeds n
+        witness_from_cycle(g, eg, cycle, "pair", 16)  # exceeds n
     with pytest.raises(WitnessError, match="cycle length 3 must be 4"):
-        witness_from_cycle_2nd(g, eg, find_cycle(eg, 3), 8)
+        witness_from_cycle(g, eg, find_cycle(eg, 3), "pair", 8)
     part = partition_for_rth_energy(g, 3, seed=0)
     eg3 = build_rth_energy_graph(g, 3, part.parts)
     c3 = find_cycle(eg3, 4)
     with pytest.raises(WitnessError):
-        witness_from_cycle_2nd(g, eg3, c3, 8)  # wrong order
+        witness_from_cycle(g, eg3, c3, "pair", 8)  # wrong order
 
 
 def third_order_pipeline(n, seed):
@@ -538,7 +537,7 @@ def test_witness_from_third_order_cycle():
     g, eg = third_order_pipeline(30, 0)
     cycle = find_cycle(eg, 8)
     check_cycle(eg, cycle, 8)
-    ws = witness_from_cycle_3rd(g, eg, cycle)
+    ws = witness_from_cycle(g, eg, cycle, "triple")
     assert len(ws.vertices) == 24
     assert ws.target_k == 24
     assert ws.claimed_repetitions == 16
@@ -562,12 +561,12 @@ def test_witness_3rd_rejects_missing_pruning():
     raw = prune_rare_colors(eg, g, ln_ceiling(30))
     cycle = find_cycle(raw, 8)
     with pytest.raises(WitnessError):
-        witness_from_cycle_3rd(g, raw, cycle)  # never halved
+        witness_from_cycle(g, raw, cycle, "triple")  # never halved
     halved = halve_parts_prune(raw, seed=0)
     cycle = find_cycle(halved, 8)
     if cycle is not None:
         with pytest.raises(WitnessError):
-            witness_from_cycle_3rd(g, halved, cycle)  # neighbors share coordinates
+            witness_from_cycle(g, halved, cycle, "triple")  # neighbors share coordinates
 
 
 def test_witness_3rd_rejects_small_base():
@@ -576,11 +575,11 @@ def test_witness_3rd_rejects_small_base():
     cycle = find_cycle(eg, 8)
     if cycle is not None:
         with pytest.raises(WitnessError):
-            witness_from_cycle_3rd(small, eg, cycle)
+            witness_from_cycle(small, eg, cycle, "triple")
 
 
 def reference_walk_cycle(g, eg, cycle):
-    """The cycle walk that _cycle_witness replaced, kept as a reference."""
+    """The cycle walk that witness_from_cycle replaced, kept as a reference."""
     validate_cycle(eg, cycle)
     forest = _UnionFind()
     vertices = set()
@@ -613,7 +612,7 @@ def reference_walk_cycle(g, eg, cycle):
 
 def reference_pad_witness(g, forest, vertices, equalities, anchor_color, anchor_pair,
                           target_reps, target_k):
-    """The padding that _cycle_witness replaced, kept as a reference."""
+    """The padding that witness_from_cycle replaced, kept as a reference."""
     anchor_edges = g.color_classes()[anchor_color]
     while len(equalities) < target_reps:
         unused = [e for e in anchor_edges if (anchor_color, e) not in forest]
@@ -656,35 +655,35 @@ def outcome(make):
 
 
 def witness_corpus():
-    """(g, eg, cycle, target_k, target_reps) cases: clean and mirrored
-    cycles, padding that runs out, random colorings, and pruned third
-    energy graphs."""
+    """(g, eg, cycle, kind, k) cases: clean and mirrored cycles, padding
+    that runs out, random colorings, and pruned third energy graphs."""
     g = mono(12)
     eg = prune_diagonal(build_second_energy_graph(g))
     for k in (8, 12):
-        yield g, eg, find_cycle(eg, k // 2), k, k // 2
-    yield g, eg, MIRRORED, 8, 4
+        yield g, eg, find_cycle(eg, k // 2), "pair", k
+    yield g, eg, MIRRORED, "pair", 8
     h = two_edge_anchor()
-    yield h, prune_diagonal(build_second_energy_graph(h)), MIRRORED, 8, 4
+    yield h, prune_diagonal(build_second_energy_graph(h)), MIRRORED, "pair", 8
     rng = random.Random(47)
     for n in range(12, 17):
         for colors in range(2, 5):
             g = random_coloring(n, colors, seed=rng.randrange(10**6))
             eg = prune_diagonal(build_second_energy_graph(g))
             for k in range(8, n + 1, 4):
-                yield g, eg, find_cycle(eg, k // 2), k, k // 2
+                yield g, eg, find_cycle(eg, k // 2), "pair", k
     for n in (24, 30):
         for seed in range(4):
             g, eg = third_order_pipeline(n, seed)
             cycle = find_cycle(eg, 8)
             if cycle is not None:
-                yield g, eg, cycle, 24, 16
+                yield g, eg, cycle, "triple", None
 
 
 def test_cycle_witness_matches_the_two_step_reference():
     kinds = set()
-    for g, eg, cycle, target_k, target_reps in witness_corpus():
-        new = outcome(lambda: _cycle_witness(g, eg, cycle, cycle.length, target_k, target_reps))
+    for g, eg, cycle, kind, k in witness_corpus():
+        target_k, target_reps = (k, k // 2) if kind == "pair" else (24, 16)
+        new = outcome(lambda: witness_from_cycle(g, eg, cycle, kind, k))
         old = outcome(lambda: reference_pad_witness(g, *reference_walk_cycle(g, eg, cycle),
                                                     target_reps, target_k))
         assert new == old, (g.n, eg.r, cycle, target_k)
@@ -758,7 +757,7 @@ def test_clique_rejects_inconsistent_cycles():
     cb = sign_decompose(egb, B)
     union = sorted(set(cb[("+",)].edges) | set(cb[("-",)].edges))
     mixed = graph_with_edges(cb[("+",)], union)
-    mix_cycle = CyclePath(((0, 5), (1, 4), (3, 6), (2, 7)), 4)
+    mix_cycle = CyclePath(((0, 5), (1, 4), (3, 6), (2, 7)))
     validate_cycle(mixed, mix_cycle)
     with pytest.raises(SignConsistencyError):
         clique_from_cycle_arith(mixed, mix_cycle, 2, B)
@@ -854,7 +853,7 @@ def clique_corpus():
     # the cycle of test_clique_rejects_inconsistent_cycles, straddling two classes
     B = real_set([0, 1, 3, 4, 10, 11, 13, 14])
     eg = build_rth_energy_graph(coloring_from_set(B), 2, ((0, 1, 2, 3), (4, 5, 6, 7)))
-    yield eg, CyclePath(((0, 5), (1, 4), (3, 6), (2, 7)), 4), 2, B
+    yield eg, CyclePath(((0, 5), (1, 4), (3, 6), (2, 7))), 2, B
 
 
 def test_clique_matches_the_checking_reference():
