@@ -24,11 +24,9 @@ from .errors import (
     WitnessError,
 )
 from .coloring import (
-    ColorStats,
     EdgeColoring,
     PropertyVerdict,
     check_local_property,
-    color_multiplicities,
     coloring_from_dict,
     coloring_to_dict,
     load_coloring,

@@ -139,7 +139,7 @@ def _cmd_energy_graph(args) -> int:
     else:
         raise LocalLabError("need --input or --values")
 
-    if r == 2 and args.preset != "sign-split" and not args.partitioned:
+    if r == 2 and "sign" not in tokens and not args.partitioned:
         eg = build_second_energy_graph(g)
     else:
         partition = partition_for_rth_energy(g, r, seed=args.seed)

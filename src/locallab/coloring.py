@@ -83,11 +83,6 @@ class EdgeColoring:
         except ValueError:
             raise ColoringError(f"unknown color label {label!r}") from None
 
-    def edge_items(self):
-        """Yield (u, v, dense color id) in lexicographic pair order."""
-        for (u, v), c in zip(itertools.combinations(range(self.n), 2), self.colors):
-            yield u, v, c
-
     def color_matrix(self) -> np.ndarray:
         """Read-only n x n matrix of color ids, -1 on the diagonal, in the
         smallest signed dtype; built on the first call and kept."""
@@ -107,23 +102,6 @@ class EdgeColoring:
             self._check_vertex(v)
         spans = self.color_matrix()[np.ix_(index, index)]
         return len(np.unique(spans[spans >= 0]))
-
-    def color_classes(self):
-        """Edges of each color, lexicographically sorted, indexed by id."""
-        classes = [[] for _ in range(self.num_colors)]
-        for u, v, c in self.edge_items():
-            classes[c].append((u, v))
-        return classes
-
-
-@dataclass(frozen=True)
-class ColorStats:
-    """Ordered-pair multiplicities: multiplicity[c] counts ordered pairs
-    (u, v) with color c, so each edge contributes 2 and the values sum
-    to n(n-1)."""
-
-    multiplicity: dict
-    total: int
 
 
 @dataclass(frozen=True)
@@ -197,20 +175,19 @@ def random_coloring(n: int, c: int, seed: int) -> EdgeColoring:
     return new_coloring(n, assignments)
 
 
-def color_multiplicities(g: EdgeColoring) -> ColorStats:
-    """Ordered-pair multiplicity of every color; totals n(n-1)."""
-    counts = {c: 2 * len(pairs) for c, pairs in enumerate(g.color_classes())}
-    return ColorStats(counts, g.n * (g.n - 1))
-
-
 def pairs_within(g: EdgeColoring, part_of, r: int) -> list:
-    """within[c][j]: the color-c base pairs (u < v), in lexicographic order,
-    with both ends in part j, where part_of[v] in 0..r-1 is v's part."""
-    within = [[[] for _ in range(r)] for _ in range(g.num_colors)]
-    for u, v, c in g.edge_items():
-        if part_of[u] == part_of[v]:
-            within[c][part_of[u]].append((u, v))
-    return within
+    """within[c][j]: the color-c base pairs with both ends in part j, where
+    part_of[v] in 0..r-1 is v's part, as two int arrays (us, vs) with
+    us < vs, in lexicographic order."""
+    part_of = np.asarray(part_of)
+    us, vs = np.triu_indices(g.n, 1)
+    same = part_of[us] == part_of[vs]
+    us, vs = us[same], vs[same]
+    cells = np.asarray(g.colors)[same] * r + part_of[us]
+    order = np.argsort(cells, kind="stable")
+    cuts = np.cumsum(np.bincount(cells, minlength=g.num_colors * r))[:-1]
+    table = list(zip(np.split(us[order], cuts), np.split(vs[order], cuts)))
+    return [table[c * r:(c + 1) * r] for c in range(g.num_colors)]
 
 
 # Subsets are scanned in blocks of at most this many rows.
@@ -374,7 +351,8 @@ def min_colors_over_k_subsets(g: EdgeColoring, k: int):
 
 def coloring_to_dict(g: EdgeColoring) -> dict:
     names = [exact_to_json(label) for label in g.color_names]
-    return {"n": g.n, "edges": [[u, v, names[c]] for u, v, c in g.edge_items()]}
+    pairs = itertools.combinations(range(g.n), 2)
+    return {"n": g.n, "edges": [[u, v, names[c]] for (u, v), c in zip(pairs, g.colors)]}
 
 
 def coloring_from_dict(data: dict) -> EdgeColoring:

@@ -15,8 +15,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .config import BRUTE_FORCE_TUPLE_BUDGET, budget
-from .coloring import EdgeColoring, color_multiplicities
+from .coloring import EdgeColoring
 from .errors import BudgetExceededError, LocalLabError
 
 
@@ -27,11 +29,11 @@ class EnergyValue:
 
 
 def energy(g: EdgeColoring, r: int) -> EnergyValue:
-    """E_r from the multiplicity vector, exactly."""
+    """E_r = sum of m_c^r, exactly: m_c is twice the number of color-c
+    edges, and the powers are taken in Python ints."""
     if r < 2:
         raise LocalLabError(f"energy order r={r} must be >= 2")
-    stats = color_multiplicities(g)
-    return EnergyValue(r, sum(m**r for m in stats.multiplicity.values()))
+    return EnergyValue(r, sum((2 * m)**r for m in np.bincount(g.colors).tolist()))
 
 
 def energy_bruteforce(g: EdgeColoring, r: int) -> EnergyValue:

@@ -159,25 +159,26 @@ def _part_index(parts, r: int, n: int) -> np.ndarray:
 def _product_graph(g: EdgeColoring, r: int, parts, pair_lists, stage: str) -> EnergyGraph:
     """Energy graph whose color-c edges join X = (a_1, ..., a_r) and
     Y = (b_1, ..., b_r) for each choice of base pairs (a_j, b_j) from
-    pair_lists[c][j], as listed (a_1 < b_1) in the first coordinate and
-    in both orders in the others.  As X < Y exactly when a_1 < b_1, each
-    edge arises once, and the budget checks the exact edge count.
+    pair_lists[c][j], a pairs_within cell (us, vs), as listed (a_1 < b_1)
+    in the first coordinate and in both orders in the others.  As X < Y
+    exactly when a_1 < b_1, each edge arises once, and the budget checks
+    the exact edge count.
     """
     dtype = _code_dtype(g.n, r)
     cap = budget(ENERGY_GRAPH_EDGE_BUDGET)
-    predicted = sum(len(lists[0]) * math.prod(2 * len(p) for p in lists[1:])
+    predicted = sum(len(lists[0][0]) * math.prod(2 * len(us) for us, _ in lists[1:])
                     for lists in pair_lists)
     if predicted > cap:
         raise BudgetExceededError(f"{predicted} energy edges exceed the budget {cap}")
     xs, ys = [], []
     for lists in pair_lists:
         x = y = np.zeros(1, dtype)
-        for j, pairs in enumerate(lists):
-            a, b = np.array(pairs, dtype).reshape(-1, 2).T
+        for j, (a, b) in enumerate(lists):
             if j:
                 a, b = np.concatenate((a, b)), np.concatenate((b, a))
-            x = (x[:, None] + a * g.n ** (r - 1 - j)).ravel()
-            y = (y[:, None] + b * g.n ** (r - 1 - j)).ravel()
+            # the codes are summed in dtype, not in the pairs' wider intp
+            x = np.add(x[:, None], a * g.n ** (r - 1 - j), dtype=dtype).ravel()
+            y = np.add(y[:, None], b * g.n ** (r - 1 - j), dtype=dtype).ravel()
         xs.append(x)
         ys.append(y)
     xs, ys = np.concatenate(xs), np.concatenate(ys)
@@ -190,7 +191,7 @@ def build_second_energy_graph(g: EdgeColoring) -> EnergyGraph:
     cap = budget(ENERGY_GRAPH_EDGE_BUDGET)
     if g.n**2 > cap:
         raise BudgetExceededError(f"energy graph needs {g.n ** 2} vertices, budget {cap}")
-    pair_lists = [[pairs, pairs] for pairs in g.color_classes()]
+    pair_lists = [cells * 2 for cells in pairs_within(g, np.zeros(g.n, int), 1)]
     return _product_graph(g, 2, None, pair_lists, "build_second")
 
 
@@ -202,7 +203,7 @@ def build_rth_energy_graph(g: EdgeColoring, r: int, parts) -> EnergyGraph:
     if r < 2:
         raise EnergyGraphError(f"order r={r} must be >= 2")
     parts = tuple(tuple(sorted(p)) for p in parts)
-    within = pairs_within(g, _part_index(parts, r, g.n).tolist(), r)
+    within = pairs_within(g, _part_index(parts, r, g.n), r)
     return _product_graph(g, r, parts, within, "build_partitioned")
 
 
@@ -220,6 +221,14 @@ def check_same_n(eg: EnergyGraph, g: EdgeColoring) -> None:
     """Raise unless eg and g have the same n, as a graph built from g has."""
     if eg.n != g.n:
         raise EnergyGraphError(f"the energy graph has n={eg.n} but the coloring n={g.n}")
+
+
+def check_same_size(eg: EnergyGraph, values) -> None:
+    """Raise unless the element set values has eg.n elements, as the set
+    an arithmetic graph eg was built from has."""
+    size = len(values)
+    if size != eg.n:
+        raise EnergyGraphError(f"the energy graph has n={eg.n} but the element set {size} values")
 
 
 def edge_colors(eg: EnergyGraph, g: EdgeColoring) -> np.ndarray:
@@ -334,15 +343,15 @@ def sign_decompose(eg: EnergyGraph, values) -> dict:
     """Partition an arithmetic energy graph into its 2^(r-1) sign classes.
 
     values is the RealSet whose element i is base vertex i's exact
-    number.  Every class is present in the result, possibly with no
+    number; a set of other than eg.n elements is not the graph's and
+    raises.  Every class is present in the result, possibly with no
     edges; the classes are edge-disjoint and exhaustive.
     Differences are taken over an object array, so they stay exact.
     """
     if eg.parts is None:
         raise EnergyGraphError("sign classes need the partitioned form")
-    if len(values) < eg.n:
-        raise SignConsistencyError(f"need a value for each of {eg.n} base vertices")
-    table = np.array(values[:eg.n], dtype=object)
+    check_same_size(eg, values)
+    table = np.array(values[:], dtype=object)
     d1, *rest = (table[a] - table[b] for a, b in zip(eg.digits(eg.xs), eg.digits(eg.ys)))
     bad = d1 == 0
     index = np.zeros(eg.num_edges, dtype=np.int64)  # '-' is bit 1, coordinate 2 the top bit

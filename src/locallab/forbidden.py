@@ -23,6 +23,7 @@ from .energy import ln_ceiling
 from .energy_graph import (
     EnergyGraph,
     check_same_n,
+    check_same_size,
     colors_at_least,
     coordinate_neighbor_violations,
     edge_colors,
@@ -337,7 +338,8 @@ def witness_from_cycle(g: EdgeColoring, eg: EnergyGraph, cycle: CyclePath, kind:
                 )
     anchor_pair = _base_pair(cycle.vertices[0][0], cycle.vertices[1][0])
     anchor_color = g.color_of(*anchor_pair)
-    anchor_edges = g.color_classes()[anchor_color]
+    anchor_edges = np.argwhere(np.triu(g.color_matrix() == anchor_color)).tolist()
+    anchor_edges = [tuple(e) for e in anchor_edges]
     while len(equalities) < target_reps:
         unused = [e for e in anchor_edges if (anchor_color, e) not in forest]
         if not unused:
@@ -456,9 +458,7 @@ def clique_request(sub: EnergyGraph, k: int, values) -> int:
     sub was built from.  Needs no cycle, like witness_request."""
     if k < 2:
         raise WitnessError(f"k={k} must be at least 2")
-    size = len(values)
-    if size != sub.n:
-        raise WitnessError(f"the energy graph has n={sub.n} but the element set {size} values")
+    check_same_size(sub, values)
     return 2 * k
 
 

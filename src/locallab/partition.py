@@ -17,6 +17,7 @@ import random
 from dataclasses import dataclass
 
 from .coloring import pairs_within
+from .energy import energy
 from .errors import PartitionError
 
 # random splits tried before the best one seen is kept
@@ -103,8 +104,6 @@ def partition_for_rth_energy(g, r: int, seed: int) -> RPartition:
     of within-part ordered pair counts, never by materializing tuples.
     Accepted once survivors * (4r)^(2r) >= E_r.
     """
-    from .energy import energy
-
     if r < 2:
         raise PartitionError(f"need r >= 2, got {r}")
     if g.n < r:
@@ -119,7 +118,7 @@ def partition_for_rth_energy(g, r: int, seed: int) -> RPartition:
         for j, part in enumerate(parts):
             for v in part:
                 part_of[v] = j
-        count = sum(math.prod(2 * len(pairs) for pairs in lists)
+        count = sum(math.prod(2 * len(us) for us, _ in lists)
                     for lists in pairs_within(g, part_of, r))
         met = count * scale >= total
         if best is None or count > best.within_tuple_count:

@@ -8,7 +8,15 @@ import sys
 
 import pytest
 
-from locallab import cli, new_coloring, random_coloring, real_set, save_coloring, save_real_set
+from locallab import (
+    cli,
+    coloring_from_set,
+    new_coloring,
+    random_coloring,
+    real_set,
+    save_coloring,
+    save_real_set,
+)
 from locallab.cli import run
 from locallab.jsonio import pack_codes
 
@@ -495,6 +503,28 @@ def test_sign_stage_without_values_exits_2_before_the_build(tmp_path, capsys, ch
     assert "the sign stage needs --values" in captured.err
     assert "built:" not in captured.out
     assert list(tmp_path.iterdir()) == [mono]
+
+
+def test_sign_stage_builds_the_partitioned_form(tmp_path):
+    values = tmp_path / "v.json"
+    save_real_set(real_set([0, 1, 2, 3, 10, 11, 12, 13]), values)
+    assert run(["energy-graph", "--values", str(values), "--stages", "rare,sign",
+                "--out", str(tmp_path / "y.json")]) == 0
+    assert run(["energy-graph", "--values", str(values), "--preset", "sign-split",
+                "--out", str(tmp_path / "s.json")]) == 0
+    for tag in ("p", "m"):
+        assert (tmp_path / f"y.{tag}.json").read_bytes() == (tmp_path / f"s.{tag}.json").read_bytes()
+
+
+def test_sign_stage_on_an_element_set_of_another_size_exits_2(tmp_path, capsys):
+    elements = [0, 1, 2, 3, 10, 11, 12, 13]
+    coloring, values = tmp_path / "c8.json", tmp_path / "v11.json"
+    save_coloring(coloring_from_set(real_set(elements)), coloring)
+    save_real_set(real_set(elements + [50, 77, 90]), values)
+    assert run(["energy-graph", "--input", str(coloring), "--values", str(values),
+                "--preset", "sign-split", "--out", str(tmp_path / "s.json")]) == 2
+    assert "the energy graph has n=8 but the element set 11 values" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [coloring, values]  # no class file
 
 
 def test_preset_and_stages_exclude_each_other(tmp_path, capsys):

@@ -14,9 +14,9 @@ from locallab import (
     SelfLoopError,
     VertexRangeError,
     check_local_property,
-    color_multiplicities,
     coloring_from_dict,
     coloring_to_dict,
+    energy,
     load_coloring,
     min_colors_over_k_subsets,
     new_coloring,
@@ -24,6 +24,7 @@ from locallab import (
     random_coloring,
     save_coloring,
 )
+from locallab.coloring import pairs_within
 
 
 def complete_assignments(n, label=0):
@@ -112,18 +113,17 @@ def test_colors_within_counts_distinct_pair_colors():
 def test_multiplicities_sum_to_ordered_pair_count():
     for n, c, seed in ((4, 2, 0), (7, 3, 1), (9, 11, 2)):
         g = random_coloring(n, c, seed=seed)
-        stats = color_multiplicities(g)
-        assert stats.total == n * (n - 1)
-        assert sum(stats.multiplicity.values()) == n * (n - 1)
+        sizes = [len(cells[0][0]) for cells in pairs_within(g, [0] * n, 1)]
+        assert 2 * sum(sizes) == n * (n - 1)
         # every declared color really appears
-        assert all(m >= 2 for m in stats.multiplicity.values())
-        assert set(stats.multiplicity) == set(g.palette)
+        assert len(sizes) == g.num_colors and min(sizes) >= 1
 
 
 def test_perfect_matching_coloring_of_k4():
     g = new_coloring(4, [(0, 1, 0), (2, 3, 0), (0, 2, 1), (1, 3, 1), (0, 3, 2), (1, 2, 2)])
-    stats = color_multiplicities(g)
-    assert stats.multiplicity == {0: 4, 1: 4, 2: 4}
+    assert [len(cells[0][0]) for cells in pairs_within(g, [0] * 4, 1)] == [2, 2, 2]
+    assert energy(g, 2).value == 3 * 4**2 == 48
+    assert energy(g, 3).value == 3 * 4**3 == 192
 
 
 def test_check_local_property_exhaustive():

@@ -33,7 +33,7 @@ from locallab import (
     sign_decompose,
 )
 from locallab.coloring import pairs_within
-from locallab.energy_graph import _part_index, colors_at_least, csr_adjacency, edge_colors
+from locallab.energy_graph import colors_at_least, csr_adjacency, edge_colors
 from locallab.jsonio import code_width, read_json, write_json
 
 
@@ -121,7 +121,7 @@ def test_diagonal_pruning_needs_full_second_graph():
 def test_rare_color_pruning_uses_strict_threshold():
     g = random_coloring(6, 3, seed=2)
     eg = build_second_energy_graph(g)
-    counts = {c: len(pairs) for c, pairs in enumerate(g.color_classes())}
+    counts = collections.Counter(g.colors)
     cut = sorted(counts.values())[1]
     pruned = prune_rare_colors(eg, g, cut)
     kept = set(edge_colors(pruned, g).tolist())
@@ -138,7 +138,7 @@ def test_colors_at_least_reads_the_class_sizes_of_the_coloring():
     for _ in range(20):
         n = rng.randrange(3, 12)
         g = random_coloring(n, rng.randrange(1, 8), seed=rng.randrange(10**6))
-        sizes = [len(pairs) for pairs in g.color_classes()]
+        sizes = [g.colors.count(c) for c in range(g.num_colors)]
         eg = build_second_energy_graph(g)
         mat = g.color_matrix()
         for threshold in {0, 1, *sizes, max(sizes) + 1}:
@@ -146,14 +146,57 @@ def test_colors_at_least_reads_the_class_sizes_of_the_coloring():
             assert colors_at_least(eg, g, threshold).tolist() == expected
 
 
+def reference_within(g, part_of, r):
+    """within[c][j]: the color-c pairs (u, v), u < v, inside part j, listed
+    by itertools in lexicographic order."""
+    within = [[[] for _ in range(r)] for _ in range(g.num_colors)]
+    for u, v in itertools.combinations(range(g.n), 2):
+        if part_of[u] == part_of[v]:
+            within[g.color_of(u, v)][part_of[u]].append((u, v))
+    return within
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_pairs_within_matches_the_itertools_reference(r):
+    rng = random.Random(r)
+    empty = 0
+    for _ in range(25):
+        n = rng.randrange(2, 13)
+        g = random_coloring(n, rng.randrange(1, 12), seed=rng.randrange(10**6))
+        part_of = [rng.randrange(r) for _ in range(n)]
+        within = pairs_within(g, part_of, r)
+        got = [[list(zip(us.tolist(), vs.tolist())) for us, vs in cells] for cells in within]
+        assert got == reference_within(g, part_of, r)
+        empty += sum(len(us) == 0 for cells in within for us, _ in cells)
+    # a palette color has a pair in the one part r = 1 has, and with more
+    # parts some color has no pair inside some part
+    assert (empty == 0) == (r == 1)
+
+
+def test_build_past_int32_codes_sums_them_in_int64():
+    # 220^4 codes need int64; color "x" has one pair inside each part
+    n, r = 220, 4
+    parts = [tuple(range(j, n, r)) for j in range(r)]
+    firsts = {p[:2] for p in parts}
+    g = new_coloring(n, [(u, v, "x" if (u, v) in firsts else f"{u}-{v}")
+                         for u, v in itertools.combinations(range(n), 2)])
+    eg = build_rth_energy_graph(g, r, parts)
+    assert eg.xs.dtype == np.int64
+    want = {((parts[0][0], *(p[s] for p, s in zip(parts[1:], flips))),
+             (parts[0][1], *(p[1 - s] for p, s in zip(parts[1:], flips))))
+            for flips in itertools.product((0, 1), repeat=r - 1)}
+    assert set(eg.edges) == want
+
+
 def reference_build(g, r, parts):
     """Edge codes and colors as the build made them while a graph stored a
     color per edge: each color's edges filled in with np.full, then all
     three arrays gathered by the lexsort of (xs, ys)."""
     if parts is None:
-        pair_lists = [[pairs, pairs] for pairs in g.color_classes()]
+        pair_lists = [cells * 2 for cells in reference_within(g, [0] * g.n, 1)]
     else:
-        pair_lists = pairs_within(g, _part_index(parts, r, g.n).tolist(), r)
+        part_of = {v: j for j, part in enumerate(parts) for v in part}
+        pair_lists = reference_within(g, part_of, r)
     xs, ys, cs = [], [], []
     for c, lists in enumerate(pair_lists):
         x = y = np.zeros(1, np.int64)
@@ -414,6 +457,16 @@ def test_sign_decomposition_needs_partitioned_graph():
     eg = build_second_energy_graph(coloring_from_set(A))
     with pytest.raises(EnergyGraphError):
         sign_decompose(eg, A)
+
+
+def test_sign_decomposition_needs_one_value_per_base_vertex():
+    A = real_set([0, 1, 2, 3, 10, 11, 12, 13])
+    eg = build_rth_energy_graph(coloring_from_set(A), 2, ((0, 2, 4, 6), (1, 3, 5, 7)))
+    for other in ([0, 1, 2, 3, 10, 11, 12], [0, 1, 2, 3, 10, 11, 12, 13, 50, 77, 90]):
+        with pytest.raises(EnergyGraphError,
+                           match=f"n=8 but the element set {len(other)} values"):
+            sign_decompose(eg, real_set(other))
+    assert sum(c.num_edges for c in sign_decompose(eg, A).values()) == eg.num_edges
 
 
 def test_json_round_trip():

@@ -613,7 +613,8 @@ def reference_walk_cycle(g, eg, cycle):
 def reference_pad_witness(g, forest, vertices, equalities, anchor_color, anchor_pair,
                           target_reps, target_k):
     """The padding that witness_from_cycle replaced, kept as a reference."""
-    anchor_edges = g.color_classes()[anchor_color]
+    anchor_edges = [(u, v) for u, v in itertools.combinations(range(g.n), 2)
+                    if g.color_of(u, v) == anchor_color]
     while len(equalities) < target_reps:
         unused = [e for e in anchor_edges if (anchor_color, e) not in forest]
         if not unused:

@@ -267,7 +267,7 @@ def outcome(search, *args):
     witness = res.witness
     if witness is not None:
         witness = (witness.elements if isinstance(witness, RealSet)
-                   else sorted(witness.edge_items()))
+                   else list(zip(itertools.combinations(range(witness.n), 2), witness.colors)))
     return res.value, res.nodes_explored, res.canonical_classes, res.status, witness
 
 
