@@ -111,9 +111,10 @@ class PropertyVerdict:
     In sampled mode `holds=True` only means "not refuted by the sampled
     subsets", never a proof.  `min_colors_seen` is the smallest per-subset
     color count observed with counting capped at l, so for a passing
-    verdict it equals l.  `witness` is the first subset (in scan order)
-    attaining `min_colors_seen`; when the property fails it is the
-    lexicographically least minimizer.
+    verdict it equals l.  `witness` attains `min_colors_seen`: in
+    exhaustive mode it is the lexicographically least such k-subset (for
+    a passing verdict, (0, ..., k-1)), in sampled mode the first sampled
+    one.
     """
 
     holds: bool
@@ -126,6 +127,11 @@ class PropertyVerdict:
     seed: int | None = None
 
 
+def _check_vertex_count(n):
+    if not isinstance(n, int) or n < 2:
+        raise ColoringError(f"need at least 2 vertices, got n={n!r}")
+
+
 def new_coloring(n: int, assignments) -> EdgeColoring:
     """Build a validated EdgeColoring from (u, v, label) triples.
 
@@ -134,8 +140,7 @@ def new_coloring(n: int, assignments) -> EdgeColoring:
     ids in order of first appearance.  Memory follows the assignments
     given, not the declared n, so a huge n fails on its first missing pair.
     """
-    if not isinstance(n, int) or n < 2:
-        raise ColoringError(f"need at least 2 vertices, got n={n!r}")
+    _check_vertex_count(n)
     total = n * (n - 1) // 2
     colors = {}  # pair index -> color id
     names = []
@@ -170,9 +175,11 @@ def random_coloring(n: int, c: int, seed: int) -> EdgeColoring:
     """
     if c < 1:
         raise ColoringError("palette size must be at least 1")
+    _check_vertex_count(n)
     rng = random.Random(seed)
-    assignments = [(u, v, rng.randrange(c)) for u, v in itertools.combinations(range(n), 2)]
-    return new_coloring(n, assignments)
+    ids = {}  # label -> dense id, in order of first appearance
+    colors = tuple(ids.setdefault(rng.randrange(c), len(ids)) for _ in range(n * (n - 1) // 2))
+    return EdgeColoring(n, colors, tuple(ids))
 
 
 def pairs_within(g: EdgeColoring, part_of, r: int) -> list:
@@ -203,10 +210,10 @@ def _lex_table(n, width, dtype):
 
     The C(n - a - 1, w) rows whose first entry exceeds a form the tail of
     the width-w table, so each width is the previous table's tails,
-    stacked in order of a and headed by a.
+    stacked in order of a and headed by a.  Width 0 is one empty row.
     """
-    table = np.arange(n, dtype=dtype)[:, None]
-    for w in range(2, width + 1):
+    table = np.empty((1, 0), dtype=dtype)
+    for w in range(1, width + 1):
         wider = np.empty((math.comb(n, w), w), dtype=dtype)
         row = 0
         for a in range(n - w + 1):
@@ -242,6 +249,88 @@ def _lex_chunks(n, k, dtype):
             yield rows
 
 
+def _later_equal(keys):
+    """Stable sort order of `keys`, and for each sorted position the number
+    of later positions holding the same key."""
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    later = np.searchsorted(ranked, ranked, side="right") - np.arange(len(keys)) - 1
+    return order, later
+
+
+def _equal_pairs(later):
+    """Sorted positions (i, j), i < j, of every two equal keys, given
+    `_later_equal`'s counts."""
+    first = np.repeat(np.arange(len(later)), later)
+    starts = np.repeat(np.cumsum(later) - later, later)
+    return first, first + 1 + np.arange(len(first)) - starts
+
+
+def _containing(sets, n, k, dtype):
+    """Every k-subset of range(n) holding a row of `sets` (sorted, distinct
+    vertices), one per set and completion, each sorted."""
+    m, s = sets.shape
+    table = _lex_table(n - s, k - s, dtype)
+    # the t-th vertex outside U is t plus the number of i with U[i] - i <= t
+    tails = np.repeat(table[None], m, axis=0)
+    for i in range(s):
+        tails += table >= (sets[:, i] - i)[:, None, None]
+    rows = np.empty((m, len(table), k), dtype=dtype)
+    rows[:, :, :s] = sets[:, None]
+    rows[:, :, s:] = tails
+    rows = rows.reshape(-1, k)
+    rows.sort(axis=1)
+    return rows
+
+
+def _repeat_rows(g, k, dtype):
+    """Every k-subset (k >= 3) holding two same-colored pairs, once each,
+    in lexicographic order; None when listing them, repeats included,
+    would take more than min(C(n, k), _TABLE_ROWS) rows.
+
+    Two same-colored pairs have 3 endpoints when they meet and 4 when
+    they do not; a k-subset holding them is those endpoints joined to a
+    subset of the other vertices, so each gives C(n - 3, k - 3) or
+    C(n - 4, k - 4) rows.
+    """
+    n = g.n
+    limit = min(math.comb(n, k), _TABLE_ROWS)
+    if k == 3:
+        # only pairs that meet fit: sort the pairs at each vertex v by
+        # color, the pair {v, v} a key of its own
+        order, later = _later_equal(
+            (np.arange(n)[:, None] * (g.num_colors + 1) + g.color_matrix() + 1).ravel())
+        if int(later.sum()) > limit:
+            return None
+        first, second = _equal_pairs(later)
+        ends = [np.sort(np.stack([order[first] // n, order[first] % n, order[second] % n],
+                                 1).astype(dtype), 1)]
+    else:
+        colors = np.asarray(g.colors)
+        sizes = np.bincount(colors)
+        # C(n - 3, k - 3) >= C(n - 4, k - 4) rows for each same-colored pair
+        if int((sizes * (sizes - 1) // 2).sum()) * math.comb(n - 4, k - 4) > limit:
+            return None
+        order, later = _later_equal(colors)
+        first, second = _equal_pairs(later)
+        us, vs = np.triu_indices(n, 1)
+        ends = np.stack([us[order[first]], vs[order[first]],
+                         us[order[second]], vs[order[second]]], 1).astype(dtype)
+        ends.sort(axis=1)
+        # two pairs that meet repeat one endpoint, next to itself once sorted
+        fresh = np.ones(ends.shape, dtype=bool)
+        fresh[:, 1:] = ends[:, 1:] != ends[:, :-1]
+        meeting = ~fresh.all(axis=1)
+        ends = [ends[meeting][fresh[meeting]].reshape(-1, 3), ends[~meeting]]
+        if sum(len(e) * math.comb(n - e.shape[1], k - e.shape[1]) for e in ends) > limit:
+            return None
+    rows = np.concatenate([_containing(e, n, k, dtype) for e in ends])
+    rows = rows[np.lexsort(rows.T[::-1])]
+    fresh = np.ones(len(rows), dtype=bool)
+    fresh[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[fresh]
+
+
 def _sampled_chunks(n, k, trials, seed, dtype):
     """Yield `trials` sorted uniform k-subsets drawn from random.Random(seed)."""
     rng = random.Random(seed)
@@ -262,22 +351,37 @@ def _check_subset_budget(n, k, trials=None):
 def _scan(g, k, cap, trials=None, seed=None):
     """Return (fewest colors, first subset spanning that many).
 
-    Scans all k-subsets in lexicographic order, or `trials` sampled ones
-    when `trials` is given.  Counts are capped at `cap` (when not None),
-    which never changes whether the minimum reaches `cap`.  The scan is
-    checked against SUBSET_SCAN_BUDGET before it starts.
+    Exhaustive (`trials` None): a k-subset spans fewer than C(k, 2)
+    colors only when two of its pairs share a color, so the scan counts
+    `_repeat_rows` and starts from C(k, 2) colors at (0, ..., k-1), the
+    first subset in lexicographic order; when those rows are too many, or
+    all k-subsets fit one block, it counts every k-subset in lexicographic
+    order instead.  Either way the subset returned is the
+    lexicographically least minimizer.  Sampled: counts `trials` sampled
+    subsets and returns the first minimizer.  Counts are capped at `cap`
+    (when not None), which never changes whether the minimum reaches
+    `cap`.  The scan is checked against SUBSET_SCAN_BUDGET, which counts
+    all C(n, k) subsets or the `trials`, before it starts.
     """
     _check_subset_budget(g.n, k, trials)
     vertex = np.min_scalar_type(g.n - 1)
     if trials is None:
-        chunks = _lex_chunks(g.n, k, vertex)
+        top = k * (k - 1) // 2
+        best, best_subset = top if cap is None else min(top, cap), tuple(range(k))
+        if best == 1:
+            return best, best_subset
+        # one block of every subset costs less than listing the repeat rows
+        rows = _repeat_rows(g, k, vertex) if math.comb(g.n, k) > _CHUNK_ROWS else None
+        if rows is None:
+            chunks = _lex_chunks(g.n, k, vertex)
+        else:
+            chunks = [rows[start:start + _CHUNK_ROWS] for start in range(0, len(rows), _CHUNK_ROWS)]
     else:
+        best = best_subset = None
         chunks = _sampled_chunks(g.n, k, trials, seed, vertex)
     # color of {u, v} at u * n + v
     matrix = g.color_matrix().ravel()
     first, second = np.triu_indices(k, 1)
-    best = None
-    best_subset = None
     slot = np.min_scalar_type(g.n * g.n - 1)
     for rows in chunks:
         # pair-major: spans[j, s] is the color of the j-th pair of subset s
@@ -319,7 +423,9 @@ def check_local_property(
 ) -> PropertyVerdict:
     """Decide (exhaustively) or probe (sampled) the (k, l) local property.
 
-    Exhaustive mode scans all C(n, k) subsets in lexicographic order.
+    Exhaustive mode decides over all C(n, k) subsets: it counts only
+    those holding two same-colored pairs, since every other subset spans
+    C(k, 2) colors, unless they are too many, and then all of them.
     Sampled mode draws `trials` uniform k-subsets from random.Random(seed)
     and can only refute, never prove; it needs an int seed, so that the
     same call always draws the same subsets.

@@ -201,6 +201,12 @@ def test_check_over_subset_budget_exits_3(tmp_path, monkeypatch):
         assert run(find) == 3
         monkeypatch.setenv("LOCALLAB_BUDGET", "210")
         assert run(find) == 1
+    # no two pairs share a color, so the scan counts none of the
+    # C(20, 4) = 4845 subsets; the budget still counts them all
+    rainbow = rainbow_file(tmp_path, 20)
+    for budget, code in (("4844", 3), ("4845", 0)):
+        monkeypatch.setenv("LOCALLAB_BUDGET", budget)
+        assert run(["check", "--input", str(rainbow), "--k", "4", "--l", "6"]) == code
 
 
 def test_verify_malformed_verdict_is_usage_error(tmp_path):
@@ -746,6 +752,13 @@ PINNED_OUTCOMES = {
                             0, "f(4,3,4): infeasible, l exceeds C(k,2)\n"),
     "sweep-one-palette": (SWEEP + ["7"], 0, "c=7: 1/2 violated (rate 0.500000)\nwrote CSV\n"),
     "sweep-empty-range": (SWEEP + ["5..2"], 2, ""),
+    "sweep-one-vertex": (["sweep", "--n", "1", "--k", "2", "--l", "1", "--seeds", "1",
+                          "--out", "CSV", "--c", "2"], 2, ""),
+}
+# stderr of the outcomes above that exit 2 before writing the CSV
+PINNED_ERRORS = {
+    "sweep-empty-range": "empty palette range '5..2'",
+    "sweep-one-vertex": "need at least 2 vertices, got n=1",
 }
 
 
@@ -759,5 +772,5 @@ def test_pinned_outcomes(tmp_path, capsys, case):
     assert captured.out == stdout.replace("CSV", str(files["CSV"]))
     if case == "sweep-one-palette":
         assert files["CSV"].read_text().splitlines()[1:] == ["random,6,3,2,7,2,200,1,0.500000"]
-    if case == "sweep-empty-range":
-        assert "empty palette range '5..2'" in captured.err and not files["CSV"].exists()
+    if case in PINNED_ERRORS:
+        assert PINNED_ERRORS[case] in captured.err and not files["CSV"].exists()

@@ -190,6 +190,22 @@ def test_random_coloring_determinism_and_coverage():
         random_coloring(4, 0, seed=0)
 
 
+def test_random_coloring_equals_the_validated_construction():
+    rng = random.Random(2)
+    for _ in range(300):
+        n, c, seed = rng.randrange(2, 13), rng.randrange(1, 90), rng.randrange(10**6)
+        draws = random.Random(seed)
+        expected = new_coloring(n, [(u, v, draws.randrange(c))
+                                    for u, v in itertools.combinations(range(n), 2)])
+        assert random_coloring(n, c, seed) == expected
+    # the palette is checked before the vertex count, each with its message
+    with pytest.raises(ColoringError, match="^palette size must be at least 1$"):
+        random_coloring(1, 0, seed=0)
+    for n in (1, 0, -3, 2.0):
+        with pytest.raises(ColoringError, match=rf"^need at least 2 vertices, got n={n!r}$"):
+            random_coloring(n, 3, seed=0)
+
+
 def test_json_round_trip_and_stable_bytes(tmp_path):
     g = new_coloring(5, [(u, v, Fraction(u + 1, v + 2)) for u in range(5) for v in range(u + 1, 5)])
     path = tmp_path / "c.json"

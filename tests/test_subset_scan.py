@@ -2,16 +2,21 @@
 
 The reference walks the same subsets with itertools and counts colors
 with a set, so any difference in the count, the cap or the witness
-(the first subset in scan order attaining the minimum) shows up.
+(the first subset in scan order attaining the minimum) shows up.  The
+exhaustive scan counts only the subsets `_repeat_rows` lists, or every
+subset when those are too many or all fit one block; both row sources
+are checked here.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import locallab.coloring as coloring_module
@@ -69,8 +74,11 @@ def coloring_by_pair(n, ids):
 
 
 # chunk and table sizes small enough that even tiny inputs cross chunk
-# boundaries and need a multi-vertex prefix
-SIZES = [(4096, 1 << 18), (3, 4), (1, 1)]
+# boundaries and need a multi-vertex prefix.  At the default sizes every
+# input here fits one block and takes the lexicographic scan; (3, 1 << 18)
+# takes the repeat rows in blocks of 3, and the smaller tables force the
+# lexicographic scan for nearly every coloring
+SIZES = [(4096, 1 << 18), (3, 1 << 18), (3, 4), (1, 1)]
 
 
 @pytest.mark.parametrize("chunk_rows,table_rows", SIZES)
@@ -83,6 +91,8 @@ SIZES = [(4096, 1 << 18), (3, 4), (1, 1)]
 # k = n = 9: all 36 pairs distinct, then the last pair repeating the first
 @example(case=(coloring_by_pair(9, range(36)), 9, 36, 3, 0))
 @example(case=(coloring_by_pair(9, [*range(35), 0]), 9, 36, 3, 0))
+# one repeated color on the disjoint pairs {0, 1} and {7, 8}: 10 repeat rows
+@example(case=(coloring_by_pair(9, [*range(35), 0]), 6, 15, 3, 0))
 def test_scan_matches_reference(chunk_rows, table_rows, case):
     g, k, l, trials, seed = case
     everything = list(itertools.combinations(range(g.n), k))
@@ -125,3 +135,52 @@ def test_scan_respects_subset_budget(monkeypatch):
     assert check_local_property(g, 4, 2, mode="sampled", trials=209, seed=0).trials == 209
     monkeypatch.setenv("LOCALLAB_BUDGET", "210")
     assert check_local_property(g, 4, 2).mode == "exhaustive"
+
+
+def repeated_subsets(g, k):
+    """The k-subsets, in lexicographic order, spanning fewer than C(k, 2) colors."""
+    return [s for s in itertools.combinations(range(g.n), k)
+            if len({g.color_of(u, v) for u, v in itertools.combinations(s, 2)}) < k * (k - 1) // 2]
+
+
+def repeat_row_count(g, k):
+    """Rows the repeat source would list, repeats included: each two
+    same-colored pairs with endpoint set U give C(n - |U|, k - |U|)."""
+    pairs = itertools.combinations(itertools.combinations(range(g.n), 2), 2)
+    return sum(math.comb(g.n - len({*e, *f}), k - len({*e, *f}))
+               for e, f in pairs if g.color_of(*e) == g.color_of(*f) and len({*e, *f}) <= k)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(case=scans(), table_rows=st.sampled_from([0, 1, 5, 40, 1 << 18]))
+@example(case=(coloring_by_pair(9, [*range(35), 0]), 6, 15, 3, 0), table_rows=1 << 18)
+@example(case=(coloring_by_pair(9, range(36)), 4, 6, 3, 0), table_rows=0)
+# {0, 1}, {2, 3} and {4, 5} share a color: three ways to list {0, ..., 5}
+@example(case=(coloring_by_pair(9, [0 if i in (15, 26) else i for i in range(36)]), 6, 15, 3, 0),
+         table_rows=1 << 18)
+def test_repeat_rows_list_the_subsets_that_repeat_a_color(case, table_rows):
+    g, k = case[:2]
+    assume(k >= 3)  # the scan needs no rows for k = 2
+    limit = min(math.comb(g.n, k), table_rows)
+    with mock.patch.object(coloring_module, "_TABLE_ROWS", table_rows):
+        rows = coloring_module._repeat_rows(g, k, np.uint8)
+    assert (rows is None) == (repeat_row_count(g, k) > limit)
+    if rows is not None:
+        assert [tuple(row) for row in rows.tolist()] == repeated_subsets(g, k)
+
+
+def test_sparse_coloring_past_the_table_cap_falls_back_to_the_lexicographic_scan():
+    # all colors distinct but {0, 1} and {7, 8}: C(5, 2) = 10 rows at k = 6
+    g = coloring_by_pair(9, [*range(35), 0])
+    everything = list(itertools.combinations(range(9), 6))
+    with mock.patch.object(coloring_module, "_CHUNK_ROWS", 3), \
+            mock.patch.object(coloring_module, "_TABLE_ROWS", 9), \
+            mock.patch.object(coloring_module, "_lex_chunks",
+                              wraps=coloring_module._lex_chunks) as lex:
+        assert coloring_module._repeat_rows(g, 6, np.uint8) is None
+        v = check_local_property(g, 6, 15)
+    assert lex.call_count == 1
+    best, subset = reference_scan(g, 6, 15, everything)
+    assert (v.min_colors_seen, v.witness, v.holds) == (best, subset, False)
+    assert subset == (0, 1, 2, 3, 7, 8)
+
