@@ -32,6 +32,15 @@ from .errors import (
 from .jsonio import exact_to_json, fields, label_from_json, read_json, write_json
 
 
+@functools.lru_cache(maxsize=4)
+def _upper_pairs(n):
+    """np.triu_indices(n, 1) as read-only arrays, kept for the next call."""
+    pairs = np.triu_indices(n, 1)
+    for side in pairs:
+        side.flags.writeable = False
+    return pairs
+
+
 def pair_index(n: int, u: int, v: int) -> int:
     """Index of the unordered pair {u, v} in lexicographic order."""
     if u > v:
@@ -89,7 +98,7 @@ class EdgeColoring:
         mat = self.__dict__.get("_color_matrix")
         if mat is None:
             mat = np.full((self.n, self.n), -1, dtype=np.min_scalar_type(-self.num_colors))
-            upper = np.triu_indices(self.n, 1)
+            upper = _upper_pairs(self.n)
             mat[upper] = mat.T[upper] = self.colors
             mat.flags.writeable = False
             object.__setattr__(self, "_color_matrix", mat)
@@ -187,7 +196,7 @@ def pairs_within(g: EdgeColoring, part_of, r: int) -> list:
     part_of[v] in 0..r-1 is v's part, as two int arrays (us, vs) with
     us < vs, in lexicographic order."""
     part_of = np.asarray(part_of)
-    us, vs = np.triu_indices(g.n, 1)
+    us, vs = _upper_pairs(g.n)
     same = part_of[us] == part_of[vs]
     us, vs = us[same], vs[same]
     cells = np.asarray(g.colors)[same] * r + part_of[us]
@@ -313,7 +322,7 @@ def _repeat_rows(g, k, dtype):
             return None
         order, later = _later_equal(colors)
         first, second = _equal_pairs(later)
-        us, vs = np.triu_indices(n, 1)
+        us, vs = _upper_pairs(n)
         ends = np.stack([us[order[first]], vs[order[first]],
                          us[order[second]], vs[order[second]]], 1).astype(dtype)
         ends.sort(axis=1)
@@ -381,7 +390,7 @@ def _scan(g, k, cap, trials=None, seed=None):
         chunks = _sampled_chunks(g.n, k, trials, seed, vertex)
     # color of {u, v} at u * n + v
     matrix = g.color_matrix().ravel()
-    first, second = np.triu_indices(k, 1)
+    first, second = _upper_pairs(k)
     slot = np.min_scalar_type(g.n * g.n - 1)
     for rows in chunks:
         # pair-major: spans[j, s] is the color of the j-th pair of subset s

@@ -3,8 +3,9 @@
 These searches are the ground truth the rest of the package is tested
 against.  Colorings are enumerated as set partitions of the edge list
 (colors are interchangeable, so only the partition matters), sets as
-sorted integer tuples anchored at 0; both searches are exhaustive
-within an explicit node budget and return canonically least witnesses.
+sorted integer tuples anchored at 0 with bitmask difference sets; both
+searches are exhaustive within an explicit node budget and return
+canonically least witnesses.
 """
 
 from __future__ import annotations
@@ -128,9 +129,11 @@ def exact_g_integers(n: int, k: int, l: int, max_value: int) -> OracleResult:
 
     Translation invariance lets the search anchor min(A) = 0; the
     answer is exact for that range and an upper bound for the
-    unrestricted integer problem.  The difference multiset grows and
-    shrinks with the prefix, and each k-subset of positions is checked
-    once, at the node that chooses its largest position.
+    unrestricted integer problem.  Two bitmasks carry the prefix: `seen`
+    has bit d per difference d, `mirror` bit chosen[-1] - a per chosen a,
+    so child x adds `mirror << (x - chosen[-1])`; anchored at chosen[-1],
+    neither outgrows the values visited.  Each k-subset of positions is
+    checked once, at the node that chooses its largest position.
     """
     if not 2 <= k <= n:
         raise LocalLabError(f"need 2 <= k <= n, got k={k}, n={n}")
@@ -155,11 +158,7 @@ def exact_g_integers(n: int, k: int, l: int, max_value: int) -> OracleResult:
     best_set = None
     nodes = classes = 0
     chosen = [0]
-    # differences[pair_of[(i, j)]] == chosen[j] - chosen[i], with the pairs
-    # ordered by their larger position, so appending to chosen appends to
-    # differences; counts is the multiset of differences
-    differences = []
-    counts = {}
+    # pair slots ordered by their larger position, as `differences` lists them
     pair_of = {e: s for s, e in enumerate((i, j) for j in range(n) for i in range(j))}
     # ending_at[j]: a getter of the pair slots of each k-subset of positions
     # whose largest position is j; with l = 1 every set passes, and k >= 3
@@ -170,17 +169,18 @@ def exact_g_integers(n: int, k: int, l: int, max_value: int) -> OracleResult:
             ending_at[subset[-1]].append(operator.itemgetter(
                 *(pair_of[e] for e in itertools.combinations(subset, 2))))
 
-    def extend(passed):
+    def extend(seen, mirror, passed):
         nonlocal nodes, classes, best, best_set
         nodes += 1
         if nodes > node_budget:
             raise BudgetExceededError(
                 f"exact_g_integers({n},{k},{l},{max_value}) exceeded the {node_budget} node budget"
             )
-        size = len(counts)
+        size = seen.bit_count()
         if size >= best:
             return
-        if passed:
+        if passed and ending_at[len(chosen) - 1]:
+            differences = [b - a for j, b in enumerate(chosen) for a in chosen[:j]]
             for slots in ending_at[len(chosen) - 1]:
                 if len(set(slots(differences))) < l:
                     passed = False
@@ -194,21 +194,12 @@ def exact_g_integers(n: int, k: int, l: int, max_value: int) -> OracleResult:
         for x in range(chosen[-1] + 1, max_value + 1):
             if max_value - x < n - 1 - len(chosen):
                 break
-            for a in chosen:
-                d = x - a
-                differences.append(d)
-                counts[d] = counts.get(d, 0) + 1
+            reach = mirror << (x - chosen[-1])
             chosen.append(x)
-            extend(passed)
+            extend(seen | reach, reach | 1, passed)
             chosen.pop()
-            for _ in chosen:
-                d = differences.pop()
-                if counts[d] == 1:
-                    del counts[d]
-                else:
-                    counts[d] -= 1
 
-    extend(True)
+    extend(0, 1, True)
     if best_set is None:
         return OracleResult(None, None, nodes, classes, True, "infeasible")
     witness = RealSet(best_set)

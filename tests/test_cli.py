@@ -119,6 +119,13 @@ def test_oracle_budget_exit_code(tmp_path, monkeypatch):
     assert run(["oracle-f", "--n", "6", "--k", "3", "--l", "2"]) == 3
 
 
+def test_oracle_g_budget_caps_a_huge_range(monkeypatch, capsys):
+    monkeypatch.setenv("LOCALLAB_BUDGET", "1000")
+    assert run(["oracle-g", "--n", "3", "--k", "2", "--l", "1",
+                "--max-value", str(10**12)]) == 3
+    assert "exceeded the 1000 node budget" in capsys.readouterr().err
+
+
 def test_forged_infeasible_oracle_g_record_is_invalid(tmp_path, capsys):
     # oracle-g --n 4 --k 3 --l 2 --max-value 100 finds g = 3 with [0, 1, 2, 3]
     cert = tmp_path / "forged.json"

@@ -24,7 +24,7 @@ from locallab import (
     random_coloring,
     save_coloring,
 )
-from locallab.coloring import pairs_within
+from locallab.coloring import _upper_pairs, pairs_within
 
 
 def complete_assignments(n, label=0):
@@ -88,6 +88,16 @@ def test_color_matrix_is_built_once_read_only_and_symmetric():
     fresh = random_coloring(9, 4, seed=3)
     assert fresh == g and hash(fresh) == hash(g)
     assert [f.name for f in dataclasses.fields(g)] == ["n", "colors", "color_names"]
+
+
+def test_upper_pairs_are_read_only_triu_indices():
+    for n in range(7):
+        us, vs = _upper_pairs(n)
+        want_us, want_vs = np.triu_indices(n, 1)
+        assert np.array_equal(us, want_us) and np.array_equal(vs, want_vs)
+        for side in (us, vs):
+            with pytest.raises(ValueError):
+                side[:] = 0
 
 
 def test_color_matrix_dtype_widens_past_int8():

@@ -284,14 +284,28 @@ def test_exact_f_matches_the_reference_search(monkeypatch):
 
 
 def test_exact_g_matches_the_reference_search(monkeypatch):
-    # no case here reaches the budget; the boundary test below trips it
     monkeypatch.setenv("LOCALLAB_BUDGET", "20000")
-    for n in range(2, 7):
-        for k in range(2, n + 1):
-            for l in range(1, k * (k - 1) // 2 + 2):
-                for m in (n - 1, n + 3, 2 * n + 4):
-                    got = outcome(exact_g_integers, n, k, l, m)
-                    assert got == outcome(reference_exact_g_integers, n, k, l, m), (n, k, l, m)
+    cases = [(n, k, l, m) for n in range(2, 7) for k in range(2, n + 1)
+             for l in range(1, k * (k - 1) // 2 + 2) for m in (n - 1, n + 3, 2 * n + 4)]
+    # ranges past one machine word, so the difference bitmasks outgrow it
+    cases += [(n, k, l, m) for n in range(2, 5) for k in range(2, n + 1)
+              for l in range(1, k * (k - 1) // 2 + 2) for m in (63, 64, 65, 130)]
+    for case in cases:
+        got = outcome(exact_g_integers, *case)
+        assert got == outcome(reference_exact_g_integers, *case), case
+    # a feasible search whose incumbent cuts interior nodes
+    monkeypatch.setenv("LOCALLAB_BUDGET", "50000")
+    got = outcome(exact_g_integers, 6, 5, 7, 30)
+    assert got[:4] == (8, 42348, 383, "optimal")
+    assert got == outcome(reference_exact_g_integers, 6, 5, 7, 30)
+
+
+def test_exact_g_budget_caps_a_huge_range(monkeypatch):
+    # the search state grows with the largest value visited, which the node
+    # budget caps, never with max_value
+    monkeypatch.setenv("LOCALLAB_BUDGET", "1000")
+    with pytest.raises(BudgetExceededError, match="exceeded the 1000 node budget"):
+        exact_g_integers(3, 2, 1, 10**15)
 
 
 def test_exact_g_setup_counts_against_the_node_budget(monkeypatch):
