@@ -191,18 +191,28 @@ def random_coloring(n: int, c: int, seed: int) -> EdgeColoring:
     return EdgeColoring(n, colors, tuple(ids))
 
 
-def pairs_within(g: EdgeColoring, part_of, r: int) -> list:
-    """within[c][j]: the color-c base pairs with both ends in part j, where
-    part_of[v] in 0..r-1 is v's part, as two int arrays (us, vs) with
-    us < vs, in lexicographic order."""
+def pair_cells(g: EdgeColoring, part_of, r: int) -> tuple:
+    """The base pairs with both ends in one part, where part_of[v] in
+    0..r-1 is v's part, as (us, vs, counts): two int arrays with us < vs,
+    grouped by cell c * r + j for color c and part j and in lexicographic
+    order inside a cell, and the cell sizes as a num_colors x r array."""
     part_of = np.asarray(part_of)
     us, vs = _upper_pairs(g.n)
     same = part_of[us] == part_of[vs]
     us, vs = us[same], vs[same]
-    cells = np.asarray(g.colors)[same] * r + part_of[us]
+    cells = g.color_matrix()[us, vs].astype(np.intp) * r + part_of[us]
     order = np.argsort(cells, kind="stable")
-    cuts = np.cumsum(np.bincount(cells, minlength=g.num_colors * r))[:-1]
-    table = list(zip(np.split(us[order], cuts), np.split(vs[order], cuts)))
+    counts = np.bincount(cells, minlength=g.num_colors * r).reshape(g.num_colors, r)
+    return us[order], vs[order], counts
+
+
+def pairs_within(g: EdgeColoring, part_of, r: int) -> list:
+    """within[c][j]: the color-c base pairs with both ends in part j, where
+    part_of[v] in 0..r-1 is v's part, as two int arrays (us, vs) with
+    us < vs, in lexicographic order; pair_cells sliced at its cell offsets."""
+    us, vs, counts = pair_cells(g, part_of, r)
+    ends = np.cumsum(counts).tolist()
+    table = [(us[a:b], vs[a:b]) for a, b in zip([0, *ends], ends)]
     return [table[c * r:(c + 1) * r] for c in range(g.num_colors)]
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import ENERGY_GRAPH_EDGE_BUDGET, budget
-from .coloring import EdgeColoring, pairs_within
+from .coloring import EdgeColoring, pair_cells
 from .errors import (
     BudgetExceededError,
     EnergyGraphError,
@@ -42,32 +42,46 @@ from .jsonio import fields, pack_codes, unpack_codes
 from .partition import MAX_TRIALS
 
 
+def _pair_keys(xs, ys, top: int) -> tuple:
+    """(keys, base, codes): keys[i] = x * base + y for the pair (xs[i],
+    ys[i]) of entries in 0..top-1, so keys order as the pairs; int32 when
+    base^2 fits it, else int64.  base is top while top^2 fits int64; past
+    that, x and y are the ranks of the entries among their distinct
+    values `codes`, and base is their count.  codes is None otherwise."""
+    codes = None
+    if top * top > np.iinfo(np.int64).max:
+        codes = np.unique(np.concatenate((xs, ys)))
+        xs, ys, top = np.searchsorted(codes, xs), np.searchsorted(codes, ys), len(codes)
+    dtype = np.int32 if top * top <= np.iinfo(np.int32).max else np.int64
+    keys = np.multiply(xs, top, dtype=dtype)
+    keys += ys
+    return keys, top, codes
+
+
 def csr_adjacency(xs, ys) -> tuple:
     """CSR (codes, indptr, indices) of the edges {xs[i], ys[i]}: codes are
     the sorted distinct vertex codes on an edge, and indices[indptr[i]:
     indptr[i + 1]] the positions in codes of codes[i]'s neighbors, ascending.
 
-    The edges must be strictly sorted by (xs, ys) with xs < ys, as every
-    EnergyGraph keeps them, so no sort is needed: a row is its lower
-    neighbors, ascending along a stable argsort of the ys, then its higher
-    ones, ascending in edge order; counted row lengths place both halves."""
+    The edges must be distinct with xs < ys, as every EnergyGraph keeps
+    them; their order does not matter.  Each end is ranked in codes, by a
+    presence array when the codes are dense and by np.unique otherwise;
+    then one sort of the keys i * c + j of both directions, for c codes,
+    lays out every row: row i starts where the keys reach i * c, and its
+    entries are their residues mod c."""
     m = len(xs)
     if m and ys.max() < 8 * m:  # codes are dense enough to mark them
         seen = np.zeros(ys.max() + 1, dtype=bool)
         seen[xs] = seen[ys] = True
-        codes, rank = np.flatnonzero(seen).astype(xs.dtype), np.cumsum(seen) - 1
+        codes, rank = np.flatnonzero(seen).astype(xs.dtype), np.cumsum(seen, dtype=xs.dtype) - 1
         xi, yi = rank[xs], rank[ys]
     else:
         codes = np.unique(np.concatenate((xs, ys)))
         xi, yi = np.searchsorted(codes, xs), np.searchsorted(codes, ys)
-    lower, higher = np.bincount(yi, minlength=len(codes)), np.bincount(xi, minlength=len(codes))
-    indptr = np.zeros(len(codes) + 1, dtype=np.int64)
-    np.cumsum(lower + higher, out=indptr[1:])
-    back, step = np.argsort(yi, kind="stable"), np.arange(m)
-    indices = np.empty(2 * m, dtype=np.int64)
-    indices[step + (np.cumsum(higher) - higher)[yi[back]]] = xi[back]
-    indices[step + np.cumsum(lower)[xi]] = yi
-    return codes, indptr, indices
+    c = len(codes)
+    keys = np.sort(np.concatenate((_pair_keys(xi, yi, c)[0], _pair_keys(yi, xi, c)[0])))
+    indptr = np.searchsorted(keys, np.arange(c + 1, dtype=keys.dtype) * c)
+    return codes, indptr, (keys % c).astype(np.int64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,34 +170,56 @@ def _part_index(parts, r: int, n: int) -> np.ndarray:
     return index
 
 
-def _product_graph(g: EdgeColoring, r: int, parts, pair_lists, stage: str) -> EnergyGraph:
+def _ranges(starts, lengths) -> np.ndarray:
+    """The ranges starts[i] + range(lengths[i]), one after another."""
+    ends = np.cumsum(lengths)
+    return np.arange(np.sum(lengths)) + np.repeat(starts + lengths - ends, lengths)
+
+
+def _product_graph(g: EdgeColoring, parts, cells, columns, stage: str) -> EnergyGraph:
     """Energy graph whose color-c edges join X = (a_1, ..., a_r) and
-    Y = (b_1, ..., b_r) for each choice of base pairs (a_j, b_j) from
-    pair_lists[c][j], a pairs_within cell (us, vs), as listed (a_1 < b_1)
-    in the first coordinate and in both orders in the others.  As X < Y
+    Y = (b_1, ..., b_r) for each choice of base pairs (a_j, b_j) from the
+    pair_cells cell (c, columns[j]) of cells, as listed (a_1 < b_1) in
+    the first coordinate and in both orders in the others.  As X < Y
     exactly when a_1 < b_1, each edge arises once, and the budget checks
     the exact edge count.
+
+    Every color expands at once: coordinate by coordinate, each partial
+    tuple is repeated once per pair its color has there, by np.repeat
+    offsets.  One sort of the keys X * n^r + Y then orders the edges.
     """
+    us, vs, counts = cells
+    r = len(columns)
     dtype = _code_dtype(g.n, r)
+    starts = (np.cumsum(counts) - counts.ravel()).reshape(counts.shape)[:, columns]
+    listed = counts[:, columns]
+    sizes = listed * np.where(np.arange(r), 2, 1)  # pairs per color and coordinate
     cap = budget(ENERGY_GRAPH_EDGE_BUDGET)
-    predicted = sum(len(lists[0][0]) * math.prod(2 * len(us) for us, _ in lists[1:])
-                    for lists in pair_lists)
+    predicted = sum(map(math.prod, sizes.tolist()))
     if predicted > cap:
         raise BudgetExceededError(f"{predicted} energy edges exceed the budget {cap}")
-    xs, ys = [], []
-    for lists in pair_lists:
-        x = y = np.zeros(1, dtype)
-        for j, (a, b) in enumerate(lists):
-            if j:
-                a, b = np.concatenate((a, b)), np.concatenate((b, a))
-            # the codes are summed in dtype, not in the pairs' wider intp
-            x = np.add(x[:, None], a * g.n ** (r - 1 - j), dtype=dtype).ravel()
-            y = np.add(y[:, None], b * g.n ** (r - 1 - j), dtype=dtype).ravel()
-        xs.append(x)
-        ys.append(y)
-    xs, ys = np.concatenate(xs), np.concatenate(ys)
-    order = np.lexsort((ys, xs))
-    return EnergyGraph(r, g.n, parts, xs[order], ys[order], (stage,))
+    a, b = np.concatenate((us, vs)), np.concatenate((vs, us))  # each pair in both orders
+    color = np.arange(len(sizes))
+    xs = ys = np.zeros(len(sizes), dtype)
+    for j in range(r):
+        # color c's pairs at j: its cell, then the cell reversed past j = 0
+        size, m = sizes[:, j], listed[:, j]
+        pool = _ranges(np.stack((starts[:, j], starts[:, j] + len(us)), 1).ravel(),
+                       np.stack((m, size - m), 1).ravel())
+        reps = size[color]
+        at = _ranges((np.cumsum(size) - size)[color], reps)
+        weight = g.n ** (r - 1 - j)
+        xs = np.repeat(xs, reps) + (a[pool] * weight).astype(dtype)[at]
+        ys = np.repeat(ys, reps) + (b[pool] * weight).astype(dtype)[at]
+        if j < r - 1:
+            color = np.repeat(color, reps)
+    keys, base, codes = _pair_keys(xs, ys, g.n**r)
+    keys.sort()
+    xs, ys = np.divmod(keys, base)
+    if codes is not None:
+        xs, ys = codes[xs], codes[ys]
+    return EnergyGraph(r, g.n, parts, xs.astype(dtype, copy=False), ys.astype(dtype, copy=False),
+                       (stage,))
 
 
 def build_second_energy_graph(g: EdgeColoring) -> EnergyGraph:
@@ -191,8 +227,8 @@ def build_second_energy_graph(g: EdgeColoring) -> EnergyGraph:
     cap = budget(ENERGY_GRAPH_EDGE_BUDGET)
     if g.n**2 > cap:
         raise BudgetExceededError(f"energy graph needs {g.n ** 2} vertices, budget {cap}")
-    pair_lists = [cells * 2 for cells in pairs_within(g, np.zeros(g.n, int), 1)]
-    return _product_graph(g, 2, None, pair_lists, "build_second")
+    cells = pair_cells(g, np.zeros(g.n, int), 1)
+    return _product_graph(g, None, cells, [0, 0], "build_second")
 
 
 def build_rth_energy_graph(g: EdgeColoring, r: int, parts) -> EnergyGraph:
@@ -203,8 +239,8 @@ def build_rth_energy_graph(g: EdgeColoring, r: int, parts) -> EnergyGraph:
     if r < 2:
         raise EnergyGraphError(f"order r={r} must be >= 2")
     parts = tuple(tuple(sorted(p)) for p in parts)
-    within = pairs_within(g, _part_index(parts, r, g.n), r)
-    return _product_graph(g, r, parts, within, "build_partitioned")
+    cells = pair_cells(g, _part_index(parts, r, g.n), r)
+    return _product_graph(g, parts, cells, list(range(r)), "build_partitioned")
 
 
 def prune_diagonal(eg: EnergyGraph) -> EnergyGraph:
@@ -398,8 +434,7 @@ def energy_graph_from_dict(data: dict) -> EnergyGraph:
         raise EnergyGraphError("xs and ys must have one entry per edge")
     if len(xs) and (xs.min() < 0 or ys.max() >= n**r or (xs >= ys).any()):
         raise EnergyGraphError(f"edge codes must satisfy 0 <= xs[i] < ys[i] < {n}^{r}")
-    step = np.diff(xs)
-    if not ((step > 0) | ((step == 0) & (np.diff(ys) > 0))).all():
+    if not (np.diff(_pair_keys(xs, ys, n**r)[0]) > 0).all():
         raise EnergyGraphError("edges must be strictly increasing in (xs, ys)")
     eg = EnergyGraph(r, n, None if parts is None else tuple(tuple(p) for p in parts),
                      xs, ys, tuple(provenance))

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from locallab import (
     LocalLabError,
@@ -14,6 +16,7 @@ from locallab import (
     difference_set,
     is_3ap_free,
     load_real_set,
+    new_coloring,
     real_set,
     real_set_from_dict,
     real_set_to_dict,
@@ -87,6 +90,33 @@ def test_coloring_from_set_uses_differences_as_labels():
         A = real_set(sorted(rng.sample(range(500), rng.randrange(2, 15))))
         g = coloring_from_set(A)
         assert g.num_colors == len(difference_set(A).values)
+
+
+def reference_coloring_from_set(A):
+    """coloring_from_set as it was first written: the difference of every
+    pair i < j handed to new_coloring as its label."""
+    elems = A.elements
+    return new_coloring(len(elems), [(i, j, elems[j] - elems[i])
+                                     for i, j in itertools.combinations(range(len(elems)), 2)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.integers(-12, 12) | st.fractions(-6, 6, max_denominator=3),
+                       min_size=2, max_size=14, unique=True))
+# a progression repeats a difference; 3/2 - 1/2 is the Fraction 1 and
+# 3 - 2 the int 1 later, so the label kept is the first one seen
+@example(values=[0, 1, 2])
+@example(values=[Fraction(1, 2), Fraction(3, 2), 2, 3])
+def test_coloring_from_set_matches_the_new_coloring_build(values):
+    A = real_set(values)
+    got, want = coloring_from_set(A), reference_coloring_from_set(A)
+    assert got == want
+    assert list(map(type, got.color_names)) == list(map(type, want.color_names))
+
+
+def test_coloring_from_set_needs_two_elements():
+    with pytest.raises(LocalLabError, match="need at least two elements"):
+        coloring_from_set(real_set([Fraction(1, 3)]))
 
 
 def test_check_g_property():

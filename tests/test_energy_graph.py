@@ -32,8 +32,8 @@ from locallab import (
     real_set,
     sign_decompose,
 )
-from locallab.coloring import pairs_within
-from locallab.energy_graph import colors_at_least, csr_adjacency, edge_colors
+from locallab.coloring import pair_cells, pairs_within
+from locallab.energy_graph import _part_index, colors_at_least, csr_adjacency, edge_colors
 from locallab.jsonio import code_width, read_json, write_json
 
 
@@ -262,6 +262,58 @@ def test_edge_colors_match_the_stored_color_reference(form):
                 assert np.array_equal(mat[a, b], colors)
             edges += stage.num_edges
     assert edges
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_build_matches_the_reference_with_many_colors_and_empty_cells(r):
+    # arith-chain's shape: 120 elements of 1..240, over 200 differences;
+    # and few colors over r parts, so some color has pairs inside some
+    # parts but none inside another, and adds no edge
+    rng = random.Random(r)
+    many = coloring_from_set(real_set(rng.sample(range(1, 241), 120)))
+    assert many.num_colors > 200
+    empty = 0
+    for g in [many] + [random_coloring(rng.randrange(3 * r, 21), rng.randrange(2, 7),
+                                       seed=rng.randrange(10**6)) for _ in range(6)]:
+        parts = partition_for_rth_energy(g, r, seed=rng.randrange(100)).parts
+        counts = pair_cells(g, _part_index(parts, r, g.n), r)[2]
+        empty += int(((counts == 0).any(axis=1) & (counts > 0).any(axis=1)).sum())
+        eg = build_rth_energy_graph(g, r, parts)
+        xs, ys, _ = reference_build(g, r, parts)
+        assert np.array_equal(eg.xs, xs) and np.array_equal(eg.ys, ys)
+    assert empty
+
+
+def past_int64_keys_graph():
+    """A partitioned build at n = 240, r = 4 whose codes pass 3.04e9, where
+    code * 240^4 leaves int64: color "x" joins the first two and the last
+    two vertices of each part."""
+    n, r = 240, 4
+    parts = [tuple(range(j, n, r)) for j in range(r)]
+    x = {p[:2] for p in parts} | {p[-2:] for p in parts}
+    g = new_coloring(n, [(u, v, "x" if (u, v) in x else f"{u}-{v}")
+                         for u, v in itertools.combinations(range(n), 2)])
+    return g, parts, build_rth_energy_graph(g, r, parts)
+
+
+def test_build_past_int64_keys_ranks_the_codes_first():
+    g, parts, eg = past_int64_keys_graph()
+    xs, ys, _ = reference_build(g, eg.r, parts)
+    assert np.array_equal(eg.xs, xs) and np.array_equal(eg.ys, ys)
+    assert eg.num_edges == 2 * 4**3 and ys.max() > 3.04e9
+    assert (eg.n**eg.r) ** 2 > np.iinfo(np.int64).max
+
+
+def test_graph_file_order_is_checked_past_int64_keys():
+    _, _, eg = past_int64_keys_graph()
+    assert energy_graph_from_dict(energy_graph_to_dict(eg)).edges == eg.edges
+    every = np.arange(eg.num_edges)
+    # the last two edges swapped, and the last edge repeated
+    for order in (np.concatenate((every[:-2], every[:-3:-1])), np.append(every, every[-1])):
+        bad = EnergyGraph(eg.r, eg.n, eg.parts, eg.xs[order], eg.ys[order])
+        assert bad.xs[-1] > 3.04e9
+        with pytest.raises(EnergyGraphError, match="strictly increasing"):
+            energy_graph_from_dict(energy_graph_to_dict(bad))
 
 
 @pytest.mark.parametrize("other", [24, 36])
