@@ -30,7 +30,6 @@ from .coloring import (
     coloring_from_dict,
     coloring_to_dict,
     load_coloring,
-    min_colors_over_k_subsets,
     new_coloring,
     pair_index,
     random_coloring,
@@ -53,7 +52,6 @@ from .partition import (
 )
 from .energy_graph import (
     EnergyGraph,
-    all_sign_sequences,
     build_rth_energy_graph,
     build_second_energy_graph,
     coordinate_neighbor_violations,
@@ -70,11 +68,9 @@ from .forbidden import (
     CliqueWitness,
     CyclePath,
     DifferenceEquality,
-    ExtremalReference,
     SubdivisionEmbedding,
     WitnessSet,
     clique_from_cycle_arith,
-    extremal_edge_reference,
     find_complete_bipartite,
     find_cycle,
     find_subdivision,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coloring import EdgeColoring, PropertyVerdict, check_local_property
+from .coloring import EdgeColoring, PropertyVerdict, _numbered, check_local_property
 from .errors import LocalLabError
 from .jsonio import exact, exact_to_json, fields, read_json, write_json
 
@@ -76,15 +76,12 @@ def difference_set(A: RealSet) -> DifferenceSet:
 
 
 def coloring_from_set(A: RealSet) -> EdgeColoring:
-    """K_n on the sorted elements, edge {i, j} colored by |a_i - a_j|:
-    over the pairs i < j in lexicographic order, each difference is
-    numbered by first appearance and kept as its label."""
+    """K_n on the sorted elements, edge {i, j} colored by |a_i - a_j|,
+    the difference kept as its label."""
     if len(A.elements) < 2:
         raise LocalLabError("need at least two elements")
-    ids = {}  # difference -> dense id, in order of first appearance
     pairs = itertools.combinations(A.elements, 2)
-    colors = tuple(ids.setdefault(b - a, len(ids)) for a, b in pairs)
-    return EdgeColoring(len(A.elements), colors, tuple(ids))
+    return _numbered(len(A.elements), [b - a for a, b in pairs])
 
 
 def check_g_property(A: RealSet, k: int, l: int, mode: str = "exhaustive",

@@ -4,7 +4,8 @@ A coloring assigns one color to each of the C(n, 2) edges of K_n.  The
 (k, l) local property holds when every k-vertex subset spans at least l
 distinct edge colors.  Color labels are opaque (ints, strings, or exact
 rationals); on construction they are normalized to dense integer ids
-numbered by first appearance, and the original labels are kept for I/O.
+numbered by first appearance in pair order, whatever order the edges
+were given in, and the original labels are kept for I/O.
 
 Everything here is immutable and every operation is pure, so values can
 be shared freely between threads.
@@ -141,19 +142,28 @@ def _check_vertex_count(n):
         raise ColoringError(f"need at least 2 vertices, got n={n!r}")
 
 
+def _numbered(n, labels) -> EdgeColoring:
+    """The EdgeColoring of K_n whose i-th pair in pair_index order has the
+    i-th of `labels`, each label numbered by its first appearance in that
+    order; of labels that compare equal, the first is kept."""
+    ids = {}  # label -> dense id, in order of first appearance
+    colors = tuple([ids.setdefault(label, len(ids)) for label in labels])
+    return EdgeColoring(n, colors, tuple(ids))
+
+
 def new_coloring(n: int, assignments) -> EdgeColoring:
     """Build a validated EdgeColoring from (u, v, label) triples.
 
     Raises a distinct error for self-loops, out-of-range vertices,
-    duplicated pairs, and missing pairs.  Labels are normalized to dense
-    ids in order of first appearance.  Memory follows the assignments
-    given, not the declared n, so a huge n fails on its first missing pair.
+    duplicated pairs, and missing pairs, at the first entry that has
+    one.  Labels are numbered by `_numbered`, so the same coloring gets
+    the same ids whatever the order of its assignments.  Memory follows
+    the assignments given, not the declared n, so a huge n fails on its
+    first missing pair.
     """
     _check_vertex_count(n)
     total = n * (n - 1) // 2
-    colors = {}  # pair index -> color id
-    names = []
-    ids = {}
+    labels = {}  # pair index -> label
     for u, v, label in assignments:
         for w in (u, v):
             if type(w) is not int or not 0 <= w < n:
@@ -161,19 +171,16 @@ def new_coloring(n: int, assignments) -> EdgeColoring:
         if u == v:
             raise SelfLoopError(f"assignment colors the loop ({u}, {v})")
         idx = pair_index(n, u, v)
-        if idx in colors:
+        if idx in labels:
             raise DuplicatePairError(f"pair ({min(u, v)}, {max(u, v)}) assigned twice")
-        if label not in ids:
-            ids[label] = len(names)
-            names.append(label)
-        colors[idx] = ids[label]
-    if len(colors) < total:
+        labels[idx] = label
+    if len(labels) < total:
         # a generator: combinations() would first build tuple(range(n))
         pairs = ((u, v) for u in range(n) for v in range(u + 1, n))
         for idx, (u, v) in enumerate(pairs):
-            if idx not in colors:
+            if idx not in labels:
                 raise MissingPairError(f"pair ({u}, {v}) received no color")
-    return EdgeColoring(n, tuple(map(colors.__getitem__, range(total))), tuple(names))
+    return _numbered(n, map(labels.__getitem__, range(total)))
 
 
 def random_coloring(n: int, c: int, seed: int) -> EdgeColoring:
@@ -186,9 +193,7 @@ def random_coloring(n: int, c: int, seed: int) -> EdgeColoring:
         raise ColoringError("palette size must be at least 1")
     _check_vertex_count(n)
     rng = random.Random(seed)
-    ids = {}  # label -> dense id, in order of first appearance
-    colors = tuple(ids.setdefault(rng.randrange(c), len(ids)) for _ in range(n * (n - 1) // 2))
-    return EdgeColoring(n, colors, tuple(ids))
+    return _numbered(n, [rng.randrange(c) for _ in range(n * (n - 1) // 2)])
 
 
 def pair_cells(g: EdgeColoring, part_of, r: int) -> tuple:
@@ -204,16 +209,6 @@ def pair_cells(g: EdgeColoring, part_of, r: int) -> tuple:
     order = np.argsort(cells, kind="stable")
     counts = np.bincount(cells, minlength=g.num_colors * r).reshape(g.num_colors, r)
     return us[order], vs[order], counts
-
-
-def pairs_within(g: EdgeColoring, part_of, r: int) -> list:
-    """within[c][j]: the color-c base pairs with both ends in part j, where
-    part_of[v] in 0..r-1 is v's part, as two int arrays (us, vs) with
-    us < vs, in lexicographic order; pair_cells sliced at its cell offsets."""
-    us, vs, counts = pair_cells(g, part_of, r)
-    ends = np.cumsum(counts).tolist()
-    table = [(us[a:b], vs[a:b]) for a, b in zip([0, *ends], ends)]
-    return [table[c * r:(c + 1) * r] for c in range(g.num_colors)]
 
 
 # Subsets are scanned in blocks of at most this many rows.
@@ -377,16 +372,15 @@ def _scan(g, k, cap, trials=None, seed=None):
     all k-subsets fit one block, it counts every k-subset in lexicographic
     order instead.  Either way the subset returned is the
     lexicographically least minimizer.  Sampled: counts `trials` sampled
-    subsets and returns the first minimizer.  Counts are capped at `cap`
-    (when not None), which never changes whether the minimum reaches
-    `cap`.  The scan is checked against SUBSET_SCAN_BUDGET, which counts
-    all C(n, k) subsets or the `trials`, before it starts.
+    subsets and returns the first minimizer.  Counts are capped at `cap`,
+    which never changes whether the minimum reaches `cap`.  The scan is
+    checked against SUBSET_SCAN_BUDGET, which counts all C(n, k) subsets
+    or the `trials`, before it starts.
     """
     _check_subset_budget(g.n, k, trials)
     vertex = np.min_scalar_type(g.n - 1)
     if trials is None:
-        top = k * (k - 1) // 2
-        best, best_subset = top if cap is None else min(top, cap), tuple(range(k))
+        best, best_subset = min(k * (k - 1) // 2, cap), tuple(range(k))
         if best == 1:
             return best, best_subset
         # one block of every subset costs less than listing the repeat rows
@@ -413,8 +407,7 @@ def _scan(g, k, cap, trials=None, seed=None):
         counts = np.ones(len(rows), dtype=np.intp)
         for j in range(1, len(spans)):
             counts += (spans[:j] != spans[j]).all(axis=0)
-        if cap is not None:
-            np.minimum(counts, cap, out=counts)
+        np.minimum(counts, cap, out=counts)
         i = int(np.argmin(counts))
         if best is None or counts[i] < best:
             best = int(counts[i])
@@ -463,14 +456,6 @@ def check_local_property(
     raise ColoringError(f"unknown mode {mode!r}")
 
 
-def min_colors_over_k_subsets(g: EdgeColoring, k: int):
-    """Exact minimum color count over all k-subsets, with the
-    lexicographically least subset attaining it."""
-    if not 2 <= k <= g.n:
-        raise ColoringError(f"k={k} must satisfy 2 <= k <= n={g.n}")
-    return _scan(g, k, None)
-
-
 # ---------------------------------------------------------------------------
 # JSON interchange: {"n": int, "edges": [[u, v, color], ...]}
 
@@ -490,7 +475,8 @@ def coloring_from_dict(data: dict) -> EdgeColoring:
         if not isinstance(entry, (list, tuple)) or len(entry) != 3:
             raise ColoringError(f"bad edge entry {entry!r}")
         u, v, label = entry
-        if not isinstance(label, (int, str)):
+        # bool is an int subclass, and True == 1 would merge two colors
+        if isinstance(label, bool) or not isinstance(label, (int, str)):
             raise ColoringError(f"color label {label!r} must be int or string")
         triples.append((u, v, label_from_json(label)))
     return new_coloring(n, triples)

@@ -355,10 +355,6 @@ def coordinate_neighbor_violations(eg: EnergyGraph):
     return list(zip(eg.vertices(eg.adjacency()[0][position]), j.tolist(), value.tolist()))
 
 
-def all_sign_sequences(r: int):
-    return list(itertools.product("+-", repeat=r - 1))
-
-
 def edge_sign_vector(x, y, values) -> tuple:
     """Sign pattern of an arithmetic energy edge: entry j-1 is '+' when
     value(x1) - value(y1) = value(xj) - value(yj) and '-' when it equals
@@ -398,7 +394,7 @@ def sign_decompose(eg: EnergyGraph, values) -> dict:
         i = int(np.argmax(bad))
         edge_sign_vector(eg.vertices(eg.xs[i:i + 1])[0], eg.vertices(eg.ys[i:i + 1])[0], values)
     return {s: eg._replaced(index == k, f"sign_class({''.join(s)})")
-            for k, s in enumerate(all_sign_sequences(eg.r))}
+            for k, s in enumerate(itertools.product("+-", repeat=eg.r - 1))}
 
 
 def energy_graph_to_dict(eg: EnergyGraph) -> dict:

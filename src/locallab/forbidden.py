@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -208,33 +207,6 @@ def _assign_midpoints(branch, neighbors):
         return False
 
     return dict(sorted(assignment.items())) if assign(0) else None
-
-
-@dataclass(frozen=True)
-class ExtremalReference:
-    """Reference edge-count curve n**exponent for a forbidden
-    configuration; the constant factor is unknown, so the value is a
-    diagnostic, never a certificate."""
-
-    kind: str
-    parameter: int
-    exponent: Fraction
-    reference: float
-    certified: bool = False
-
-
-def extremal_edge_reference(n: int, kind: str, parameter: int) -> ExtremalReference:
-    if kind == "even_cycle":
-        if parameter < 4 or parameter % 2 != 0:
-            raise LocalLabError("even_cycle takes the cycle length 2k >= 4")
-        exponent = 1 + Fraction(1, parameter // 2)
-    elif kind == "subdivision":
-        if parameter < 3:
-            raise LocalLabError("subdivision takes t >= 3")
-        exponent = Fraction(3, 2) - Fraction(1, 4 * parameter - 6)
-    else:
-        raise LocalLabError(f"unknown configuration kind {kind!r}")
-    return ExtremalReference(kind, parameter, exponent, float(n) ** float(exponent))
 
 
 # ---------------------------------------------------------------------------

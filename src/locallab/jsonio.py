@@ -86,11 +86,11 @@ def exact(x):
 
 
 def exact_to_json(x):
-    """The JSON form of a label: ints and strings as they are, a Fraction
-    as "p/q" (or as an int when it is integral)."""
+    """The JSON form of a label: a non-bool int or a string as it is, a
+    Fraction as "p/q" (or as an int when it is integral)."""
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-    if isinstance(x, (int, str)):
+    if isinstance(x, (int, str)) and not isinstance(x, bool):
         return x
     raise LocalLabError(f"label {x!r} has no JSON form")
 

@@ -16,7 +16,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .coloring import pairs_within
+from .coloring import pair_cells
 from .energy import energy
 from .errors import PartitionError
 
@@ -118,8 +118,7 @@ def partition_for_rth_energy(g, r: int, seed: int) -> RPartition:
         for j, part in enumerate(parts):
             for v in part:
                 part_of[v] = j
-        count = sum(math.prod(2 * len(us) for us, _ in lists)
-                    for lists in pairs_within(g, part_of, r))
+        count = sum(map(math.prod, (2 * pair_cells(g, part_of, r)[2]).tolist()))
         met = count * scale >= total
         if best is None or count > best.within_tuple_count:
             best = RPartition(tuple(parts), count, trial, met)

@@ -5,6 +5,7 @@ equivalence, exact accounting identities, finite instantiations of the
 cycle/witness pipelines, and byte-level determinism of the CLI.
 """
 
+import math
 import random
 import statistics
 import subprocess
@@ -28,7 +29,6 @@ from locallab import (
     find_cycle,
     is_3ap_free,
     ln_ceiling,
-    min_colors_over_k_subsets,
     new_coloring,
     partition_for_rth_energy,
     prune_diagonal,
@@ -136,7 +136,7 @@ def test_criterion_5_pair_cycle_mechanism():
         ok = (len(ws.vertices) == 8
               and spanned == ws.colors_spanned
               and spanned <= 8 * 7 // 2 - 4
-              and min_colors_over_k_subsets(g, 8)[0] == spanned)
+              and check_local_property(g, 8, math.comb(8, 2)).min_colors_seen == spanned)
     # converse: colorings that pass (8, 25) leave no 4-cycle after the
     # full pruning pipeline (diagonal, then colors under 100 k^2 edges)
     survivors = 0

@@ -375,6 +375,14 @@ def test_coloring_declaring_more_vertices_than_its_edges_exits_2(tmp_path, capsy
     assert err.count("error: pair (0, 1) received no color") == 2
 
 
+def test_bool_color_label_exits_2(tmp_path, capsys):
+    # JSON true equals 1, so this file would load its three edges as one color
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps({"n": 3, "edges": [[0, 1, True], [0, 2, 1], [1, 2, 1]]}))
+    assert run(["check", "--input", str(path), "--k", "3", "--l", "2"]) == 2
+    assert "error: color label True must be int or string" in capsys.readouterr().err
+
+
 def test_non_integer_rare_threshold_exits_2(tmp_path, capsys):
     mono = mono_file(tmp_path, 6)
     assert run(["energy-graph", "--input", str(mono), "--stages", "rare:x",

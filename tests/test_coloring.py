@@ -1,15 +1,19 @@
 import dataclasses
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from locallab import (
     ColoringError,
     DuplicatePairError,
+    LocalLabError,
     MissingPairError,
     SelfLoopError,
     VertexRangeError,
@@ -18,13 +22,12 @@ from locallab import (
     coloring_to_dict,
     energy,
     load_coloring,
-    min_colors_over_k_subsets,
     new_coloring,
     pair_index,
     random_coloring,
     save_coloring,
 )
-from locallab.coloring import _upper_pairs, pairs_within
+from locallab.coloring import _upper_pairs, pair_cells
 
 
 def complete_assignments(n, label=0):
@@ -123,7 +126,7 @@ def test_colors_within_counts_distinct_pair_colors():
 def test_multiplicities_sum_to_ordered_pair_count():
     for n, c, seed in ((4, 2, 0), (7, 3, 1), (9, 11, 2)):
         g = random_coloring(n, c, seed=seed)
-        sizes = [len(cells[0][0]) for cells in pairs_within(g, [0] * n, 1)]
+        sizes = pair_cells(g, [0] * n, 1)[2][:, 0].tolist()
         assert 2 * sum(sizes) == n * (n - 1)
         # every declared color really appears
         assert len(sizes) == g.num_colors and min(sizes) >= 1
@@ -131,7 +134,7 @@ def test_multiplicities_sum_to_ordered_pair_count():
 
 def test_perfect_matching_coloring_of_k4():
     g = new_coloring(4, [(0, 1, 0), (2, 3, 0), (0, 2, 1), (1, 3, 1), (0, 3, 2), (1, 2, 2)])
-    assert [len(cells[0][0]) for cells in pairs_within(g, [0] * 4, 1)] == [2, 2, 2]
+    assert pair_cells(g, [0] * 4, 1)[2][:, 0].tolist() == [2, 2, 2]
     assert energy(g, 2).value == 3 * 4**2 == 48
     assert energy(g, 3).value == 3 * 4**3 == 192
 
@@ -151,12 +154,18 @@ def test_check_local_property_exhaustive():
     assert v.holds and v.min_colors_seen == 3
 
 
+def fewest_colors(g, k):
+    """(fewest colors, least subset spanning them) over all k-subsets: an
+    l of C(k, 2) caps no count, since no k-subset spans more colors."""
+    v = check_local_property(g, k, math.comb(k, 2))
+    return v.min_colors_seen, v.witness
+
+
 def test_min_colors_over_k_subsets():
     g = new_coloring(4, [(0, 1, 1), (0, 2, 2), (0, 3, 3), (1, 2, 1), (1, 3, 2), (2, 3, 1)])
-    best, subset = min_colors_over_k_subsets(g, 3)
-    assert (best, subset) == (2, (0, 1, 2))
+    assert fewest_colors(g, 3) == (2, (0, 1, 2))
     mono = new_coloring(5, complete_assignments(5))
-    assert min_colors_over_k_subsets(mono, 4) == (1, (0, 1, 2, 3))
+    assert fewest_colors(mono, 4) == (1, (0, 1, 2, 3))
 
 
 def test_sampled_mode_is_seeded_and_refutes():
@@ -228,6 +237,41 @@ def test_json_round_trip_and_stable_bytes(tmp_path):
     payload = json.loads(first)
     assert coloring_from_dict(payload) == g
     assert coloring_to_dict(g) == payload
+
+
+LABELS = {
+    "int": lambda i: 10 * i - 7,
+    "str": lambda i: f"c{i}",
+    "fraction": lambda i: Fraction(i + 1, 3),
+}
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(data=st.data())
+def test_ids_do_not_depend_on_the_assignment_order(data):
+    n = data.draw(st.integers(2, 8))
+    label = LABELS[data.draw(st.sampled_from(sorted(LABELS)))]
+    pairs = list(itertools.combinations(range(n), 2))
+    ids = data.draw(st.lists(st.integers(0, len(pairs) - 1),
+                             min_size=len(pairs), max_size=len(pairs)))
+    in_order = [(u, v, label(c)) for (u, v), c in zip(pairs, ids)]
+    flips = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    shuffled = data.draw(st.permutations([(v, u, c) if flip else (u, v, c)
+                                          for (u, v, c), flip in zip(in_order, flips)]))
+    g = new_coloring(n, shuffled)
+    assert g == new_coloring(n, in_order)
+    assert coloring_from_dict(coloring_to_dict(g)) == g
+
+
+def test_bool_labels_are_rejected():
+    # True == 1, so a file with both would load them as one color
+    for label in (True, False):
+        with pytest.raises(ColoringError, match=rf"^color label {label} must be int or string$"):
+            coloring_from_dict({"n": 3, "edges": [[0, 1, label], [0, 2, 1], [1, 2, 1]]})
+    assert coloring_from_dict({"n": 2, "edges": [[0, 1, 1]]}).color_names == (1,)
+    # nor is a bool label written, so every saved file loads again
+    with pytest.raises(LocalLabError, match="^label True has no JSON form$"):
+        coloring_to_dict(new_coloring(2, [(0, 1, True)]))
 
 
 def test_random_corpus_round_trips():

@@ -13,7 +13,6 @@ from locallab import (
     EnergyGraph,
     EnergyGraphError,
     SignConsistencyError,
-    all_sign_sequences,
     build_rth_energy_graph,
     build_second_energy_graph,
     coloring_from_set,
@@ -32,7 +31,7 @@ from locallab import (
     real_set,
     sign_decompose,
 )
-from locallab.coloring import pair_cells, pairs_within
+from locallab.coloring import pair_cells
 from locallab.energy_graph import _part_index, colors_at_least, csr_adjacency, edge_colors
 from locallab.jsonio import code_width, read_json, write_json
 
@@ -164,10 +163,14 @@ def test_pairs_within_matches_the_itertools_reference(r):
         n = rng.randrange(2, 13)
         g = random_coloring(n, rng.randrange(1, 12), seed=rng.randrange(10**6))
         part_of = [rng.randrange(r) for _ in range(n)]
-        within = pairs_within(g, part_of, r)
-        got = [[list(zip(us.tolist(), vs.tolist())) for us, vs in cells] for cells in within]
-        assert got == reference_within(g, part_of, r)
-        empty += sum(len(us) == 0 for cells in within for us, _ in cells)
+        us, vs, counts = pair_cells(g, part_of, r)
+        assert counts.shape == (g.num_colors, r)
+        # cell c * r + j holds the color-c pairs inside part j
+        ends = np.cumsum(counts).tolist()
+        cells = [list(zip(us[a:b].tolist(), vs[a:b].tolist())) for a, b in zip([0, *ends], ends)]
+        assert [cells[c * r:(c + 1) * r] for c in range(g.num_colors)] == reference_within(
+            g, part_of, r)
+        empty += int((counts == 0).sum())
     # a palette color has a pair in the one part r = 1 has, and with more
     # parts some color has no pair inside some part
     assert (empty == 0) == (r == 1)
@@ -483,11 +486,6 @@ def test_sign_vectors_on_a_frozen_set():
         edge_sign_vector((0, 2), (1, 3), B)  # |10-12| != |0-1|
 
 
-def test_all_sign_sequences():
-    assert all_sign_sequences(2) == [("+",), ("-",)]
-    assert len(all_sign_sequences(4)) == 8
-
-
 def test_sign_decomposition_partitions_the_graph():
     rng = random.Random(17)
     for seed in range(6):
@@ -502,6 +500,14 @@ def test_sign_decomposition_partitions_the_graph():
             together.extend(sub.edges)
             assert all(edge_sign_vector(x, y, values) == key for x, y in sub.edges)
         assert sorted(together) == list(eg.edges)
+    # '-' is the high bit of a class's index, coordinate 2 the top one
+    A = real_set([0, 1, 2, 3, 10, 11, 12, 13, 20])
+    eg = build_rth_energy_graph(coloring_from_set(A), 3, ((0, 3, 6), (1, 4, 7), (2, 5, 8)))
+    classes = sign_decompose(eg, A)
+    assert ["".join(key) for key in classes] == ["++", "+-", "-+", "--"]
+    for key, sub in classes.items():
+        assert all(edge_sign_vector(x, y, A) == key for x, y in sub.edges)
+    assert sum(sub.num_edges for sub in classes.values()) == eg.num_edges > 0
 
 
 def test_sign_decomposition_needs_partitioned_graph():

@@ -1,6 +1,6 @@
 import itertools
+import math
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,22 +13,20 @@ from locallab import (
     PaddingError,
     SignConsistencyError,
     WitnessError,
-    all_sign_sequences,
     build_rth_energy_graph,
     build_second_energy_graph,
+    check_local_property,
     clique_certificate,
     clique_from_cycle_arith,
     coloring_from_set,
     edge_sign_vector,
     energy_graph_from_dict,
     energy_graph_to_dict,
-    extremal_edge_reference,
     find_complete_bipartite,
     find_cycle,
     find_subdivision,
     halve_parts_prune,
     ln_ceiling,
-    min_colors_over_k_subsets,
     new_coloring,
     partition_for_rth_energy,
     prune_coordinate_neighbors,
@@ -432,23 +430,6 @@ def test_find_subdivision_answer_past_the_first_block():
     check_subdivision(g, color, emb, 4)
 
 
-# -- extremal reference curves -----------------------------------------------
-
-
-def test_extremal_reference_values():
-    ref = extremal_edge_reference(100, "even_cycle", 4)
-    assert ref.exponent == Fraction(3, 2) and ref.reference == 1000.0
-    assert not ref.certified
-    ref = extremal_edge_reference(16, "even_cycle", 8)
-    assert ref.exponent == Fraction(5, 4) and ref.reference == 32.0
-    ref = extremal_edge_reference(256, "subdivision", 3)
-    assert ref.exponent == Fraction(4, 3)
-    assert abs(ref.reference - 256.0 ** (4 / 3)) < 1e-9
-    for bad in (("even_cycle", 3), ("even_cycle", 2), ("subdivision", 2), ("triangle", 3)):
-        with pytest.raises(LocalLabError):
-            extremal_edge_reference(10, *bad)
-
-
 # -- witness sets from second-order cycles -----------------------------------
 
 
@@ -464,7 +445,7 @@ def test_witness_from_clean_cycle_needs_no_padding():
     assert ws.colors_spanned == 1
     assert ws.colors_spanned <= 8 * 7 // 2 - ws.claimed_repetitions
     # the spanned count is the real one
-    assert min_colors_over_k_subsets(g, 8)[0] == 1
+    assert check_local_property(g, 8, math.comb(8, 2)).min_colors_seen == 1
 
 
 MIRRORED = CyclePath(((0, 1), (1, 0), (0, 2), (2, 0)))
@@ -871,5 +852,5 @@ def test_clique_matches_the_checking_reference():
     # a clique from every sign class, and cycles that mix classes or repeat
     # a base element
     assert {(r, f"sign_class({''.join(s)})") for r in (2, 3, 4)
-            for s in all_sign_sequences(r)} <= kinds
+            for s in itertools.product("+-", repeat=r - 1)} <= kinds
     assert {(2, "SignConsistencyError"), (2, "WitnessError")} <= kinds

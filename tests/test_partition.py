@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -76,22 +77,13 @@ def test_partition_for_rth_energy_acceptance():
 
 
 def test_partition_for_rth_energy_count_matches_direct_product():
-    g = random_coloring(8, 2, seed=3)
-    rp = partition_for_rth_energy(g, 2, seed=7)
-    part_of = {}
-    for j, part in enumerate(rp.parts):
-        for v in part:
-            part_of[v] = j
-    # count ordered 4-tuples (a,b,c,d) with chi(ab)=chi(cd), {a,b} in part 0
-    # and {c,d} in part 1, directly
-    count = 0
-    mat = g.color_matrix()
-    for a in rp.parts[0]:
-        for b in rp.parts[0]:
-            if a == b:
-                continue
-            for c in rp.parts[1]:
-                for d in rp.parts[1]:
-                    if c != d and mat[a][b] == mat[c][d]:
-                        count += 1
-    assert count == rp.within_tuple_count
+    for n, r in ((8, 2), (8, 3), (12, 3)):
+        g = random_coloring(n, 2, seed=3)
+        rp = partition_for_rth_energy(g, r, seed=7)
+        # count ordered 2r-tuples whose j-th pair (a, b), a != b, lies in
+        # part j, all r pairs of one color, directly
+        mat = g.color_matrix()
+        ordered = [[(a, b) for a in part for b in part if a != b] for part in rp.parts]
+        count = sum(len({mat[a][b] for a, b in pairs}) == 1
+                    for pairs in itertools.product(*ordered))
+        assert count == rp.within_tuple_count > 0

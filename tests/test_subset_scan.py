@@ -23,7 +23,6 @@ import locallab.coloring as coloring_module
 from locallab import (
     BudgetExceededError,
     check_local_property,
-    min_colors_over_k_subsets,
     new_coloring,
     random_coloring,
 )
@@ -99,7 +98,8 @@ def test_scan_matches_reference(chunk_rows, table_rows, case):
     samples = reference_samples(g.n, k, trials, seed)
     with mock.patch.object(coloring_module, "_CHUNK_ROWS", chunk_rows), \
             mock.patch.object(coloring_module, "_TABLE_ROWS", table_rows):
-        assert min_colors_over_k_subsets(g, k) == reference_scan(g, k, None, everything)
+        v = check_local_property(g, k, math.comb(k, 2))
+        assert (v.min_colors_seen, v.witness) == reference_scan(g, k, None, everything)
         v = check_local_property(g, k, l)
         best, subset = reference_scan(g, k, l, everything)
         assert (v.min_colors_seen, v.witness, v.holds) == (best, subset, best >= l)
@@ -129,7 +129,7 @@ def test_scan_respects_subset_budget(monkeypatch):
     with pytest.raises(BudgetExceededError):
         check_local_property(g, 4, 2)
     with pytest.raises(BudgetExceededError):
-        min_colors_over_k_subsets(g, 4)
+        check_local_property(g, 4, math.comb(4, 2))
     with pytest.raises(BudgetExceededError):
         check_local_property(g, 4, 2, mode="sampled", trials=210, seed=0)
     assert check_local_property(g, 4, 2, mode="sampled", trials=209, seed=0).trials == 209
