@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coloring import EdgeColoring, PropertyVerdict, _numbered, check_local_property
-from .errors import LocalLabError
+from .config import EXACT_PAIR_BUDGET, PRESENCE_SPAN_BUDGET, budget
+from .errors import BudgetExceededError, LocalLabError
 from .jsonio import exact, exact_to_json, fields, read_json, write_json
 
 # Enumerating digit vectors stays cheap as long as d**m is capped.
@@ -68,11 +69,28 @@ class DifferenceSet:
         return len(self.values)
 
 
+def _offsets(xs):
+    """Sorted int `xs` minus xs[0] in int64, to index a presence array, if
+    their span fits; else None, if the exact loop's C(n, 2) pairs fit."""
+    if all(type(x) is int for x in xs) and xs[-1] - xs[0] <= budget(PRESENCE_SPAN_BUDGET):
+        return np.fromiter((x - xs[0] for x in xs), np.int64, len(xs))
+    pairs, cap = math.comb(len(xs), 2), budget(EXACT_PAIR_BUDGET)
+    if pairs > cap:
+        raise BudgetExceededError(f"{pairs} exact pairs exceed the budget {cap}")
+    return None
+
+
 def difference_set(A: RealSet) -> DifferenceSet:
+    """Marks a presence array one row a_j - a_i at a time, else a set."""
     if len(A.elements) < 2:
         raise LocalLabError("need at least two elements")
-    diffs = {b - a for a, b in itertools.combinations(A.elements, 2)}
-    return DifferenceSet(tuple(sorted(diffs)))
+    w = _offsets(A.elements)
+    if w is None:
+        return DifferenceSet(tuple(sorted({b - a for a, b in itertools.combinations(A, 2)})))
+    present = np.zeros(w[-1] + 1, dtype=bool)
+    for i in range(len(w) - 1):
+        present[w[i + 1:] - w[i]] = True
+    return DifferenceSet(tuple(np.flatnonzero(present).tolist()))
 
 
 def coloring_from_set(A: RealSet) -> EdgeColoring:
@@ -97,49 +115,46 @@ def check_g_property(A: RealSet, k: int, l: int, mode: str = "exhaustive",
 
 def is_3ap_free(A) -> bool:
     """True iff no distinct x, y, z in A satisfy x + z = 2y; exact."""
-    elems = tuple(A)
-    n = len(elems)
-    if n < 3:
+    elems = sorted(A)
+    if len(elems) < 3:
         return True
-    if all(isinstance(x, int) for x in elems) and max(map(abs, elems)) < 2**62:
-        values = np.array(sorted(elems), dtype=np.int64)
-        doubled = values * 2
-        for i in range(n - 1):
-            sums = values[i] + values[i + 1:]
-            pos = np.searchsorted(doubled, sums)
-            pos = np.minimum(pos, n - 1)
-            if np.any(doubled[pos] == sums):
-                return False
-        return True
-    doubled = {2 * x for x in elems}
-    for x, z in itertools.combinations(sorted(elems), 2):
-        if x + z in doubled:
-            return False
-    return True
+    w = _offsets(elems)
+    if w is None:
+        doubled = {2 * x for x in elems}
+        return not any(x + z in doubled for x, z in itertools.combinations(elems, 2))
+    doubled = np.zeros(2 * w[-1] + 1, dtype=bool)
+    doubled[2 * w] = True  # a row's sums x + z skip the z next to x: no y lies between
+    return not any(doubled[w[i] + w[i + 2:]].any() for i in range(len(w) - 2))
 
 
 def _shell_tables(m: int, d: int) -> list:
     """tables[j-1][k] = number of vectors in {0..d-1}^j of squared norm k, j = 1..m;
-    each pass adds the last table at the d offsets x**2: O(m * L * d) for length L."""
-    tables = [np.ones(1, dtype=np.int64)]
-    for _ in range(m):
+    each pass adds the last table at the d offsets x**2, scattering its support
+    alone while that is under a sixteenth of its length L, else as d slices."""
+    squares = np.arange(d, dtype=np.int64) ** 2
+    tables = [np.bincount(squares).astype(np.int64)]
+    for _ in range(m - 1):
         prev = tables[-1]
         nxt = np.zeros(len(prev) + (d - 1) ** 2, dtype=np.int64)
-        for x in range(d):
-            nxt[x * x:x * x + len(prev)] += prev
+        support = np.flatnonzero(prev)
+        if 16 * len(support) < len(prev):
+            np.add.at(nxt, (squares[:, None] + support).ravel(), np.tile(prev[support], d))
+        else:
+            for x in squares.tolist():
+                nxt[x:x + len(prev)] += prev
         tables.append(nxt)
-    return tables[1:]
+    return tables
 
 
 def _best_d(n: int, m: int):
-    """Smallest d whose richest shell holds >= n vectors, or None.
-
-    Shell maxima are monotone in d, so an exponential probe followed by
-    bisection needs only O(log d) shell tables.
-    """
+    """(d, _shell_tables(m, d)) for the smallest d whose richest shell holds
+    >= n vectors, or None.  Shell maxima are monotone in d, so an exponential
+    probe and a bisection build O(log d) tables, one per d probed."""
+    built = {}
 
     def shell_max(d):
-        return int(_shell_tables(m, d)[-1].max())
+        built[d] = _shell_tables(m, d)
+        return int(built[d][-1].max())
 
     def cap(d):
         return d**m <= _VECTOR_CAP and d <= _DIGIT_CAP
@@ -158,33 +173,28 @@ def _best_d(n: int, m: int):
             hi = mid
         else:
             lo = mid + 1
-    return lo
+    return lo, built[lo]
 
 
 def _shell_vectors(tables, d: int, radius: int):
     """All digit vectors in {0..d-1}^m with squared norm `radius`, by DFS
     pruned through the suffix shell tables of _shell_tables(m, d)."""
     m = len(tables)
-    vectors = []
-    digits = [0] * m
+    tables = [np.ones(1, dtype=np.int64), *tables]  # zero digits make norm 0 only
+    vectors, digits = [], [0] * m
 
     def descend(pos, remaining):
         if pos == m:
-            if remaining == 0:
-                vectors.append(tuple(digits))
+            vectors.append(tuple(digits))
             return
-        suffix = m - pos - 1
+        suffix = tables[m - pos - 1]
         for x in range(d):
             rest = remaining - x * x
             if rest < 0:
                 break
-            if suffix == 0:
-                if rest != 0:
-                    continue
-            elif rest >= len(tables[suffix - 1]) or tables[suffix - 1][rest] == 0:
-                continue
-            digits[pos] = x
-            descend(pos + 1, rest)
+            if rest < len(suffix) and suffix[rest]:
+                digits[pos] = x
+                descend(pos + 1, rest)
 
     descend(0, radius)
     return vectors
@@ -204,10 +214,10 @@ def behrend_set(n: int) -> RealSet:
         raise LocalLabError(f"need n >= 1, got {n}")
     top = 2 if n == 1 else math.ceil(math.sqrt(math.log2(n))) + 2
     for m in range(2, top + 1):
-        d = _best_d(n, m)
-        if d is None:
+        found = _best_d(n, m)
+        if found is None:
             continue
-        tables = _shell_tables(m, d)
+        d, tables = found
         radius = int(np.argmax(tables[-1]))
         base = 2 * d - 1
         values = sorted(

@@ -21,6 +21,12 @@ SUBSET_SCAN_BUDGET = 10**9
 # search nodes in the exact minimization oracles
 ORACLE_NODE_BUDGET = 10**8
 
+# value span of an int set under a difference-set or 3-AP presence array
+PRESENCE_SPAN_BUDGET = 10**8
+
+# pairs C(n, 2) of the exact difference-set and 3-AP loops past that span
+EXACT_PAIR_BUDGET = 10**7
+
 
 def budget(default):
     """Return the override from LOCALLAB_BUDGET, or `default`."""

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .arithmetic import RealSet, coloring_from_set
 from .config import ENERGY_GRAPH_EDGE_BUDGET, budget
 from .coloring import EdgeColoring, pair_cells
 from .errors import (
@@ -371,25 +372,28 @@ def edge_sign_vector(x, y, values) -> tuple:
     return tuple(signs)
 
 
-def sign_decompose(eg: EnergyGraph, values) -> dict:
+def sign_decompose(eg: EnergyGraph, values: RealSet) -> dict:
     """Partition an arithmetic energy graph into its 2^(r-1) sign classes.
 
     values is the RealSet whose element i is base vertex i's exact
     number; a set of other than eg.n elements is not the graph's and
     raises.  Every class is present in the result, possibly with no
-    edges; the classes are edge-disjoint and exhaustive.
-    Differences are taken over an object array, so they stay exact.
+    edges; the classes are edge-disjoint and exhaustive.  |d_1| = |d_j|
+    exactly when the pairs share a color of coloring_from_set(values), and
+    then d_1 = d_j when a_1 > b_1 and a_j > b_j agree: a RealSet increases.
     """
     if eg.parts is None:
         raise EnergyGraphError("sign classes need the partitioned form")
+    if not isinstance(values, RealSet):
+        raise EnergyGraphError("sign classes need a RealSet, whose order is its values' order")
     check_same_size(eg, values)
-    table = np.array(values[:], dtype=object)
-    d1, *rest = (table[a] - table[b] for a, b in zip(eg.digits(eg.xs), eg.digits(eg.ys)))
-    bad = d1 == 0
+    color = coloring_from_set(values).color_matrix()
+    (a1, *a), (b1, *b) = eg.digits(eg.xs), eg.digits(eg.ys)
+    c1, down, bad = color[a1, b1], a1 > b1, a1 == b1  # bad: a zero first difference
     index = np.zeros(eg.num_edges, dtype=np.int64)  # '-' is bit 1, coordinate 2 the top bit
-    for d in rest:
-        bad |= (d != d1) & (d != -d1)
-        index = 2 * index + (d == -d1)
+    for aj, bj in zip(a, b):
+        bad |= color[aj, bj] != c1
+        index = 2 * index + ((aj > bj) != down)
     if bad.any():  # edge_sign_vector raises the error of the first bad edge
         i = int(np.argmax(bad))
         edge_sign_vector(eg.vertices(eg.xs[i:i + 1])[0], eg.vertices(eg.ys[i:i + 1])[0], values)

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from locallab import (
+    BudgetExceededError,
     LocalLabError,
     behrend_set,
     check_g_property,
@@ -23,7 +25,7 @@ from locallab import (
     save_real_set,
 )
 from locallab import arithmetic
-from locallab.arithmetic import _shell_tables
+from locallab.arithmetic import _DIGIT_CAP, _VECTOR_CAP, _shell_tables
 
 
 def brute_3ap_free(values):
@@ -189,6 +191,78 @@ def test_shell_tables_match_bruteforce_counts(m):
             norms = [sum(x * x for x in v) for v in itertools.product(range(d), repeat=j)]
             expected = np.bincount(norms, minlength=j * (d - 1) ** 2 + 1)
             assert table.tolist() == expected.tolist(), (j, d)
+
+
+def reference_shell_tables(m, d):
+    """_shell_tables as the slice-add kernel first wrote it: every pass
+    adds the last table at each of the d offsets x**2."""
+    tables = [np.ones(1, dtype=np.int64)]
+    for _ in range(m):
+        prev = tables[-1]
+        nxt = np.zeros(len(prev) + (d - 1) ** 2, dtype=np.int64)
+        for x in range(d):
+            nxt[x * x:x * x + len(prev)] += prev
+        tables.append(nxt)
+    return tables[1:]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_shell_tables_match_the_slice_add_reference(m):
+    # every table _best_d can probe at m: the sparse scatter passes and the
+    # dense slice passes both run, at every d under the two caps
+    for d in range(1, _DIGIT_CAP + 1):
+        if d**m > _VECTOR_CAP:
+            break
+        got, want = _shell_tables(m, d), reference_shell_tables(m, d)
+        assert [t.tolist() for t in got] == [t.tolist() for t in want], (m, d)
+
+
+def reference_difference_set(elements):
+    return tuple(sorted({b - a for a, b in itertools.combinations(elements, 2)}))
+
+
+def reference_3ap_free(elements):
+    return not any(x + z == 2 * y for x, y, z in itertools.combinations(elements, 3))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(values=st.lists(st.integers(-60, 60) | st.fractions(-20, 20, max_denominator=4),
+                       min_size=2, max_size=16, unique=True),
+       span_cap=st.sampled_from([10**8, 40, 0]))
+@example(values=[-3, -1, 1, 3], span_cap=10**8)
+@example(values=[Fraction(1, 2), 1, Fraction(3, 2), 5], span_cap=10**8)
+def test_difference_kernels_match_the_itertools_reference(values, span_cap):
+    # a span cap below the set's span sends an int set down the exact path
+    A = real_set(values)
+    with mock.patch.object(arithmetic, "PRESENCE_SPAN_BUDGET", span_cap):
+        got = difference_set(A).values
+        free = is_3ap_free(A)
+    want = reference_difference_set(A.elements)
+    assert got == want and list(map(type, got)) == list(map(type, want))
+    assert free == reference_3ap_free(A.elements)
+
+
+def test_difference_kernels_past_the_span_ceiling():
+    # spans of 2 * 10^9 and 10^20 take the exact path under the default ceilings
+    for values in ([0, 1, 3, 10**9, 2 * 10**9], [-(10**20), 0, 10**20, 10**20 + 7]):
+        A = real_set(values)
+        assert difference_set(A).values == reference_difference_set(A.elements)
+        assert is_3ap_free(A) == reference_3ap_free(A.elements)
+    assert not is_3ap_free(real_set([-(10**20), 0, 10**20]))
+
+
+def test_difference_kernels_stop_at_the_exact_pair_ceiling(monkeypatch):
+    # spans past the lowered span ceiling: C(6, 2) = 15 pairs are past the
+    # lowered pair ceiling, C(5, 2) = 10 fit it
+    monkeypatch.setenv("LOCALLAB_BUDGET", "10")
+    for A in (real_set([0, 1, 3, 7, 15, 31]), real_set([Fraction(k, 3) for k in range(6)])):
+        for kernel in (difference_set, is_3ap_free):
+            with pytest.raises(BudgetExceededError, match="^15 exact pairs exceed the budget 10$"):
+                kernel(A)
+    assert difference_set(real_set([0, 1, 3, 7, 90])).values == (1, 2, 3, 4, 6, 7, 83, 87, 89, 90)
+    assert is_3ap_free(real_set([0, 1, 3, 7, 90]))
+    monkeypatch.setenv("LOCALLAB_BUDGET", "98")  # the span fits, so the pairs are not counted
+    assert len(difference_set(real_set(range(0, 100, 7)))) == 14
 
 
 # first 16 hex digits of the sha256 of the comma-joined elements, as

@@ -2,6 +2,7 @@ import base64
 import collections
 import itertools
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -525,6 +526,84 @@ def test_sign_decomposition_needs_one_value_per_base_vertex():
                            match=f"n=8 but the element set {len(other)} values"):
             sign_decompose(eg, real_set(other))
     assert sum(c.num_edges for c in sign_decompose(eg, A).values()) == eg.num_edges
+    with pytest.raises(EnergyGraphError, match="need a RealSet"):
+        sign_decompose(eg, list(A))
+
+
+def reference_sign_index(eg, values):
+    """sign_decompose as first written: exact differences over an object
+    array, '-' as bit 1 with coordinate 2 the top bit, and the first edge
+    that fails its sign equations raised through edge_sign_vector."""
+    table = np.array(values[:], dtype=object)
+    d1, *rest = (table[a] - table[b] for a, b in zip(eg.digits(eg.xs), eg.digits(eg.ys)))
+    bad = d1 == 0
+    index = np.zeros(eg.num_edges, dtype=np.int64)
+    for d in rest:
+        bad |= (d != d1) & (d != -d1)
+        index = 2 * index + (d == -d1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        edge_sign_vector(eg.vertices(eg.xs[i:i + 1])[0], eg.vertices(eg.ys[i:i + 1])[0], values)
+    return index
+
+
+def sign_outcome(kernel, eg, values):
+    try:
+        return kernel(eg, values)
+    except SignConsistencyError as exc:
+        return str(exc)
+
+
+# one pair 1/2 apart in each part: one edge in each of the four classes
+HALVES = real_set([0, Fraction(1, 2), 5, Fraction(11, 2), 10, Fraction(21, 2)])
+
+
+@st.composite
+def arithmetic_graphs(draw):
+    """(graph, set): a partitioned graph of order 2 or 3 built from the
+    coloring of an int, negative or Fraction set, or from that of another
+    set of the same size or a random coloring, whose edges may then fail
+    the sign equations of the first set."""
+    r = draw(st.sampled_from([2, 3]))
+    # a narrow range, so that differences repeat across the parts
+    number = st.integers(-12, 12)
+    if draw(st.booleans()):
+        number |= st.builds(Fraction, st.integers(-12, 12), st.just(2))
+    elements = st.lists(number, min_size=3 * r, max_size=12, unique=True)
+    A = real_set(draw(elements))
+    order = draw(st.permutations(range(len(A))))
+    parts = [order[j::r] for j in range(r)]
+    source = draw(st.sampled_from(["own", "other set", "random"]))
+    if source == "own":
+        g = coloring_from_set(A)
+    elif source == "other set":
+        other = st.lists(number, min_size=len(A), max_size=len(A), unique=True)
+        g = coloring_from_set(real_set(draw(other)))
+    else:
+        g = random_coloring(len(A), draw(st.integers(1, 3)), draw(st.integers(0, 99)))
+    return build_rth_energy_graph(g, r, parts), A
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(case=arithmetic_graphs())
+@example(case=(build_rth_energy_graph(coloring_from_set(real_set([0, 1, 10, 11])), 2,
+                                      ((0, 2), (1, 3))), real_set([0, 1, 10, 12])))
+@example(case=(build_rth_energy_graph(coloring_from_set(HALVES), 3, ((0, 1), (2, 3), (4, 5))),
+               HALVES))
+# a hand-made loop at (0, 2): no coordinate differs, so every color read is the diagonal's
+@example(case=(EnergyGraph(2, 4, ((0, 1), (2, 3)), np.array([2]), np.array([2])),
+               real_set([0, 1, 2, 3])))
+def test_sign_classes_match_the_object_array_reference(case):
+    eg, A = case
+    got, want = sign_outcome(sign_decompose, eg, A), sign_outcome(reference_sign_index, eg, A)
+    if isinstance(want, str):  # the same first bad edge, with the same message
+        assert got == want
+        return
+    assert list(got) == list(itertools.product("+-", repeat=eg.r - 1))
+    for k, (key, sub) in enumerate(got.items()):
+        kept = want == k
+        assert np.array_equal(sub.xs, eg.xs[kept]) and np.array_equal(sub.ys, eg.ys[kept])
+        assert all(edge_sign_vector(x, y, A) == key for x, y in sub.edges)
 
 
 def test_json_round_trip():
