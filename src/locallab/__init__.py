@@ -37,7 +37,6 @@ from .coloring import (
 )
 from .energy import (
     ColorCountBound,
-    EnergyValue,
     energy,
     energy_bruteforce,
     energy_lower_bound,
@@ -78,7 +77,6 @@ from .forbidden import (
     witness_from_cycle,
 )
 from .arithmetic import (
-    DifferenceSet,
     RealSet,
     behrend_set,
     check_g_property,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coloring import EdgeColoring, PropertyVerdict, _numbered, check_local_property
-from .config import EXACT_PAIR_BUDGET, PRESENCE_SPAN_BUDGET, budget
+from .config import EXACT_PAIR_BUDGET, PRESENCE_PAIR_BUDGET, PRESENCE_SPAN_BUDGET, budget
 from .errors import BudgetExceededError, LocalLabError
 from .jsonio import exact, exact_to_json, fields, read_json, write_json
 
@@ -59,38 +59,30 @@ def real_set(values) -> RealSet:
     return RealSet(tuple(elements))
 
 
-@dataclass(frozen=True)
-class DifferenceSet:
-    """Sorted distinct positive differences a - a' over a RealSet."""
-
-    values: tuple
-
-    def __len__(self):
-        return len(self.values)
-
-
 def _offsets(xs):
     """Sorted int `xs` minus xs[0] in int64, to index a presence array, if
-    their span fits; else None, if the exact loop's C(n, 2) pairs fit."""
-    if all(type(x) is int for x in xs) and xs[-1] - xs[0] <= budget(PRESENCE_SPAN_BUDGET):
-        return np.fromiter((x - xs[0] for x in xs), np.int64, len(xs))
-    pairs, cap = math.comb(len(xs), 2), budget(EXACT_PAIR_BUDGET)
+    their span fits; else None, for the exact loop.  Either path's C(n, 2)
+    pairs must first fit that path's own ceiling."""
+    presence = all(type(x) is int for x in xs) and xs[-1] - xs[0] <= budget(PRESENCE_SPAN_BUDGET)
+    kind, cap = ("presence", PRESENCE_PAIR_BUDGET) if presence else ("exact", EXACT_PAIR_BUDGET)
+    pairs, cap = math.comb(len(xs), 2), budget(cap)
     if pairs > cap:
-        raise BudgetExceededError(f"{pairs} exact pairs exceed the budget {cap}")
-    return None
+        raise BudgetExceededError(f"{pairs} {kind} pairs exceed the budget {cap}")
+    return np.fromiter((x - xs[0] for x in xs), np.int64, len(xs)) if presence else None
 
 
-def difference_set(A: RealSet) -> DifferenceSet:
-    """Marks a presence array one row a_j - a_i at a time, else a set."""
+def difference_set(A: RealSet) -> np.ndarray:
+    """Sorted distinct positive differences a_j - a_i: int64, from a presence
+    array marked one row at a time, else an object array of exact values."""
     if len(A.elements) < 2:
         raise LocalLabError("need at least two elements")
     w = _offsets(A.elements)
     if w is None:
-        return DifferenceSet(tuple(sorted({b - a for a, b in itertools.combinations(A, 2)})))
+        return np.array(sorted({b - a for a, b in itertools.combinations(A, 2)}), dtype=object)
     present = np.zeros(w[-1] + 1, dtype=bool)
     for i in range(len(w) - 1):
         present[w[i + 1:] - w[i]] = True
-    return DifferenceSet(tuple(np.flatnonzero(present).tolist()))
+    return np.flatnonzero(present)
 
 
 def coloring_from_set(A: RealSet) -> EdgeColoring:
@@ -102,15 +94,13 @@ def coloring_from_set(A: RealSet) -> EdgeColoring:
     return _numbered(len(A.elements), [b - a for a, b in pairs])
 
 
-def check_g_property(A: RealSet, k: int, l: int, mode: str = "exhaustive",
-                     trials: int | None = None, seed: int | None = None) -> PropertyVerdict:
+def check_g_property(A: RealSet, k: int, l: int) -> PropertyVerdict:
     """Does every k-subset of A span at least l distinct differences?
 
     Runs the local-property check on the difference coloring; the two
     questions coincide because distinct differences are distinct colors.
     """
-    return check_local_property(coloring_from_set(A), k, l, mode=mode,
-                                trials=trials, seed=seed)
+    return check_local_property(coloring_from_set(A), k, l)
 
 
 def is_3ap_free(A) -> bool:

@@ -97,15 +97,15 @@ def _cmd_check(args) -> int:
 def _cmd_energy(args) -> int:
     g = load_coloring(args.input)
     value = energy(g, args.r)
-    print(f"E_{args.r} = {value.value} (n={g.n}, {g.num_colors} colors)")
+    print(f"E_{args.r} = {value} (n={g.n}, {g.num_colors} colors)")
     if args.bruteforce:
         brute = energy_bruteforce(g, args.r)
-        agree = "agreement" if brute.value == value.value else "MISMATCH"
-        print(f"brute force: {brute.value} ({agree})")
-        if brute.value != value.value:
+        agree = "agreement" if brute == value else "MISMATCH"
+        print(f"brute force: {brute} ({agree})")
+        if brute != value:
             return 1
     if args.bound:
-        bound = implied_color_lower_bound(g.n, args.r, value.value)
+        bound = implied_color_lower_bound(g.n, args.r, value)
         print(f"energy this high needs at least {bound.minimum_colors} colors")
     return 0
 
@@ -302,11 +302,10 @@ def _cmd_diffset(args) -> int:
     A = load_real_set(args.input)
     diffs = difference_set(A)
     print(f"|A| = {len(A.elements)}, |A-A| = {len(diffs)}")
-    shown = diffs.values[:20]
     suffix = " ..." if len(diffs) > 20 else ""
-    print("differences: " + ", ".join(str(d) for d in shown) + suffix)
+    print("differences: " + ", ".join(str(d) for d in diffs[:20]) + suffix)
     if args.out:
-        write_json({"differences": [exact_to_json(d) for d in diffs.values]}, args.out)
+        write_json({"differences": [exact_to_json(d) for d in diffs.tolist()]}, args.out)
         print(f"wrote {args.out}")
     return 0
 

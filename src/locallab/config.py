@@ -24,6 +24,9 @@ ORACLE_NODE_BUDGET = 10**8
 # value span of an int set under a difference-set or 3-AP presence array
 PRESENCE_SPAN_BUDGET = 10**8
 
+# pairs C(n, 2) of the difference-set and 3-AP presence-array loops
+PRESENCE_PAIR_BUDGET = 10**9
+
 # pairs C(n, 2) of the exact difference-set and 3-AP loops past that span
 EXACT_PAIR_BUDGET = 10**7
 

@@ -22,21 +22,15 @@ from .coloring import EdgeColoring
 from .errors import BudgetExceededError, LocalLabError
 
 
-@dataclass(frozen=True)
-class EnergyValue:
-    r: int
-    value: int
-
-
-def energy(g: EdgeColoring, r: int) -> EnergyValue:
+def energy(g: EdgeColoring, r: int) -> int:
     """E_r = sum of m_c^r, exactly: m_c is twice the number of color-c
     edges, and the powers are taken in Python ints."""
     if r < 2:
         raise LocalLabError(f"energy order r={r} must be >= 2")
-    return EnergyValue(r, sum((2 * m)**r for m in np.bincount(g.colors).tolist()))
+    return sum((2 * m)**r for m in np.bincount(g.colors).tolist())
 
 
-def energy_bruteforce(g: EdgeColoring, r: int) -> EnergyValue:
+def energy_bruteforce(g: EdgeColoring, r: int) -> int:
     """E_r by enumerating ordered 2r-tuples with all pair colors equal.
 
     Deliberately independent of energy(): it never computes m_c.  The
@@ -70,7 +64,7 @@ def energy_bruteforce(g: EdgeColoring, r: int) -> EnergyValue:
                 acc += extend(depth + 1, c)
         return acc
 
-    return EnergyValue(r, extend(0, -1))
+    return extend(0, -1)
 
 
 def energy_lower_bound(n: int, num_colors: int, r: int) -> Fraction:

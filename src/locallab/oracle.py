@@ -24,21 +24,24 @@ from .errors import BudgetExceededError, LocalLabError
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Certified optimum with the search statistics that certify it.
-
-    status is "optimal" or "infeasible"; exhausted means the entire
-    canonical space was covered, which is what makes the value exact.
-    """
+    """Optimum of an exhaustive search of the canonical space, with the
+    search statistics behind it; status is "optimal" or "infeasible"."""
 
     value: int | None
     witness: object
     nodes_explored: int
     canonical_classes: int
-    exhausted: bool
     status: str
 
 
 _EXACT_F_MAX_N = 6
+
+
+def _subset_slots(n: int, k: int):
+    """Each k-subset of range(n) with the slots of its pairs in
+    combinations order, pair (i, j), i < j, at slot j(j-1)/2 + i."""
+    for subset in itertools.combinations(range(n), k):
+        yield subset, [j * (j - 1) // 2 + i for i, j in itertools.combinations(subset, 2)]
 
 
 def exact_f(n: int, k: int, l: int) -> OracleResult:
@@ -63,20 +66,16 @@ def exact_f(n: int, k: int, l: int) -> OracleResult:
         raise LocalLabError(f"need l >= 1, got {l}")
     pair_count = k * (k - 1) // 2
     if l > pair_count:
-        return OracleResult(None, None, 0, 0, True, "infeasible")
+        return OracleResult(None, None, 0, 0, "infeasible")
 
     edges = [(u, v) for v in range(n) for u in range(v)]
-    pair_of = {e: i for i, e in enumerate(edges)}
     # finished_at[i]: a getter of the other edge slots of each k-subset
     # whose last edge is slot i; with l = 1 every coloring passes, and
     # k >= 3 leaves every getter at least two slots, so it yields a tuple
     finished_at = [[] for _ in edges]
     if l > 1:
-        for subset in itertools.combinations(range(n), k):
-            slots = [pair_of[e] for e in itertools.combinations(subset, 2)]
-            last = pair_of[subset[-2:]]
-            slots.remove(last)
-            finished_at[last].append(operator.itemgetter(*slots))
+        for _, slots in _subset_slots(n, k):
+            finished_at[slots[-1]].append(operator.itemgetter(*slots[:-1]))
 
     node_budget = config.budget(config.ORACLE_NODE_BUDGET)
     assignment = [0] * len(edges)
@@ -120,7 +119,7 @@ def exact_f(n: int, k: int, l: int) -> OracleResult:
     verdict = check_local_property(witness, k, l)
     if not verdict.holds or witness.num_colors != best:
         raise LocalLabError("oracle witness failed re-validation")
-    return OracleResult(best, witness, nodes, classes, True, "optimal")
+    return OracleResult(best, witness, nodes, classes, "optimal")
 
 
 def exact_g_integers(n: int, k: int, l: int, max_value: int) -> OracleResult:
@@ -140,9 +139,9 @@ def exact_g_integers(n: int, k: int, l: int, max_value: int) -> OracleResult:
     if l < 1:
         raise LocalLabError(f"need l >= 1, got {l}")
     if max_value < n - 1:
-        return OracleResult(None, None, 0, 0, True, "infeasible")
+        return OracleResult(None, None, 0, 0, "infeasible")
     if l > k * (k - 1) // 2:
-        return OracleResult(None, None, 0, 0, True, "infeasible")
+        return OracleResult(None, None, 0, 0, "infeasible")
 
     node_budget = config.budget(config.ORACLE_NODE_BUDGET)
     # the pair slots and the k-subset getters are built before the first
@@ -158,16 +157,14 @@ def exact_g_integers(n: int, k: int, l: int, max_value: int) -> OracleResult:
     best_set = None
     nodes = classes = 0
     chosen = [0]
-    # pair slots ordered by their larger position, as `differences` lists them
-    pair_of = {e: s for s, e in enumerate((i, j) for j in range(n) for i in range(j))}
-    # ending_at[j]: a getter of the pair slots of each k-subset of positions
-    # whose largest position is j; with l = 1 every set passes, and k >= 3
-    # gives every getter at least three slots, so it yields a tuple
+    # ending_at[j]: a getter of the pair slots, in the order `differences`
+    # lists them, of each k-subset of positions whose largest position is j;
+    # with l = 1 every set passes, and k >= 3 gives every getter at least
+    # three slots, so it yields a tuple
     ending_at = [[] for _ in range(n)]
     if l > 1:
-        for subset in itertools.combinations(range(n), k):
-            ending_at[subset[-1]].append(operator.itemgetter(
-                *(pair_of[e] for e in itertools.combinations(subset, 2))))
+        for subset, slots in _subset_slots(n, k):
+            ending_at[subset[-1]].append(operator.itemgetter(*slots))
 
     def extend(seen, mirror, passed):
         nonlocal nodes, classes, best, best_set
@@ -201,11 +198,11 @@ def exact_g_integers(n: int, k: int, l: int, max_value: int) -> OracleResult:
 
     extend(0, 1, True)
     if best_set is None:
-        return OracleResult(None, None, nodes, classes, True, "infeasible")
+        return OracleResult(None, None, nodes, classes, "infeasible")
     witness = RealSet(best_set)
     if not check_g_property(witness, k, l).holds:
         raise LocalLabError("oracle witness failed re-validation")
-    return OracleResult(best, witness, nodes, classes, True, "optimal")
+    return OracleResult(best, witness, nodes, classes, "optimal")
 
 
 @dataclass(frozen=True)
@@ -218,7 +215,6 @@ class BoundReference:
     l: int
     exponent: Fraction
     reference: float
-    certified: bool = False
 
 
 def upper_bound_exponent(n: int, k: int, l: int) -> BoundReference:

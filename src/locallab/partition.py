@@ -108,7 +108,7 @@ def partition_for_rth_energy(g, r: int, seed: int) -> RPartition:
         raise PartitionError(f"need r >= 2, got {r}")
     if g.n < r:
         raise PartitionError(f"need n >= r, got n={g.n}, r={r}")
-    total = energy(g, r).value
+    total = energy(g, r)
     rng = random.Random(seed)
     scale = (4 * r) ** (2 * r)
     best = None

@@ -53,14 +53,14 @@ def test_real_set_normalizes_and_validates():
 
 
 def test_difference_set_examples():
-    assert difference_set(real_set([0, 1, 3])).values == (1, 2, 3)
+    assert difference_set(real_set([0, 1, 3])).tolist() == [1, 2, 3]
     # arithmetic progressions collapse differences
-    assert difference_set(real_set([0, 1, 2, 3])).values == (1, 2, 3)
-    assert difference_set(real_set([0, "1/2", 2])).values == (
+    assert difference_set(real_set([0, 1, 2, 3])).tolist() == [1, 2, 3]
+    assert difference_set(real_set([0, "1/2", 2])).tolist() == [
         Fraction(1, 2),
         Fraction(3, 2),
         2,
-    )
+    ]
 
 
 def test_difference_set_bounds():
@@ -68,7 +68,7 @@ def test_difference_set_bounds():
     for _ in range(20):
         n = rng.randrange(2, 12)
         A = real_set(sorted(rng.sample(range(1000), n)))
-        d = difference_set(A).values
+        d = difference_set(A).tolist()
         assert len(d) <= n * (n - 1) // 2
         assert len(d) >= n - 1
         assert all(x > 0 for x in d)
@@ -91,7 +91,7 @@ def test_coloring_from_set_uses_differences_as_labels():
     for _ in range(10):
         A = real_set(sorted(rng.sample(range(500), rng.randrange(2, 15))))
         g = coloring_from_set(A)
-        assert g.num_colors == len(difference_set(A).values)
+        assert g.num_colors == len(difference_set(A))
 
 
 def reference_coloring_from_set(A):
@@ -157,7 +157,7 @@ def test_3ap_freeness_is_affine_invariant():
         s, t = rng.randrange(1, 9), rng.randrange(-50, 50)
         B = real_set([s * x + t for x in vals])
         assert is_3ap_free(A) == is_3ap_free(B)
-        assert len(difference_set(A).values) == len(difference_set(B).values)
+        assert len(difference_set(A)) == len(difference_set(B))
         for k, l in ((3, 2), (4, 3)):
             assert check_g_property(A, k, l).holds == check_g_property(B, k, l).holds
 
@@ -218,7 +218,7 @@ def test_shell_tables_match_the_slice_add_reference(m):
 
 
 def reference_difference_set(elements):
-    return tuple(sorted({b - a for a, b in itertools.combinations(elements, 2)}))
+    return sorted({b - a for a, b in itertools.combinations(elements, 2)})
 
 
 def reference_3ap_free(elements):
@@ -232,13 +232,19 @@ def reference_3ap_free(elements):
 @example(values=[-3, -1, 1, 3], span_cap=10**8)
 @example(values=[Fraction(1, 2), 1, Fraction(3, 2), 5], span_cap=10**8)
 def test_difference_kernels_match_the_itertools_reference(values, span_cap):
-    # a span cap below the set's span sends an int set down the exact path
+    # a span cap below the set's span sends an int set down the exact path,
+    # which returns its exact values in an object array; the presence path
+    # returns an integer array
     A = real_set(values)
     with mock.patch.object(arithmetic, "PRESENCE_SPAN_BUDGET", span_cap):
-        got = difference_set(A).values
+        got = difference_set(A)
         free = is_3ap_free(A)
+    if all(type(x) is int for x in A) and A[-1] - A[0] <= span_cap:
+        assert np.issubdtype(got.dtype, np.integer)
+    else:
+        assert got.dtype == object
     want = reference_difference_set(A.elements)
-    assert got == want and list(map(type, got)) == list(map(type, want))
+    assert got.tolist() == want and list(map(type, got.tolist())) == list(map(type, want))
     assert free == reference_3ap_free(A.elements)
 
 
@@ -246,7 +252,7 @@ def test_difference_kernels_past_the_span_ceiling():
     # spans of 2 * 10^9 and 10^20 take the exact path under the default ceilings
     for values in ([0, 1, 3, 10**9, 2 * 10**9], [-(10**20), 0, 10**20, 10**20 + 7]):
         A = real_set(values)
-        assert difference_set(A).values == reference_difference_set(A.elements)
+        assert difference_set(A).tolist() == reference_difference_set(A.elements)
         assert is_3ap_free(A) == reference_3ap_free(A.elements)
     assert not is_3ap_free(real_set([-(10**20), 0, 10**20]))
 
@@ -259,10 +265,16 @@ def test_difference_kernels_stop_at_the_exact_pair_ceiling(monkeypatch):
         for kernel in (difference_set, is_3ap_free):
             with pytest.raises(BudgetExceededError, match="^15 exact pairs exceed the budget 10$"):
                 kernel(A)
-    assert difference_set(real_set([0, 1, 3, 7, 90])).values == (1, 2, 3, 4, 6, 7, 83, 87, 89, 90)
+    assert difference_set(real_set([0, 1, 3, 7, 90])).tolist() == [1, 2, 3, 4, 6, 7, 83, 87, 89, 90]
     assert is_3ap_free(real_set([0, 1, 3, 7, 90]))
-    monkeypatch.setenv("LOCALLAB_BUDGET", "98")  # the span fits, so the pairs are not counted
-    assert len(difference_set(real_set(range(0, 100, 7)))) == 14
+    # span 98 fits the presence array at 98, but C(15, 2) = 105 pairs only at 105
+    A = real_set(range(0, 100, 7))
+    monkeypatch.setenv("LOCALLAB_BUDGET", "98")
+    for kernel in (difference_set, is_3ap_free):
+        with pytest.raises(BudgetExceededError, match="^105 presence pairs exceed the budget 98$"):
+            kernel(A)
+    monkeypatch.setenv("LOCALLAB_BUDGET", "105")
+    assert len(difference_set(A)) == 14
 
 
 # first 16 hex digits of the sha256 of the comma-joined elements, as

@@ -170,8 +170,21 @@ def test_behrend_and_diffset(tmp_path, capsys):
     assert len(payload["elements"]) == 30
 
     diff = tmp_path / "d.json"
-    assert run(["diffset", "--input", str(out_file), "--out", str(diff)]) == 0
     capsys.readouterr()
+    assert run(["diffset", "--input", str(out_file), "--out", str(diff)]) == 0
+    size = int(capsys.readouterr().out.split("|A-A| = ")[1].split()[0])
+    written = json.loads(diff.read_text())["differences"]
+    assert len(written) == size and all(type(d) is int for d in written)
+
+
+def test_diffset_over_the_presence_pair_budget_exits_3(tmp_path, monkeypatch, capsys):
+    # range(0, 100, 7) spans 98 with C(15, 2) = 105 pairs
+    path = tmp_path / "v.json"
+    save_real_set(real_set(range(0, 100, 7)), path)
+    for budget, code in (("98", 3), ("104", 3), ("105", 0)):
+        monkeypatch.setenv("LOCALLAB_BUDGET", budget)
+        assert run(["diffset", "--input", str(path)]) == code
+    assert "105 presence pairs exceed the budget 104" in capsys.readouterr().err
 
 
 def test_sweep_writes_csv(tmp_path):

@@ -135,8 +135,8 @@ def test_multiplicities_sum_to_ordered_pair_count():
 def test_perfect_matching_coloring_of_k4():
     g = new_coloring(4, [(0, 1, 0), (2, 3, 0), (0, 2, 1), (1, 3, 1), (0, 3, 2), (1, 2, 2)])
     assert pair_cells(g, [0] * 4, 1)[2][:, 0].tolist() == [2, 2, 2]
-    assert energy(g, 2).value == 3 * 4**2 == 48
-    assert energy(g, 3).value == 3 * 4**3 == 192
+    assert energy(g, 2) == 3 * 4**2 == 48
+    assert energy(g, 3) == 3 * 4**3 == 192
 
 
 def test_check_local_property_exhaustive():

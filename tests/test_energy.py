@@ -30,17 +30,17 @@ def proper_k4():
 def test_monochromatic_energy_is_maximal():
     for n in (2, 3, 5, 9):
         for r in (2, 3, 4):
-            assert energy(mono(n), r).value == (n * (n - 1)) ** r
+            assert energy(mono(n), r) == (n * (n - 1)) ** r
 
 
 def test_frozen_small_energies():
     rainbow3 = new_coloring(3, [(0, 1, "a"), (0, 2, "b"), (1, 2, "c")])
-    assert energy(rainbow3, 2).value == 12
+    assert energy(rainbow3, 2) == 12
     ap4 = coloring_from_set(real_set([0, 1, 2, 3]))
-    assert energy(ap4, 2).value == 56
-    assert energy(ap4, 3).value == 288
-    assert energy(proper_k4(), 2).value == 48
-    assert energy(proper_k4(), 3).value == 192
+    assert energy(ap4, 2) == 56
+    assert energy(ap4, 3) == 288
+    assert energy(proper_k4(), 2) == 48
+    assert energy(proper_k4(), 3) == 192
 
 
 def test_energy_agrees_with_bruteforce():
@@ -50,7 +50,7 @@ def test_energy_agrees_with_bruteforce():
         c = rng.randrange(1, n + 2)
         g = random_coloring(n, c, seed=rng.randrange(10**6))
         for r in (2, 3):
-            assert energy(g, r).value == energy_bruteforce(g, r).value
+            assert energy(g, r) == energy_bruteforce(g, r)
 
 
 def test_energy_rejects_bad_order():
@@ -65,7 +65,7 @@ def test_bruteforce_respects_budget(monkeypatch):
     with pytest.raises(BudgetExceededError):
         energy_bruteforce(mono(6), 3)
     monkeypatch.delenv("LOCALLAB_BUDGET")
-    assert energy_bruteforce(mono(6), 3).value == (6 * 5) ** 3
+    assert energy_bruteforce(mono(6), 3) == (6 * 5) ** 3
 
 
 def test_energy_lower_bound_holds_on_corpus():
@@ -76,21 +76,21 @@ def test_energy_lower_bound_holds_on_corpus():
         g = random_coloring(n, c, seed=rng.randrange(10**6))
         for r in (2, 3):
             bound = energy_lower_bound(n, g.num_colors, r)
-            assert energy(g, r).value >= bound
+            assert energy(g, r) >= bound
             assert isinstance(bound, Fraction)
 
 
 def test_energy_lower_bound_equality_cases():
     # a rainbow triangle meets the r=2 bound with equality
     rainbow3 = new_coloring(3, [(0, 1, "a"), (0, 2, "b"), (1, 2, "c")])
-    assert energy(rainbow3, 2).value == energy_lower_bound(3, 3, 2)
+    assert energy(rainbow3, 2) == energy_lower_bound(3, 3, 2)
     # the properly 3-edge-colored K_4 meets the r=3 bound with equality
-    assert energy(proper_k4(), 3).value * 3**2 == (4 * 3) ** 3
-    assert energy(proper_k4(), 3).value == energy_lower_bound(4, 3, 3)
+    assert energy(proper_k4(), 3) * 3**2 == (4 * 3) ** 3
+    assert energy(proper_k4(), 3) == energy_lower_bound(4, 3, 3)
 
 
 def test_implied_color_lower_bound():
-    b = implied_color_lower_bound(4, 2, energy(mono(4), 2).value)
+    b = implied_color_lower_bound(4, 2, energy(mono(4), 2))
     assert (b.base, b.minimum_colors) == (Fraction(1), 1)
     b = implied_color_lower_bound(3, 2, 12)
     assert (b.base, b.exponent, b.minimum_colors) == (Fraction(3), Fraction(1), 3)
@@ -112,7 +112,7 @@ def test_implied_bound_never_exceeds_true_palette():
         c = rng.randrange(1, 10)
         g = random_coloring(n, c, seed=rng.randrange(10**6))
         for r in (2, 3):
-            b = implied_color_lower_bound(n, r, energy(g, r).value)
+            b = implied_color_lower_bound(n, r, energy(g, r))
             assert b.minimum_colors <= g.num_colors
 
 

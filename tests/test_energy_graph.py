@@ -84,7 +84,7 @@ def test_second_graph_on_tiny_colorings():
     eg = build_second_energy_graph(rainbow3)
     assert eg.num_vertices == 9
     assert eg.num_edges == 6
-    assert 2 * eg.num_edges == energy(rainbow3, 2).value
+    assert 2 * eg.num_edges == energy(rainbow3, 2)
 
 
 def test_second_graph_edge_count_is_half_the_energy():
@@ -94,7 +94,7 @@ def test_second_graph_edge_count_is_half_the_energy():
         c = rng.randrange(1, 7)
         g = random_coloring(n, c, seed=rng.randrange(10**6))
         eg = build_second_energy_graph(g)
-        assert 2 * eg.num_edges == energy(g, 2).value
+        assert 2 * eg.num_edges == energy(g, 2)
         assert colored(eg, g) == brute_full_edges(g)
 
 

@@ -71,7 +71,7 @@ def test_partition_for_rth_energy_acceptance():
         sizes = sorted(len(p) for p in rp.parts)
         assert sizes == sorted([n // r + (1 if j < n % r else 0) for j in range(r)])
         assert rp.met_threshold
-        assert rp.within_tuple_count * (4 * r) ** (2 * r) >= energy(g, r).value
+        assert rp.within_tuple_count * (4 * r) ** (2 * r) >= energy(g, r)
         again = partition_for_rth_energy(g, r, seed=seed)
         assert again == rp
 
