@@ -187,13 +187,20 @@ def random_coloring(n: int, c: int, seed: int) -> EdgeColoring:
     """Color each edge i.i.d. uniformly from c labels, deterministically.
 
     Unused labels are dropped by normalization, so the palette may be
-    smaller than c.
+    smaller than c.  Each label is drawn as random.Random(seed).randrange(c)
+    draws it: c.bit_length() random bits, drawn again while they reach c.
     """
     if c < 1:
         raise ColoringError("palette size must be at least 1")
     _check_vertex_count(n)
-    rng = random.Random(seed)
-    return _numbered(n, [rng.randrange(c) for _ in range(n * (n - 1) // 2)])
+    draw, bits = random.Random(seed).getrandbits, c.bit_length()
+    labels = []
+    for _ in range(n * (n - 1) // 2):
+        label = draw(bits)
+        while label >= c:
+            label = draw(bits)
+        labels.append(label)
+    return _numbered(n, labels)
 
 
 def pair_cells(g: EdgeColoring, part_of, r: int) -> tuple:
@@ -368,8 +375,9 @@ def _scan(g, k, cap, trials=None, seed=None):
     Exhaustive (`trials` None): a k-subset spans fewer than C(k, 2)
     colors only when two of its pairs share a color, so the scan counts
     `_repeat_rows` and starts from C(k, 2) colors at (0, ..., k-1), the
-    first subset in lexicographic order; when those rows are too many, or
-    all k-subsets fit one block, it counts every k-subset in lexicographic
+    first subset in lexicographic order, and a coloring with every pair
+    its own color has none to count; when those rows are too many, or all
+    k-subsets fit one block, it counts every k-subset in lexicographic
     order instead.  Either way the subset returned is the
     lexicographically least minimizer.  Sampled: counts `trials` sampled
     subsets and returns the first minimizer.  Counts are capped at `cap`,
@@ -381,7 +389,7 @@ def _scan(g, k, cap, trials=None, seed=None):
     vertex = np.min_scalar_type(g.n - 1)
     if trials is None:
         best, best_subset = min(k * (k - 1) // 2, cap), tuple(range(k))
-        if best == 1:
+        if best == 1 or g.num_colors == len(g.colors):
             return best, best_subset
         # one block of every subset costs less than listing the repeat rows
         rows = _repeat_rows(g, k, vertex) if math.comb(g.n, k) > _CHUNK_ROWS else None

@@ -10,6 +10,7 @@ canonically least witnesses.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -122,6 +123,16 @@ def exact_f(n: int, k: int, l: int) -> OracleResult:
     return OracleResult(best, witness, nodes, classes, "optimal")
 
 
+@functools.lru_cache(maxsize=4096)
+def _subtree(n: int, m: int, f: int) -> tuple:
+    """(nodes, leaves) strictly below an exact_g_integers node holding
+    m < n values, with f >= n - m free values above its last: a node
+    holding d values picks its d - m new ones from the f - (n - d) that
+    leave room for the n - d values after it."""
+    return (sum(math.comb(f - n + d, d - m) for d in range(m + 1, n + 1)),
+            math.comb(f, n - m))
+
+
 def exact_g_integers(n: int, k: int, l: int, max_value: int) -> OracleResult:
     """Minimum difference-set size over n-subsets A of {0..max_value}
     with 0 in A whose every k-subset spans at least l differences.
@@ -132,7 +143,11 @@ def exact_g_integers(n: int, k: int, l: int, max_value: int) -> OracleResult:
     has bit d per difference d, `mirror` bit chosen[-1] - a per chosen a,
     so child x adds `mirror << (x - chosen[-1])`; anchored at chosen[-1],
     neither outgrows the values visited.  Each k-subset of positions is
-    checked once, at the node that chooses its largest position.
+    checked once, at the node that chooses its largest position.  A node
+    that fails a check before any set passes has a subtree that can change
+    nothing but the counts, so `_subtree` counts it without walking it:
+    nodes_explored and canonical_classes still count every node and leaf
+    of the same tree.
     """
     if not 2 <= k <= n:
         raise LocalLabError(f"need 2 <= k <= n, got k={k}, n={n}")
@@ -144,14 +159,13 @@ def exact_g_integers(n: int, k: int, l: int, max_value: int) -> OracleResult:
         return OracleResult(None, None, 0, 0, "infeasible")
 
     node_budget = config.budget(config.ORACLE_NODE_BUDGET)
-    # the pair slots and the k-subset getters are built before the first
-    # node, so they count against the same ceiling
-    setup = math.comb(n, 2) + (math.comb(n, k) if l > 1 else 0)
+    # the k-subset getters are built before the first node, so they count
+    # against the same ceiling
+    setup = math.comb(n, k) if l > 1 else 0
     if setup > node_budget:
         raise BudgetExceededError(
-            f"exact_g_integers({n},{k},{l},{max_value}) needs {setup} pair slots and "
-            f"{k}-subset getters before its first node, more than the {node_budget} "
-            "node budget"
+            f"exact_g_integers({n},{k},{l},{max_value}) needs {setup} {k}-subset getters "
+            f"before its first node, more than the {node_budget} node budget"
         )
     best = max_value * (max_value + 1)
     best_set = None
@@ -166,37 +180,48 @@ def exact_g_integers(n: int, k: int, l: int, max_value: int) -> OracleResult:
         for subset, slots in _subset_slots(n, k):
             ending_at[subset[-1]].append(operator.itemgetter(*slots))
 
-    def extend(seen, mirror, passed):
+    exceeded = f"exact_g_integers({n},{k},{l},{max_value}) exceeded the {node_budget} node budget"
+
+    def extend(seen, mirror, passed, differences):
         nonlocal nodes, classes, best, best_set
         nodes += 1
         if nodes > node_budget:
-            raise BudgetExceededError(
-                f"exact_g_integers({n},{k},{l},{max_value}) exceeded the {node_budget} node budget"
-            )
+            raise BudgetExceededError(exceeded)
         size = seen.bit_count()
         if size >= best:
             return
-        if passed and ending_at[len(chosen) - 1]:
-            differences = [b - a for j, b in enumerate(chosen) for a in chosen[:j]]
-            for slots in ending_at[len(chosen) - 1]:
+        m = len(chosen)
+        if passed and l > 1:
+            # the parent's differences, then the m - 1 new ones
+            differences = differences + [chosen[-1] - a for a in chosen[:-1]]
+            for slots in ending_at[m - 1]:
                 if len(set(slots(differences))) < l:
                     passed = False
                     break
-        if len(chosen) == n:
+        if m == n:
             classes += 1
             if passed:
                 best = size
                 best_set = tuple(chosen)
             return
+        if not passed and best_set is None:
+            # nothing below can pass, and until a set passes no size is cut,
+            # so the walk would only count the subtree
+            subtree, leaves = _subtree(n, m, max_value - chosen[-1])
+            nodes += subtree
+            classes += leaves
+            if nodes > node_budget:
+                raise BudgetExceededError(exceeded)
+            return
         for x in range(chosen[-1] + 1, max_value + 1):
-            if max_value - x < n - 1 - len(chosen):
+            if max_value - x < n - 1 - m:
                 break
             reach = mirror << (x - chosen[-1])
             chosen.append(x)
-            extend(seen | reach, reach | 1, passed)
+            extend(seen | reach, reach | 1, passed, differences)
             chosen.pop()
 
-    extend(0, 1, True)
+    extend(0, 1, True, [])
     if best_set is None:
         return OracleResult(None, None, nodes, classes, "infeasible")
     witness = RealSet(best_set)

@@ -6,8 +6,12 @@ import random
 import subprocess
 import sys
 
+from unittest import mock
+
 import pytest
 
+import locallab.arithmetic as arithmetic_module
+import locallab.coloring as coloring_module
 from locallab import (
     cli,
     coloring_from_set,
@@ -548,6 +552,36 @@ def test_sign_stage_builds_the_partitioned_form(tmp_path):
                 "--out", str(tmp_path / "s.json")]) == 0
     for tag in ("p", "m"):
         assert (tmp_path / f"y.{tag}.json").read_bytes() == (tmp_path / f"s.{tag}.json").read_bytes()
+
+
+def test_sign_split_numbers_the_element_set_coloring_once(tmp_path):
+    values = tmp_path / "v.json"
+    save_real_set(real_set([0, 1, 2, 3, 10, 11, 12, 13]), values)
+    numbered = mock.Mock(wraps=coloring_module._numbered)
+    with mock.patch.object(coloring_module, "_numbered", numbered), \
+            mock.patch.object(arithmetic_module, "_numbered", numbered):
+        assert run(["energy-graph", "--values", str(values), "--preset", "sign-split",
+                    "--seed", "6", "--out", str(tmp_path / "s.json")]) == 0
+    assert numbered.call_count == 1
+
+
+def test_sign_classes_come_from_the_values_not_the_input_coloring(tmp_path, capsys):
+    elements = real_set([0, 1, 2, 3, 10, 11, 12, 13])
+    values, same, mono = tmp_path / "v.json", tmp_path / "same.json", mono_file(tmp_path, 8)
+    save_real_set(elements, values)
+    save_coloring(coloring_from_set(elements), same)
+    split = ["--values", str(values), "--preset", "sign-split", "--seed", "6", "--out"]
+    assert run(["energy-graph", *split, str(tmp_path / "v.graph.json")]) == 0
+    assert run(["energy-graph", "--input", str(same), *split, str(tmp_path / "c.graph.json")]) == 0
+    for tag in ("p", "m"):
+        assert (tmp_path / f"v.graph.{tag}.json").read_bytes() == \
+            (tmp_path / f"c.graph.{tag}.json").read_bytes()
+    capsys.readouterr()
+    # every pair of the one-color input shares its color, but not its
+    # difference: the values give this edge no sign
+    assert run(["energy-graph", "--input", str(mono), *split, str(tmp_path / "m.graph.json")]) == 2
+    assert "edge (4, 0)-(5, 2) has no consistent sign in coordinate 2" in capsys.readouterr().err
+    assert not (tmp_path / "m.graph.p.json").exists()
 
 
 def test_sign_stage_on_an_element_set_of_another_size_exits_2(tmp_path, capsys):

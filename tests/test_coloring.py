@@ -217,6 +217,14 @@ def test_random_coloring_equals_the_validated_construction():
         expected = new_coloring(n, [(u, v, draws.randrange(c))
                                     for u, v in itertools.combinations(range(n), 2)])
         assert random_coloring(n, c, seed) == expected
+    # powers of two reject half their draws, c = 1 draws a bit it rejects
+    # half the time, and past 32 bits each draw takes several words
+    for c in [1, 2, 3, 4, 7, 8, 9, 255, 256, 257, *range(5000, 5020), 2**61 - 1, 2**64 + 1]:
+        for seed in range(5):
+            draws = random.Random(seed)
+            expected = new_coloring(14, [(u, v, draws.randrange(c))
+                                         for u, v in itertools.combinations(range(14), 2)])
+            assert random_coloring(14, c, seed) == expected, (c, seed)
     # the palette is checked before the vertex count, each with its message
     with pytest.raises(ColoringError, match="^palette size must be at least 1$"):
         random_coloring(1, 0, seed=0)

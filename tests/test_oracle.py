@@ -1,8 +1,10 @@
 import itertools
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
+import locallab.oracle as oracle_module
 from locallab import (
     BudgetExceededError,
     LocalLabError,
@@ -295,6 +297,30 @@ def test_exact_g_matches_the_reference_search(monkeypatch):
     got = outcome(exact_g_integers, 6, 5, 7, 30)
     assert got[:4] == (8, 42348, 383, "optimal")
     assert got == outcome(reference_exact_g_integers, 6, 5, 7, 30)
+    # feasible searches whose failing nodes before the first set root
+    # subtrees counted in closed form: for (6, 4, 5, 14), 6 of its 34
+    # failing nodes, the rest leaves
+    for case, counted, found in [((6, 4, 5, 14), 6, (11, 3003, 1691, "optimal")),
+                                 ((6, 3, 3, 12), 5, (9, 1222, 269, "optimal"))]:
+        with mock.patch.object(oracle_module, "_subtree", wraps=oracle_module._subtree) as subtree:
+            got = outcome(exact_g_integers, *case)
+        assert (subtree.call_count, got[:4]) == (counted, found)
+        assert got == outcome(reference_exact_g_integers, *case)
+
+
+def test_subtree_counts_the_room_respecting_extensions():
+    # a node holding m values, f free above its last: its descendants add
+    # increasing offsets 1..f, and the node holding d values leaves n - d free
+    for n in range(2, 8):
+        for m in range(1, n):
+            for f in range(n - m, 21):
+                nodes = leaves = 0
+                for d in range(m + 1, n + 1):
+                    fits = sum(1 for new in itertools.combinations(range(1, f + 1), d - m)
+                               if f - new[-1] >= n - d)
+                    nodes += fits
+                    leaves += fits if d == n else 0
+                assert oracle_module._subtree(n, m, f) == (nodes, leaves), (n, m, f)
 
 
 def test_exact_g_budget_caps_a_huge_range(monkeypatch):
@@ -306,10 +332,14 @@ def test_exact_g_budget_caps_a_huge_range(monkeypatch):
 
 
 def test_exact_g_setup_counts_against_the_node_budget(monkeypatch):
-    # 21 pair slots and C(7, 4) = 35 subset getters
-    monkeypatch.setenv("LOCALLAB_BUDGET", "55")
-    with pytest.raises(BudgetExceededError, match="needs 56 pair slots"):
+    # C(7, 4) = 35 subset getters
+    monkeypatch.setenv("LOCALLAB_BUDGET", "34")
+    with pytest.raises(BudgetExceededError,
+                       match="needs 35 4-subset getters before its first node"):
         exact_g_integers(7, 4, 5, 18)
+    # with l = 1 no getter is built, so a budget below C(4, 2) runs all 4 nodes
+    monkeypatch.setenv("LOCALLAB_BUDGET", "5")
+    assert exact_g_integers(4, 3, 1, 3).nodes_explored == 4
     monkeypatch.delenv("LOCALLAB_BUDGET")
     with pytest.raises(BudgetExceededError, match="more than the 100000000 node budget"):
         exact_g_integers(40, 20, 2, 100)
@@ -322,6 +352,8 @@ def test_exact_g_setup_counts_against_the_node_budget(monkeypatch):
     # the budget is checked after the cut instead of before it
     (exact_f, (5, 3, 2), 40),
     (exact_g_integers, (5, 4, 3, 10), 132),
+    # feasible, with subtrees counted in closed form before the first set
+    (exact_g_integers, (6, 4, 5, 14), 3003),
 ])
 def test_node_budget_is_checked_at_every_node(monkeypatch, search, args, nodes):
     # a budget one short of the tree trips on its last node; the exact size passes

@@ -184,3 +184,29 @@ def test_sparse_coloring_past_the_table_cap_falls_back_to_the_lexicographic_scan
     assert (v.min_colors_seen, v.witness, v.holds) == (best, subset, False)
     assert subset == (0, 1, 2, 3, 7, 8)
 
+
+
+def lex_count(g, k, cap):
+    """(fewest colors, capped at `cap`, and the first subset spanning that
+    many) over every row `_lex_chunks` lists."""
+    rows = np.concatenate(list(coloring_module._lex_chunks(g.n, k, np.uint8)))
+    counts = [min(g.colors_within(row.tolist()), cap) for row in rows]
+    best = min(counts)
+    return best, tuple(rows[counts.index(best)].tolist())
+
+
+@pytest.mark.parametrize("ids", [range(91), [*range(90), 0]])
+@pytest.mark.parametrize("k", [3, 4, 5, 14])
+def test_repeat_free_scan_matches_a_full_count(ids, k):
+    # every pair of K_14 its own color, then the last pair {12, 13}
+    # repeating the first, {0, 1}; only the repeat-free one skips the count
+    g = coloring_by_pair(14, ids)
+    top = math.comb(k, 2)
+    with mock.patch.object(coloring_module, "_lex_chunks",
+                           wraps=coloring_module._lex_chunks) as lex:
+        got = [coloring_module._scan(g, k, cap) for cap in (top, top - 1)]
+    assert lex.called == (g.num_colors < 91)
+    assert got == [lex_count(g, k, cap) for cap in (top, top - 1)]
+    repeats = g.num_colors < 91 and k >= 4  # a subset holding {0, 1, 12, 13}
+    assert got[0] == ((top - 1, (0, 1, *range(2, k - 2), 12, 13)) if repeats
+                      else (top, tuple(range(k))))
