@@ -59,30 +59,42 @@ def _pair_keys(xs, ys, top: int) -> tuple:
     return keys, top, codes
 
 
+def _rank(xs, ys) -> tuple:
+    """(codes, xi, yi): the sorted distinct codes of the edges xs < ys, and
+    the position in codes of every entry of xs and ys; by a presence
+    array when the codes are dense, and by np.unique otherwise."""
+    m = len(xs)
+    if m and ys.max() < 8 * m:  # codes are dense enough to mark them
+        seen = np.zeros(ys.max() + 1, dtype=bool)
+        seen[xs] = seen[ys] = True
+        rank = np.cumsum(seen, dtype=xs.dtype) - 1
+        return np.flatnonzero(seen).astype(xs.dtype), rank[xs], rank[ys]
+    codes = np.unique(np.concatenate((xs, ys)))
+    return codes, np.searchsorted(codes, xs), np.searchsorted(codes, ys)
+
+
+def _csr_rows(xi, yi, c: int) -> tuple:
+    """(indptr, indices): CSR rows of the edges {xi[k], yi[k]} between
+    positions 0..c-1, in any order.  One sort of the keys i * c + j of
+    both directions lays out every row: row i starts where the keys reach
+    i * c, and its entries are its keys less that offset, which np.repeat
+    gives each key of the row."""
+    keys = np.concatenate((_pair_keys(xi, yi, c)[0], _pair_keys(yi, xi, c)[0]))
+    keys.sort()
+    starts = np.arange(c + 1, dtype=keys.dtype) * c
+    indptr = np.searchsorted(keys, starts)
+    return indptr, np.subtract(keys, np.repeat(starts[:-1], np.diff(indptr)), dtype=np.int64)
+
+
 def csr_adjacency(xs, ys) -> tuple:
     """CSR (codes, indptr, indices) of the edges {xs[i], ys[i]}: codes are
     the sorted distinct vertex codes on an edge, and indices[indptr[i]:
     indptr[i + 1]] the positions in codes of codes[i]'s neighbors, ascending.
 
     The edges must be distinct with xs < ys, as every EnergyGraph keeps
-    them; their order does not matter.  Each end is ranked in codes, by a
-    presence array when the codes are dense and by np.unique otherwise;
-    then one sort of the keys i * c + j of both directions, for c codes,
-    lays out every row: row i starts where the keys reach i * c, and its
-    entries are their residues mod c."""
-    m = len(xs)
-    if m and ys.max() < 8 * m:  # codes are dense enough to mark them
-        seen = np.zeros(ys.max() + 1, dtype=bool)
-        seen[xs] = seen[ys] = True
-        codes, rank = np.flatnonzero(seen).astype(xs.dtype), np.cumsum(seen, dtype=xs.dtype) - 1
-        xi, yi = rank[xs], rank[ys]
-    else:
-        codes = np.unique(np.concatenate((xs, ys)))
-        xi, yi = np.searchsorted(codes, xs), np.searchsorted(codes, ys)
-    c = len(codes)
-    keys = np.sort(np.concatenate((_pair_keys(xi, yi, c)[0], _pair_keys(yi, xi, c)[0])))
-    indptr = np.searchsorted(keys, np.arange(c + 1, dtype=keys.dtype) * c)
-    return codes, indptr, (keys % c).astype(np.int64)
+    them; their order does not matter."""
+    codes, xi, yi = _rank(xs, ys)
+    return (codes, *_csr_rows(xi, yi, len(codes)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,14 +144,16 @@ class EnergyGraph:
         return sum(x * self.n ** (self.r - 1 - j) for j, x in enumerate(vertex))
 
     def adjacency(self) -> tuple:
-        """csr_adjacency of the edges, built on the first call and kept
-        read-only, so the cycle search and its audits share it."""
+        """csr_adjacency of the edges, built on the first call (or by the
+        graph file reader) and kept read-only, so the cycle search and its
+        audits share it."""
         adj = self.__dict__.get("_adjacency")
-        if adj is None:
-            adj = csr_adjacency(self.xs, self.ys)
-            for a in adj:
-                a.flags.writeable = False
-            object.__setattr__(self, "_adjacency", adj)
+        return self._keep_adjacency(csr_adjacency(self.xs, self.ys)) if adj is None else adj
+
+    def _keep_adjacency(self, adj) -> tuple:
+        for a in adj:
+            a.flags.writeable = False
+        object.__setattr__(self, "_adjacency", adj)
         return adj
 
     def _replaced(self, keep, stage: str) -> "EnergyGraph":
@@ -250,8 +264,8 @@ def prune_diagonal(eg: EnergyGraph) -> EnergyGraph:
     repetitions chi(a,b) = chi(a,b).  Idempotent."""
     if eg.r != 2 or eg.parts is not None:
         raise EnergyGraphError("diagonal pruning applies to the full second energy graph")
-    (x0, x1), (y0, y1) = eg.digits(eg.xs), eg.digits(eg.ys)
-    return eg._replaced((x0 != x1) | (y0 != y1), "prune_diagonal")
+    # (a, a) has the code a * (n + 1), and no other code below n^2 is a multiple of it
+    return eg._replaced((eg.xs % (eg.n + 1) != 0) | (eg.ys % (eg.n + 1) != 0), "prune_diagonal")
 
 
 def check_same_n(eg: EnergyGraph, g: EdgeColoring) -> None:
@@ -404,46 +418,69 @@ def sign_decompose(eg: EnergyGraph, values: RealSet, colored=None) -> dict:
 
 
 def energy_graph_to_dict(eg: EnergyGraph) -> dict:
-    """Format-5 JSON shape: the graph alone.  The vertex set is left
-    implicit and edges are the two code arrays as pack_codes blobs of
-    entries below n^r; edge colors and base edge counts belong to the
-    coloring, so the file holds neither."""
-    top = eg.n**eg.r - 1
+    """Format-6 JSON shape: the graph alone, as the upper rows of its CSR
+    adjacency, each edge once.  `codes` are the sorted distinct codes on an
+    edge, `counts[i]` the number of edges whose smaller end is codes[i],
+    and `neighbors` the position in codes of each larger end, row by row
+    and ascending; pack_codes blobs of entries below n^r and below
+    len(codes).  Edge colors belong to the coloring, so the file holds
+    none.  Raises unless the edges are strictly increasing in (xs, ys)."""
+    codes, xi, yi = _rank(eg.xs, eg.ys)
+    c = len(codes)
+    keys = _pair_keys(xi, yi, c)[0]
+    if not (keys[1:] > keys[:-1]).all():
+        raise EnergyGraphError("edges must be strictly increasing in (xs, ys)")
     return {
-        "format": 5, "r": eg.r, "n": eg.n,
+        "format": 6, "r": eg.r, "n": eg.n,
         "parts": None if eg.parts is None else [list(p) for p in eg.parts],
-        "xs": pack_codes(eg.xs, top), "ys": pack_codes(eg.ys, top),
+        "codes": pack_codes(codes, eg.n**eg.r - 1),
+        "counts": pack_codes(np.bincount(xi, minlength=c), c - 1),
+        "neighbors": pack_codes(yi, c - 1),
         "provenance": list(eg.provenance),
     }
 
 
 def energy_graph_from_dict(data: dict) -> EnergyGraph:
-    """Read a format-5 record, checking what the builders guarantee: r
-    disjoint parts covering 0..n-1, code blobs that unpack_codes reads,
-    codes in range and strictly sorted with xs < ys, and every coordinate
-    differing across an edge and inside its part."""
-    if not (isinstance(data, dict) and type(data.get("format")) is int and data["format"] == 5):
-        raise EnergyGraphError("not a format-5 energy graph; rebuild it with `energy-graph`")
-    r, n, parts, _, _, provenance = fields(
-        data, r=int, n=int, parts=([list], None), xs=str, ys=str, provenance=[str],
+    """Read a format-6 record, checking every property the writer and the
+    builders guarantee, and keep the CSR adjacency built from its rows."""
+    if not (isinstance(data, dict) and type(data.get("format")) is int and data["format"] == 6):
+        raise EnergyGraphError("not a format-6 energy graph; rebuild it with `energy-graph`")
+    r, n, parts, _, _, _, provenance = fields(
+        data, r=int, n=int, parts=([list], None), codes=str, counts=str, neighbors=str,
+        provenance=[str],
     )
     if r < 2 or n < 2:
         raise EnergyGraphError(f"r={r} and n={n} must both be at least 2")
     dtype = _code_dtype(n, r)  # first: it raises when n^r needs more than 64 bits
-    # entries past dtype's signed range wrap to negative codes, rejected below
-    xs, ys = (unpack_codes(data[name], n**r - 1, name).astype(dtype) for name in ("xs", "ys"))
-    if len(xs) != len(ys):
-        raise EnergyGraphError("xs and ys must have one entry per edge")
-    if len(xs) and (xs.min() < 0 or ys.max() >= n**r or (xs >= ys).any()):
-        raise EnergyGraphError(f"edge codes must satisfy 0 <= xs[i] < ys[i] < {n}^{r}")
-    if not (np.diff(_pair_keys(xs, ys, n**r)[0]) > 0).all():
-        raise EnergyGraphError("edges must be strictly increasing in (xs, ys)")
+    codes = unpack_codes(data["codes"], n**r - 1, "codes")
+    if len(codes) and not ((codes[1:] > codes[:-1]).all() and int(codes[-1]) < n**r):
+        raise EnergyGraphError(f"codes must be strictly increasing and below {n}^{r}")
+    c, codes = len(codes), codes.astype(dtype)
+    counts, neighbors = (unpack_codes(data[name], c - 1, name) for name in ("counts", "neighbors"))
+    counts = counts.astype(np.int64)
+    if len(counts) != c or counts.sum() != len(neighbors):
+        raise EnergyGraphError("counts must hold one entry per code and sum to len(neighbors)")
+    # entries past rank's signed range wrap to negative, rejected below
+    rank = np.int32 if c <= np.iinfo(np.int32).max else np.int64
+    neighbors = neighbors.astype(rank)
+    rows = np.repeat(np.arange(c, dtype=rank), counts)
+    if not ((neighbors > rows).all() and (neighbors < c).all()):
+        raise EnergyGraphError("every neighbor must lie past its row and below len(codes)")
+    keys = _pair_keys(rows, neighbors, c)[0]
+    if not (keys[1:] > keys[:-1]).all():
+        raise EnergyGraphError("each row's neighbors must be strictly increasing")
+    del keys  # freed before the CSR, the largest allocation here, and rows after it
+    indptr, indices = _csr_rows(rows, neighbors, c)
+    del rows
+    if not (indptr[1:] > indptr[:-1]).all():
+        raise EnergyGraphError("every code must lie on an edge")
     eg = EnergyGraph(r, n, None if parts is None else tuple(tuple(p) for p in parts),
-                     xs, ys, tuple(provenance))
+                     np.repeat(codes, counts), codes[neighbors], tuple(provenance))
     part_of = None if parts is None else _part_index(eg.parts, r, n)
-    for j, (a, b) in enumerate(zip(eg.digits(eg.xs), eg.digits(eg.ys))):
-        if (a == b).any():
+    for j, d in enumerate(eg.digits(codes)):  # per code, then compared per edge
+        if (np.repeat(d, counts) == d[neighbors]).any():
             raise EnergyGraphError(f"an edge repeats its base vertex in coordinate {j + 1}")
-        if part_of is not None and ((part_of[a] != j).any() or (part_of[b] != j).any()):
+        if part_of is not None and (part_of[d] != j).any():
             raise EnergyGraphError(f"an edge leaves part {j + 1} in coordinate {j + 1}")
+    eg._keep_adjacency((codes, indptr, indices))
     return eg

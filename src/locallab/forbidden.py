@@ -56,40 +56,50 @@ def _search_cycle(adj, length: int):
     """Positions in the codes of CSR adjacency `adj` of the first simple
     cycle of exactly `length`, or None.  The search is canonical: start
     vertices ascending, each cycle explored only from its smallest vertex,
-    neighbors in sorted order.  A row of neighbors becomes a list only
-    when the search first visits it."""
+    neighbors in sorted order.  It keeps its own stack, one iterator over
+    the unexplored neighbors of each path vertex, so a long cycle needs no
+    deep recursion.  A row of neighbors becomes a list only when the
+    search first visits it."""
     if length < 3:
         raise LocalLabError(f"cycle length {length} must be at least 3")
-    ptr, rows = adj[1].tolist(), {}
+    if length > np.count_nonzero(np.diff(adj[1]) >= 2):  # every cycle vertex has two neighbors
+        return None
+    ptr, rows, deep = adj[1].tolist(), {}, length - 2
 
     def row(v):
         if v not in rows:
             rows[v] = adj[2][ptr[v]:ptr[v + 1]].tolist()
         return rows[v]
 
-    # the adjacency is symmetric, so a path closes at a neighbor of its start
-    def extend(start, closers, path, on_path):
-        v = path[-1]
-        if len(path) == length:
-            return list(path) if v in closers else None
-        for w in row(v):
-            if w <= start or w in on_path:
-                continue
-            path.append(w)
-            on_path.add(w)
-            found = extend(start, closers, path, on_path)
-            if found:
-                return found
-            path.pop()
-            on_path.remove(w)
-        return None
-
     for s in range(len(ptr) - 1):
         if ptr[s + 1] - ptr[s] < 2:
             continue
-        found = extend(s, set(row(s)), [s], {s})
-        if found:
-            return found
+        # the adjacency is symmetric, so a path closes at a neighbor of its start;
+        # `todo` holds an iterator over the unexplored neighbors of each path
+        # vertex but the last, whose iterator is `ahead`
+        first = row(s)
+        closers, path, on_path, todo, ahead = set(first), [s], {s}, [], iter(first)
+        while True:
+            for w in ahead:
+                if w > s and w not in on_path:
+                    break
+            else:  # every neighbor of the path's end is explored
+                if not todo:
+                    break
+                ahead = todo.pop()
+                on_path.remove(path.pop())
+                continue
+            w_row = rows.get(w) or row(w)  # no call once w's row is a list
+            if len(path) < deep:
+                todo.append(ahead)
+                path.append(w)
+                on_path.add(w)
+                ahead = iter(w_row)
+                continue
+            # w is the last vertex but one: its first neighbor that closes the cycle
+            for x in w_row:
+                if x > s and x in closers and x not in on_path:
+                    return path + [w, x]
     return None
 
 

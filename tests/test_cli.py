@@ -427,12 +427,19 @@ def codes(*values, top=15):
     return pack_codes(list(values), top)
 
 
+def ranks(*values, top=1):
+    """`values` as a counts or neighbors blob of a graph with top + 1
+    codes (two by default)."""
+    return pack_codes(list(values), top)
+
+
 def graph_file(tmp_path, drop=(), **fields):
-    """A well-formed format-5 order-2 graph file on n=4, with `fields`
+    """A well-formed format-6 order-2 graph file on n=4, with `fields`
     replaced and the keys in `drop` removed.  Its one edge joins the
-    vertices (0, 2) and (1, 3), whose codes are 0*4+2 and 1*4+3."""
-    record = {"format": 5, "r": 2, "n": 4, "parts": None, "xs": codes(2), "ys": codes(7),
-              "provenance": ["build_partitioned"]}
+    vertices (0, 2) and (1, 3), whose codes are 0*4+2 and 1*4+3: the row
+    of code 2 holds the rank 1 of code 7, and the row of code 7 is empty."""
+    record = {"format": 6, "r": 2, "n": 4, "parts": None, "codes": codes(2, 7),
+              "counts": ranks(1, 0), "neighbors": ranks(1), "provenance": ["build_partitioned"]}
     record.update(fields)
     for key in drop:
         del record[key]
@@ -448,49 +455,66 @@ def test_well_formed_graph_file_loads(tmp_path):
 
 PARTS = [[0, 1], [2, 3]]
 REBUILD = "rebuild it with `energy-graph`"
-RANGE = "edge codes must satisfy 0 <= xs[i] < ys[i] < 4^2"
+RANGE = "codes must be strictly increasing and below 4^2"
 PARTS_ERROR = "parts must be 2 disjoint sets covering 0..3"
-ORDER = "edges must be strictly increasing in (xs, ys)"
+COUNTS = "counts must hold one entry per code and sum to len(neighbors)"
+ORDER = "each row's neighbors must be strictly increasing"
+NEIGHBOR = "every neighbor must lie past its row and below len(codes)"
+# three codes, 2, 7 and 11, that is (0, 2), (1, 3) and (2, 3)
+THREE = {"codes": codes(2, 7, 11), "counts": ranks(2, 0, 0, top=2)}
 # each bad record and the fragment its error message must hold
 BAD_GRAPHS = {
     # the code of the three-entry vertex [1, 2, 5]
-    "wide-vertex": ({"ys": codes(1 * 16 + 2 * 4 + 5)}, RANGE),
+    "wide-vertex": ({"codes": codes(2, 1 * 16 + 2 * 4 + 5)}, RANGE),
+    "codes-not-increasing": ({"codes": codes(7, 2)}, RANGE),
     # the one-entry vertex [1], read as the code of (0, 1), lands outside part 2
-    "narrow-vertex": ({"xs": codes(1), "ys": codes(7), "parts": PARTS},
+    "narrow-vertex": ({"codes": codes(1, 7), "parts": PARTS},
                       "an edge leaves part 2 in coordinate 2"),
     # the code of [1, 4] is that of (2, 0), outside part 1
-    "entry-at-least-n": ({"ys": codes(1 * 4 + 4), "parts": PARTS},
+    "entry-at-least-n": ({"codes": codes(2, 1 * 4 + 4), "parts": PARTS},
                          "an edge leaves part 1 in coordinate 1"),
     # (1, 0) has its second coordinate outside part 2
-    "entry-outside-part": ({"ys": codes(4), "parts": PARTS},
+    "entry-outside-part": ({"codes": codes(2, 4), "parts": PARTS},
                            "an edge leaves part 2 in coordinate 2"),
     "fewer-parts-than-r": ({"parts": [[0, 1, 2, 3]]}, PARTS_ERROR),
     "int-provenance": ({"provenance": [5]}, "field 'provenance' has the wrong type"),
     "overlapping-parts": ({"parts": [[0, 1, 2], [2, 3]]}, PARTS_ERROR),
     "part-entry-at-least-n": ({"parts": [[0, 1], [2, 7]]}, PARTS_ERROR),
     # (0, 2) and (1, 2) agree in the second coordinate
-    "equal-coordinate": ({"ys": codes(6)}, "an edge repeats its base vertex in coordinate 2"),
+    "equal-coordinate": ({"codes": codes(2, 6)},
+                         "an edge repeats its base vertex in coordinate 2"),
     "format-1": ({"format": 1}, REBUILD),
     "format-2": ({"format": 2, "xs": [2], "ys": [7], "cs": [0]}, REBUILD),
     # an older record, with its base edge tally
     "format-3": ({"format": 3, "color_base_edges": {"0": 1}}, REBUILD),
-    # the record the previous version wrote, with its edge color blob
+    # an older record, with its edge color blob
     "format-4": ({"format": 4, "cs": codes(0)}, REBUILD),
-    "string-format": ({"format": "5"}, REBUILD),
-    "unsorted-edges": ({"xs": codes(2, 2), "ys": codes(11, 7)}, ORDER),
-    "duplicate-edges": ({"xs": codes(2, 2), "ys": codes(7, 7)}, ORDER),
-    "xs-not-below-ys": ({"xs": codes(7), "ys": codes(2)}, RANGE),
-    "length-mismatch": ({"ys": codes(7, 11)}, "xs and ys must have one entry per edge"),
+    # the record the previous version wrote: each edge's two codes
+    "format-5": ({"format": 5, "xs": codes(2), "ys": codes(7)}, REBUILD),
+    "string-format": ({"format": "6"}, REBUILD),
+    # the row of code 2 lists 11 before 7, or 7 twice
+    "unsorted-edges": ({**THREE, "neighbors": ranks(2, 1, top=2)}, ORDER),
+    "duplicate-edges": ({"counts": ranks(2, 0), "neighbors": ranks(1, 1)}, ORDER),
+    # the edge stored in the row of its larger end
+    "xs-not-below-ys": ({"counts": ranks(0, 1), "neighbors": ranks(0)}, NEIGHBOR),
+    "neighbor-past-codes": ({"neighbors": ranks(2)}, NEIGHBOR),
+    "length-mismatch": ({"counts": ranks(1)}, COUNTS),
+    "count-sum-mismatch": ({"counts": ranks(1, 1)}, COUNTS),
+    # code 11 lies on no edge
+    "isolated-code": ({**THREE, "counts": ranks(1, 0, 0, top=2), "neighbors": ranks(1, top=2)},
+                      "every code must lie on an edge"),
     # blob errors
-    "list-blob": ({"xs": [2]}, "field 'xs' has the wrong type"),
+    "list-blob": ({"codes": [2, 7]}, "field 'codes' has the wrong type"),
+    "list-rank-blob": ({"neighbors": [1]}, "field 'neighbors' has the wrong type"),
     # "Ag==" is the blob of [2]; a lenient decoder would drop the "*"
-    "not-base64": ({"xs": "A*g=="}, "xs is not a base64 string"),
-    # n=17 gives codes up to 288, two bytes each; xs holds one byte
-    "short-blob": ({"n": 17, "xs": base64.b64encode(b"\x02").decode(),
-                    "ys": codes(20, top=288)},
-                   "xs decodes to a length of 1, not a whole number of 2-byte entries"),
-    "format-2-body-as-3": ({"xs": [2], "ys": [7], "cs": [0]},
-                           "field 'xs' has the wrong type"),
+    "not-base64": ({"codes": "A*g=="}, "codes is not a base64 string"),
+    "rank-blob-not-base64": ({"counts": "A*Q=="}, "counts is not a base64 string"),
+    # n=17 gives codes up to 288, two bytes each; the blob holds one byte
+    "short-blob": ({"n": 17, "codes": base64.b64encode(b"\x02").decode()},
+                   "codes decodes to a length of 1, not a whole number of 2-byte entries"),
+    # the decimal int lists of format 2 under the current format number
+    "format-2-body-as-3": ({"codes": [2, 7], "counts": [1, 0], "neighbors": [1]},
+                           "field 'codes' has the wrong type"),
 }
 
 
@@ -500,7 +524,7 @@ def test_malformed_graph_file_exits_2(tmp_path, capsys, kind):
         path, fragment = graph_file(tmp_path, drop=["format"]), REBUILD
     elif kind == "format-1-file":
         # the record older versions wrote, with tuple vertices and no format key
-        path = graph_file(tmp_path, drop=["format", "xs", "ys"],
+        path = graph_file(tmp_path, drop=["format", "codes", "counts", "neighbors"],
                           edges=[[[0, 2], [1, 3], 0]])
         fragment = REBUILD
     else:
@@ -512,9 +536,24 @@ def test_malformed_graph_file_exits_2(tmp_path, capsys, kind):
 
 
 def test_graph_codes_wider_than_64_bits_exit_3(tmp_path, capsys):
-    path = graph_file(tmp_path, n=10, r=20, xs="", ys="")
+    path = graph_file(tmp_path, n=10, r=20, codes="", counts="", neighbors="")
     assert run(["find", "--graph", str(path), "--length", "4"]) == 3
     assert "10^20 vertices need codes wider than 64 bits" in capsys.readouterr().err
+
+
+def test_long_cycle_lengths_exit_without_a_traceback(tmp_path, capsys):
+    # 1,600 vertices: a 1,200-cycle is found by a path deeper than the
+    # recursion limit, and no 1,700-cycle fits
+    coloring, graph = tmp_path / "c.json", tmp_path / "g.json"
+    save_coloring(random_coloring(40, 3, 1), coloring)
+    assert run(["energy-graph", "--input", str(coloring), "--stages", "diagonal",
+                "--out", str(graph)]) == 0
+    capsys.readouterr()
+    assert run(["find", "--graph", str(graph), "--length", "1200"]) == 1
+    printed = capsys.readouterr().out
+    assert printed.startswith("cycle of length 1200: ") and printed.count("), (") == 1199
+    assert run(["find", "--graph", str(graph), "--length", "1700"]) == 0
+    assert capsys.readouterr().out == "no cycle of length 1700\n"
 
 
 def test_sign_stage_must_be_last(tmp_path, capsys):

@@ -34,7 +34,7 @@ from locallab import (
 )
 from locallab.coloring import pair_cells
 from locallab.energy_graph import _part_index, colors_at_least, csr_adjacency, edge_colors
-from locallab.jsonio import code_width, read_json, write_json
+from locallab.jsonio import code_width, pack_codes, read_json, write_json
 
 
 def mono(n):
@@ -108,6 +108,10 @@ def test_diagonal_pruning_removes_exactly_one_per_base_pair():
         assert eg.num_edges - pruned.num_edges == n * (n - 1) // 2
         assert all(x[0] != x[1] or y[0] != y[1] for x, y in pruned.edges)
         assert pruned.provenance[-1] == "prune_diagonal"
+        # the same edges as the rule on decoded coordinates
+        (x0, x1), (y0, y1) = eg.digits(eg.xs), eg.digits(eg.ys)
+        keep = (x0 != x1) | (y0 != y1)
+        assert np.array_equal(pruned.xs, eg.xs[keep]) and np.array_equal(pruned.ys, eg.ys[keep])
 
 
 def test_diagonal_pruning_needs_full_second_graph():
@@ -288,11 +292,11 @@ def test_build_matches_the_reference_with_many_colors_and_empty_cells(r):
     assert empty
 
 
-def past_int64_keys_graph():
-    """A partitioned build at n = 240, r = 4 whose codes pass 3.04e9, where
-    code * 240^4 leaves int64: color "x" joins the first two and the last
-    two vertices of each part."""
-    n, r = 240, 4
+def past_int64_keys_graph(n=240):
+    """A partitioned build at r = 4 whose codes pass 3.04e9, where code *
+    n^4 leaves int64 for n >= 240: color "x" joins the first two and the
+    last two vertices of each part."""
+    r = 4
     parts = [tuple(range(j, n, r)) for j in range(r)]
     x = {p[:2] for p in parts} | {p[-2:] for p in parts}
     g = new_coloring(n, [(u, v, "x" if (u, v) in x else f"{u}-{v}")
@@ -309,15 +313,30 @@ def test_build_past_int64_keys_ranks_the_codes_first():
 
 
 def test_graph_file_order_is_checked_past_int64_keys():
-    _, _, eg = past_int64_keys_graph()
-    assert energy_graph_from_dict(energy_graph_to_dict(eg)).edges == eg.edges
+    _, _, eg = past_int64_keys_graph(260)  # 260^4 > 2^32: eight bytes a code
+    data = energy_graph_to_dict(eg)
+    assert code_width(eg.n**eg.r - 1) == 8
+    back = energy_graph_from_dict(data)
+    assert np.array_equal(back.xs, eg.xs) and np.array_equal(back.ys, eg.ys)
+    assert back.edges == eg.edges
+    # the writer refuses edges out of order: the last two swapped, the last repeated
     every = np.arange(eg.num_edges)
-    # the last two edges swapped, and the last edge repeated
     for order in (np.concatenate((every[:-2], every[:-3:-1])), np.append(every, every[-1])):
         bad = EnergyGraph(eg.r, eg.n, eg.parts, eg.xs[order], eg.ys[order])
         assert bad.xs[-1] > 3.04e9
         with pytest.raises(EnergyGraphError, match="strictly increasing"):
-            energy_graph_from_dict(energy_graph_to_dict(bad))
+            energy_graph_to_dict(bad)
+    # and the reader a row out of order or repeating an entry: the last
+    # edge's smaller end X joined to its larger end Y and to Y moved down
+    # by 4 in the last coordinate, which keeps it in its part
+    x, y, top = int(eg.xs[-1]), int(eg.ys[-1]), eg.n**eg.r - 1
+    assert x > 3.04e9 and y % eg.n >= 4 and (y - 4) % eg.n != x % eg.n
+    rows = dict(data, codes=pack_codes([x, y - 4, y], top), counts=pack_codes([2, 0, 0], 2))
+    sorted_rows = energy_graph_from_dict(dict(rows, neighbors=pack_codes([1, 2], 2)))
+    assert sorted_rows.xs.tolist() == [x, x] and sorted_rows.ys.tolist() == [y - 4, y]
+    for neighbors in ([2, 1], [1, 1]):
+        with pytest.raises(EnergyGraphError, match="row's neighbors must be strictly increasing"):
+            energy_graph_from_dict(dict(rows, neighbors=pack_codes(neighbors, 2)))
 
 
 @pytest.mark.parametrize("other", [24, 36])
@@ -614,13 +633,51 @@ def test_json_round_trip():
     assert back.edges == eg.edges
     assert back.r == eg.r and back.n == eg.n and back.parts == eg.parts
     assert back.provenance == eg.provenance
-    assert data["format"] == 5
-    assert list(data) == ["format", "r", "n", "parts", "xs", "ys", "provenance"]
+    assert data["format"] == 6
+    assert list(data) == ["format", "r", "n", "parts", "codes", "counts", "neighbors",
+                          "provenance"]
 
     part = partition_for_rth_energy(g, 2, seed=0)
     eg2 = build_rth_energy_graph(g, 2, part.parts)
     back2 = energy_graph_from_dict(energy_graph_to_dict(eg2))
     assert back2.parts == eg2.parts and back2.edges == eg2.edges
+
+
+@pytest.mark.parametrize("form", ["full-2", "partitioned-2", "partitioned-3",
+                                  "partitioned-4", "sign-2", "sign-3", "empty"])
+def test_every_stage_survives_the_graph_file(form):
+    # every builder and stage, through the record and back: the same
+    # edges, and the adjacency the reader built from the rows is the one
+    # csr_adjacency and its sorting reference build from the edges
+    rng = random.Random(form)
+    graphs = []
+    for seed in range(3):
+        n = rng.randrange(8, 15)
+        values = real_set(sorted(rng.sample(range(1, 4 * n), n)))
+        if form == "empty":
+            g = random_coloring(n, 2, seed=seed)
+            graphs += [prune_rare_colors(build_second_energy_graph(g), g, n * n),
+                       prune_rare_colors(build_form("partitioned-3", g), g, n * n)]
+            continue
+        g = coloring_from_set(values) if form.startswith("sign") else \
+            random_coloring(n, rng.randrange(1, 6), seed=rng.randrange(10**6))
+        eg, _, stages = staged_graphs(form, g, seed, values)
+        graphs += [eg, *stages]
+    assert any(eg.num_edges for eg in graphs) != (form == "empty")
+    for eg in graphs:
+        back = energy_graph_from_dict(energy_graph_to_dict(eg))
+        for name in ("xs", "ys"):
+            before, after = getattr(eg, name), getattr(back, name)
+            assert after.dtype == before.dtype and np.array_equal(after, before)
+        assert (back.r, back.n, back.parts, back.provenance) == (eg.r, eg.n, eg.parts,
+                                                                  eg.provenance)
+        assert "_adjacency" in back.__dict__  # built by the reader, not on first use
+        for got, built, want in zip(back.adjacency(), csr_adjacency(eg.xs, eg.ys),
+                                    reference_csr_adjacency(eg.xs, eg.ys)):
+            assert got.dtype == built.dtype == want.dtype
+            np.testing.assert_array_equal(got, built)
+            np.testing.assert_array_equal(got, want)
+            assert not got.flags.writeable
 
 
 def build_form(form, g):
@@ -649,9 +706,12 @@ def test_graph_file_round_trip(tmp_path_factory, form, n, spread, seed, threshol
     write_json(energy_graph_to_dict(eg), path)
     record = read_json(path)
     back = energy_graph_from_dict(record)
-    width = code_width(n**eg.r - 1)
+    codes = np.unique(np.concatenate((eg.xs, eg.ys)))
+    width, rank_width = code_width(n**eg.r - 1), code_width(len(codes) - 1)
+    assert len(base64.b64decode(record["codes"])) == width * len(codes)
+    assert len(base64.b64decode(record["counts"])) == rank_width * len(codes)
+    assert len(base64.b64decode(record["neighbors"])) == rank_width * eg.num_edges
     for name in ("xs", "ys"):
-        assert len(base64.b64decode(record[name])) == width * eg.num_edges
         before, after = getattr(eg, name), getattr(back, name)
         assert after.dtype == before.dtype and np.array_equal(after, before)
     assert (back.r, back.n, back.parts) == (eg.r, eg.n, eg.parts)

@@ -1,14 +1,18 @@
 import itertools
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from locallab import (
     CliqueWitness,
     CyclePath,
     DifferenceEquality,
+    EnergyGraph,
     LocalLabError,
     PaddingError,
     SignConsistencyError,
@@ -40,7 +44,6 @@ from locallab import (
     witness_from_cycle,
 )
 from locallab.energy_graph import csr_adjacency
-from locallab.jsonio import pack_codes
 from locallab.forbidden import (
     ColorRepetition,
     WitnessSet,
@@ -85,10 +88,9 @@ def validate_dict_cycle(graph, cycle):
 def graph_with_edges(eg, edges):
     """`eg` with its edges replaced by the sorted (X, Y) pairs `edges`,
     read back through the graph file record."""
-    record, top = energy_graph_to_dict(eg), eg.n**eg.r - 1
-    record["xs"] = pack_codes([eg.code(x) for x, _ in edges], top)
-    record["ys"] = pack_codes([eg.code(y) for _, y in edges], top)
-    return energy_graph_from_dict(record)
+    xs, ys = (np.array([eg.code(v[end]) for v in edges]) for end in (0, 1))
+    return energy_graph_from_dict(energy_graph_to_dict(
+        EnergyGraph(eg.r, eg.n, eg.parts, xs, ys, eg.provenance)))
 
 
 # -- plain cycle search ------------------------------------------------------
@@ -224,6 +226,44 @@ def test_search_cycle_matches_the_eager_reference():
             assert cycle == reference_search_cycle(adj, length)
             found.append(cycle is not None)
     assert 0.2 < sum(found) / len(found) < 0.8
+
+
+def cycle_adjacency(size):
+    """CSR adjacency of the cycle 0 - 1 - ... - (size - 1) - 0."""
+    return dict_adjacency({v: [(v + 1) % size] for v in range(size)})
+
+
+@st.composite
+def small_graphs(draw):
+    # up to 10 vertices joined at random, and a length past the vertex count too
+    n = draw(st.integers(2, 10))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=30))
+    graph = {v: [w for u, w in pairs if u == v and w != v] for v in range(n)}
+    return graph, draw(st.integers(3, n + 2))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(case=small_graphs())
+# a cycle deeper than the recursion limit, even as hypothesis raises it by 2000
+@example(case=({v: [(v + 1) % 2500] for v in range(2500)}, 2500))
+def test_search_cycle_matches_the_recursive_reference(case):
+    graph, length = case
+    adj = dict_adjacency(graph)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 2 * length + 100))
+    try:
+        want = reference_search_cycle(adj, length)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert _search_cycle(adj, length) == want
+
+
+def test_search_cycle_finds_a_cycle_deeper_than_the_recursion_limit():
+    adj = cycle_adjacency(1500)
+    assert _search_cycle(adj, 1500) == list(range(1500))
+    # each of 1500 vertices has two neighbors, so no longer cycle exists
+    assert _search_cycle(adj, 1501) is None
+    assert _search_cycle(cycle_adjacency(4), 10**30) is None
 
 
 # -- complete bipartite pairs ------------------------------------------------
