@@ -18,7 +18,7 @@ ENERGY_GRAPH_EDGE_BUDGET = 10**7
 # k-subsets (or sampled trials) visited by one local-property scan
 SUBSET_SCAN_BUDGET = 10**9
 
-# search nodes in the exact minimization oracles
+# search nodes of the exact minimization oracles, and neighbor-weighted cycle-search steps
 ORACLE_NODE_BUDGET = 10**8
 
 # value span of an int set under a difference-set or 3-AP presence array

@@ -43,20 +43,13 @@ from .jsonio import fields, pack_codes, unpack_codes
 from .partition import MAX_TRIALS
 
 
-def _pair_keys(xs, ys, top: int) -> tuple:
-    """(keys, base, codes): keys[i] = x * base + y for the pair (xs[i],
-    ys[i]) of entries in 0..top-1, so keys order as the pairs; int32 when
-    base^2 fits it, else int64.  base is top while top^2 fits int64; past
-    that, x and y are the ranks of the entries among their distinct
-    values `codes`, and base is their count.  codes is None otherwise."""
-    codes = None
-    if top * top > np.iinfo(np.int64).max:
-        codes = np.unique(np.concatenate((xs, ys)))
-        xs, ys, top = np.searchsorted(codes, xs), np.searchsorted(codes, ys), len(codes)
+def _pair_keys(xs, ys, top: int) -> np.ndarray:
+    """x * top + y for each pair (x, y) of xs and ys in 0..top-1, so the keys
+    order as the pairs; int32 when top^2 fits it, else int64, which it must."""
     dtype = np.int32 if top * top <= np.iinfo(np.int32).max else np.int64
     keys = np.multiply(xs, top, dtype=dtype)
     keys += ys
-    return keys, top, codes
+    return keys
 
 
 def _rank(xs, ys) -> tuple:
@@ -73,28 +66,18 @@ def _rank(xs, ys) -> tuple:
     return codes, np.searchsorted(codes, xs), np.searchsorted(codes, ys)
 
 
-def _csr_rows(xi, yi, c: int) -> tuple:
-    """(indptr, indices): CSR rows of the edges {xi[k], yi[k]} between
-    positions 0..c-1, in any order.  One sort of the keys i * c + j of
-    both directions lays out every row: row i starts where the keys reach
-    i * c, and its entries are its keys less that offset, which np.repeat
-    gives each key of the row."""
-    keys = np.concatenate((_pair_keys(xi, yi, c)[0], _pair_keys(yi, xi, c)[0]))
+def _csr_rows(codes, xi, yi) -> tuple:
+    """CSR (codes, indptr, indices) of the edges {codes[xi[k]], codes[yi[k]]}
+    in any order: indices[indptr[i]:indptr[i + 1]] are the positions of
+    codes[i]'s neighbors, ascending.  One sort of the keys i * c + j of both
+    directions, c = len(codes), lays out every row: row i starts where the
+    keys reach i * c, and np.repeat takes that offset off each of its keys."""
+    c = len(codes)
+    keys = np.concatenate((_pair_keys(xi, yi, c), _pair_keys(yi, xi, c)))
     keys.sort()
     starts = np.arange(c + 1, dtype=keys.dtype) * c
     indptr = np.searchsorted(keys, starts)
-    return indptr, np.subtract(keys, np.repeat(starts[:-1], np.diff(indptr)), dtype=np.int64)
-
-
-def csr_adjacency(xs, ys) -> tuple:
-    """CSR (codes, indptr, indices) of the edges {xs[i], ys[i]}: codes are
-    the sorted distinct vertex codes on an edge, and indices[indptr[i]:
-    indptr[i + 1]] the positions in codes of codes[i]'s neighbors, ascending.
-
-    The edges must be distinct with xs < ys, as every EnergyGraph keeps
-    them; their order does not matter."""
-    codes, xi, yi = _rank(xs, ys)
-    return (codes, *_csr_rows(xi, yi, len(codes)))
+    return codes, indptr, np.subtract(keys, np.repeat(starts[:-1], np.diff(indptr)), dtype=np.int64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,18 +126,25 @@ class EnergyGraph:
             return -1
         return sum(x * self.n ** (self.r - 1 - j) for j, x in enumerate(vertex))
 
-    def adjacency(self) -> tuple:
-        """csr_adjacency of the edges, built on the first call (or by the
-        graph file reader) and kept read-only, so the cycle search and its
-        audits share it."""
-        adj = self.__dict__.get("_adjacency")
-        return self._keep_adjacency(csr_adjacency(self.xs, self.ys)) if adj is None else adj
+    def ranks(self) -> tuple:
+        """_rank of the edges, (codes, xi, yi), built on the first call and
+        kept read-only, so the CSR, the graph file and the coordinate audit
+        share one ranking."""
+        ranks = self.__dict__.get("_ranks")
+        return self._keep("_ranks", _rank(self.xs, self.ys)) if ranks is None else ranks
 
-    def _keep_adjacency(self, adj) -> tuple:
-        for a in adj:
+    def adjacency(self) -> tuple:
+        """_csr_rows of ranks(), built on the first call (or by the graph
+        file reader) and kept read-only, so the cycle search and its audits
+        share it."""
+        adj = self.__dict__.get("_adjacency")
+        return self._keep("_adjacency", _csr_rows(*self.ranks())) if adj is None else adj
+
+    def _keep(self, name: str, arrays) -> tuple:
+        for a in arrays:
             a.flags.writeable = False
-        object.__setattr__(self, "_adjacency", adj)
-        return adj
+        object.__setattr__(self, name, arrays)
+        return arrays
 
     def _replaced(self, keep, stage: str) -> "EnergyGraph":
         """Same graph keeping the edges a mask or ascending indices select."""
@@ -228,9 +218,13 @@ def _product_graph(g: EdgeColoring, parts, cells, columns, stage: str) -> Energy
         ys = np.repeat(ys, reps) + (b[pool] * weight).astype(dtype)[at]
         if j < r - 1:
             color = np.repeat(color, reps)
-    keys, base, codes = _pair_keys(xs, ys, g.n**r)
+    top, codes = g.n**r, None
+    if top * top > np.iinfo(np.int64).max:  # code keys would pass int64: key their ranks
+        codes, xs, ys = _rank(xs, ys)
+        top = len(codes)
+    keys = _pair_keys(xs, ys, top)
     keys.sort()
-    xs, ys = np.divmod(keys, base)
+    xs, ys = np.divmod(keys, top)
     if codes is not None:
         xs, ys = codes[xs], codes[ys]
     return EnergyGraph(r, g.n, parts, xs.astype(dtype, copy=False), ys.astype(dtype, copy=False),
@@ -239,9 +233,6 @@ def _product_graph(g: EdgeColoring, parts, cells, columns, stage: str) -> Energy
 
 def build_second_energy_graph(g: EdgeColoring) -> EnergyGraph:
     """Full-form energy graph on V x V; 2 * |edges| = E_2 exactly."""
-    cap = budget(ENERGY_GRAPH_EDGE_BUDGET)
-    if g.n**2 > cap:
-        raise BudgetExceededError(f"energy graph needs {g.n ** 2} vertices, budget {cap}")
     cells = pair_cells(g, np.zeros(g.n, int), 1)
     return _product_graph(g, None, cells, [0, 0], "build_second")
 
@@ -340,12 +331,13 @@ def halve_parts_prune(eg: EnergyGraph, seed: int) -> EnergyGraph:
 
 def _coordinate_marks(eg: EnergyGraph) -> np.ndarray:
     """One int64 row of 2r marks per edge, (p * r + j) * n + w_j for each
-    end at position p in eg.adjacency()'s codes, coordinate j and other
-    end w: equal marks are two neighbors of one vertex agreeing at j.
-    Positions, not codes, keep the marks in int64 when n^r is near it."""
-    codes, r, n = eg.adjacency()[0], eg.r, eg.n
-    return np.stack([(np.searchsorted(codes, a) * r + j) * n + w_j
-                     for a, b in ((eg.xs, eg.ys), (eg.ys, eg.xs))
+    end at position p in eg.ranks()'s codes, coordinate j and other end w:
+    equal marks are two neighbors of one vertex agreeing at j.  Positions,
+    not codes, keep the marks in int64 when n^r is near it; they are cast
+    first, as ranks of int32 codes are int32."""
+    (_, xi, yi), r, n = eg.ranks(), eg.r, eg.n
+    return np.stack([(p.astype(np.int64) * r + j) * n + w_j
+                     for p, b in ((xi, eg.ys), (yi, eg.xs))
                      for j, w_j in enumerate(eg.digits(b))], axis=1)
 
 
@@ -364,10 +356,10 @@ def coordinate_neighbor_violations(eg: EnergyGraph):
     """All (vertex, coordinate, value) triples where two neighbors of the
     vertex agree, once per neighbor past the first, sorted; empty after
     prune_coordinate_neighbors."""
-    marks, counts = np.unique(_coordinate_marks(eg), return_counts=True)
-    position, rest = np.divmod(np.repeat(marks, counts - 1), eg.r * eg.n)
+    marks = np.sort(_coordinate_marks(eg), axis=None)
+    position, rest = np.divmod(marks[1:][marks[1:] == marks[:-1]], eg.r * eg.n)
     j, value = np.divmod(rest, eg.n)
-    return list(zip(eg.vertices(eg.adjacency()[0][position]), j.tolist(), value.tolist()))
+    return list(zip(eg.vertices(eg.ranks()[0][position]), j.tolist(), value.tolist()))
 
 
 def edge_sign_vector(x, y, values) -> tuple:
@@ -425,9 +417,9 @@ def energy_graph_to_dict(eg: EnergyGraph) -> dict:
     and ascending; pack_codes blobs of entries below n^r and below
     len(codes).  Edge colors belong to the coloring, so the file holds
     none.  Raises unless the edges are strictly increasing in (xs, ys)."""
-    codes, xi, yi = _rank(eg.xs, eg.ys)
+    codes, xi, yi = eg.ranks()
     c = len(codes)
-    keys = _pair_keys(xi, yi, c)[0]
+    keys = _pair_keys(xi, yi, c)
     if not (keys[1:] > keys[:-1]).all():
         raise EnergyGraphError("edges must be strictly increasing in (xs, ys)")
     return {
@@ -466,11 +458,11 @@ def energy_graph_from_dict(data: dict) -> EnergyGraph:
     rows = np.repeat(np.arange(c, dtype=rank), counts)
     if not ((neighbors > rows).all() and (neighbors < c).all()):
         raise EnergyGraphError("every neighbor must lie past its row and below len(codes)")
-    keys = _pair_keys(rows, neighbors, c)[0]
+    keys = _pair_keys(rows, neighbors, c)
     if not (keys[1:] > keys[:-1]).all():
         raise EnergyGraphError("each row's neighbors must be strictly increasing")
     del keys  # freed before the CSR, the largest allocation here, and rows after it
-    indptr, indices = _csr_rows(rows, neighbors, c)
+    codes, indptr, indices = _csr_rows(codes, rows, neighbors)
     del rows
     if not (indptr[1:] > indptr[:-1]).all():
         raise EnergyGraphError("every code must lie on an edge")
@@ -482,5 +474,5 @@ def energy_graph_from_dict(data: dict) -> EnergyGraph:
             raise EnergyGraphError(f"an edge repeats its base vertex in coordinate {j + 1}")
         if part_of is not None and (part_of[d] != j).any():
             raise EnergyGraphError(f"an edge leaves part {j + 1} in coordinate {j + 1}")
-    eg._keep_adjacency((codes, indptr, indices))
+    eg._keep("_adjacency", (codes, indptr, indices))
     return eg

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import config
 from .coloring import EdgeColoring, _check_subset_budget, _lex_chunks
 from .energy import ln_ceiling
 from .energy_graph import (
@@ -29,6 +30,7 @@ from .energy_graph import (
     edge_sign_vector,
 )
 from .errors import (
+    BudgetExceededError,
     LocalLabError,
     PaddingError,
     SignConsistencyError,
@@ -59,12 +61,14 @@ def _search_cycle(adj, length: int):
     neighbors in sorted order.  It keeps its own stack, one iterator over
     the unexplored neighbors of each path vertex, so a long cycle needs no
     deep recursion.  A row of neighbors becomes a list only when the
-    search first visits it."""
+    search first visits it.  Each vertex it steps to charges its neighbor
+    count, which it may scan, against the oracle node budget."""
     if length < 3:
         raise LocalLabError(f"cycle length {length} must be at least 3")
     if length > np.count_nonzero(np.diff(adj[1]) >= 2):  # every cycle vertex has two neighbors
         return None
     ptr, rows, deep = adj[1].tolist(), {}, length - 2
+    steps = cap = config.budget(config.ORACLE_NODE_BUDGET)
 
     def row(v):
         if v not in rows:
@@ -90,6 +94,9 @@ def _search_cycle(adj, length: int):
                 on_path.remove(path.pop())
                 continue
             w_row = rows.get(w) or row(w)  # no call once w's row is a list
+            steps -= len(w_row)
+            if steps < 0:
+                raise BudgetExceededError(f"the cycle search exceeded the {cap} step budget")
             if len(path) < deep:
                 todo.append(ahead)
                 path.append(w)

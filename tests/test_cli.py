@@ -652,12 +652,42 @@ def test_energy_graph_budget_boundary(tmp_path, monkeypatch, capsys, form):
     assert run(argv) == 0
     built = capsys.readouterr().out.splitlines()[0]  # "built: V vertices, E edges (r=2)"
     edges = int(built.split()[3])
-    assert form or edges > 9**2  # the full form's n^2 vertex check passes at E - 1
+    assert form or edges >= 9 * 8  # the full form has at least n(n - 1) edges
     monkeypatch.setenv("LOCALLAB_BUDGET", str(edges))
     assert run(argv) == 0
     monkeypatch.setenv("LOCALLAB_BUDGET", str(edges - 1))
     assert run(argv) == 3
     assert f"{edges} energy edges exceed the budget {edges - 1}" in capsys.readouterr().err
+
+
+def test_the_full_form_has_no_vertex_ceiling(tmp_path, monkeypatch, capsys):
+    # with every color distinct the full form has n(n - 1) = 72 edges and
+    # n^2 = 81 vertices: a budget between them builds it, as the edge count
+    # is the only ceiling
+    labels = iter(range(36))
+    save_coloring(new_coloring(9, [(u, v, next(labels)) for u in range(9)
+                                   for v in range(u + 1, 9)]), tmp_path / "c.json")
+    argv = ["energy-graph", "--input", str(tmp_path / "c.json"), "--out", str(tmp_path / "g.json")]
+    monkeypatch.setenv("LOCALLAB_BUDGET", "72")
+    assert run(argv) == 0
+    assert "81 vertices, 72 edges" in capsys.readouterr().out
+    monkeypatch.setenv("LOCALLAB_BUDGET", "71")
+    assert run(argv) == 3
+
+
+def test_a_cycle_search_past_its_step_budget_exits_3(tmp_path, monkeypatch, capsys):
+    # the diagonal-pruned graph of random_coloring(40, 3, 1) has a 1200-cycle,
+    # and its 1600 vertices of two or more neighbors let a 1600-cycle search
+    # run on; the graph is built first, as the budget also caps its edges
+    save_coloring(random_coloring(40, 3, 1), tmp_path / "c.json")
+    graph = str(tmp_path / "g.json")
+    assert run(["energy-graph", "--input", str(tmp_path / "c.json"), "--stages", "diagonal",
+                "--out", graph]) == 0
+    assert "diagonal: 405120 edges remain" in capsys.readouterr().out
+    assert run(["find", "--graph", graph, "--length", "1200"]) == 1
+    monkeypatch.setenv("LOCALLAB_BUDGET", "1000000")
+    assert run(["find", "--graph", graph, "--length", "1600"]) == 3
+    assert "the cycle search exceeded the 1000000 step budget" in capsys.readouterr().err
 
 
 WITNESS_REQUESTS = {

@@ -33,7 +33,7 @@ from locallab import (
     sign_decompose,
 )
 from locallab.coloring import pair_cells
-from locallab.energy_graph import _part_index, colors_at_least, csr_adjacency, edge_colors
+from locallab.energy_graph import _part_index, colors_at_least, edge_colors
 from locallab.jsonio import code_width, pack_codes, read_json, write_json
 
 
@@ -643,12 +643,9 @@ def test_json_round_trip():
     assert back2.parts == eg2.parts and back2.edges == eg2.edges
 
 
-@pytest.mark.parametrize("form", ["full-2", "partitioned-2", "partitioned-3",
-                                  "partitioned-4", "sign-2", "sign-3", "empty"])
-def test_every_stage_survives_the_graph_file(form):
-    # every builder and stage, through the record and back: the same
-    # edges, and the adjacency the reader built from the rows is the one
-    # csr_adjacency and its sorting reference build from the edges
+def every_stage(form):
+    """The graphs of three seeded colorings (or element sets) in `form`,
+    each built and then put through every stage that applies to it."""
     rng = random.Random(form)
     graphs = []
     for seed in range(3):
@@ -664,7 +661,19 @@ def test_every_stage_survives_the_graph_file(form):
         eg, _, stages = staged_graphs(form, g, seed, values)
         graphs += [eg, *stages]
     assert any(eg.num_edges for eg in graphs) != (form == "empty")
-    for eg in graphs:
+    return graphs
+
+
+EVERY_FORM = ["full-2", "partitioned-2", "partitioned-3", "partitioned-4", "sign-2", "sign-3",
+              "empty"]
+
+
+@pytest.mark.parametrize("form", EVERY_FORM)
+def test_every_stage_survives_the_graph_file(form):
+    # every builder and stage, through the record and back: the same
+    # edges, and the adjacency the reader built from the rows is the one
+    # EnergyGraph.adjacency and its sorting reference build from the edges
+    for eg in every_stage(form):
         back = energy_graph_from_dict(energy_graph_to_dict(eg))
         for name in ("xs", "ys"):
             before, after = getattr(eg, name), getattr(back, name)
@@ -672,12 +681,38 @@ def test_every_stage_survives_the_graph_file(form):
         assert (back.r, back.n, back.parts, back.provenance) == (eg.r, eg.n, eg.parts,
                                                                   eg.provenance)
         assert "_adjacency" in back.__dict__  # built by the reader, not on first use
-        for got, built, want in zip(back.adjacency(), csr_adjacency(eg.xs, eg.ys),
+        assert "_ranks" not in back.__dict__  # the reader keeps no per-edge ranks
+        for got, built, want in zip(back.adjacency(), eg.adjacency(),
                                     reference_csr_adjacency(eg.xs, eg.ys)):
             assert got.dtype == built.dtype == want.dtype
             np.testing.assert_array_equal(got, built)
             np.testing.assert_array_equal(got, want)
             assert not got.flags.writeable
+
+
+@pytest.mark.parametrize("form", EVERY_FORM)
+def test_ranks_match_the_unique_reference(form):
+    # one ranking feeds the adjacency, the graph file and the coordinate
+    # audit: the sorted distinct codes and every end's position among them
+    for eg in every_stage(form):
+        codes = np.unique(np.concatenate((eg.xs, eg.ys)))
+        want = codes, np.searchsorted(codes, eg.xs), np.searchsorted(codes, eg.ys)
+        got = eg.ranks()
+        assert got is eg.ranks() and got[0] is eg.adjacency()[0]
+        assert got[0].dtype == eg.xs.dtype
+        for array, reference in zip(got, want):
+            np.testing.assert_array_equal(array, reference)
+            assert not array.flags.writeable
+
+
+def test_coordinate_audits_build_no_adjacency():
+    # the audits read the ranks alone, so no CSR is built that nothing searches
+    g = random_coloring(12, 2, seed=3)
+    for audit in (prune_coordinate_neighbors, coordinate_neighbor_violations):
+        eg = build_form("partitioned-3", g)
+        assert "_adjacency" not in eg.__dict__
+        audit(eg)
+        assert "_adjacency" not in eg.__dict__ and "_ranks" in eg.__dict__
 
 
 def build_form(form, g):
@@ -779,7 +814,7 @@ def test_cached_adjacency_is_read_only():
 
 
 def reference_csr_adjacency(xs, ys):
-    """csr_adjacency as it was first written: one lexsort of both
+    """EnergyGraph.adjacency as it was first written: one lexsort of both
     directions of every edge."""
     codes = np.unique(np.concatenate((xs, ys)))
     xi, yi = np.searchsorted(codes, xs), np.searchsorted(codes, ys)
@@ -822,7 +857,9 @@ def edge_sets(draw):
                            np.int64))
 def test_csr_adjacency_matches_the_sorting_reference(case):
     xs, ys = case
-    for got, want in zip(csr_adjacency(xs, ys), reference_csr_adjacency(xs, ys)):
+    # codes up to 10^15 lie below n^2 for this n; adjacency reads no other field
+    eg = EnergyGraph(2, 10**8, None, xs, ys)
+    for got, want in zip(eg.adjacency(), reference_csr_adjacency(xs, ys)):
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
 

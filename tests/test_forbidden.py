@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from locallab import (
+    BudgetExceededError,
     CliqueWitness,
     CyclePath,
     DifferenceEquality,
@@ -43,7 +44,6 @@ from locallab import (
     verify_certificate,
     witness_from_cycle,
 )
-from locallab.energy_graph import csr_adjacency
 from locallab.forbidden import (
     ColorRepetition,
     WitnessSet,
@@ -66,11 +66,12 @@ def check_cycle(graph, cycle, length):
 
 
 def dict_adjacency(graph):
-    """The CSR adjacency EnergyGraph.adjacency builds, for a dict graph on
-    int vertices."""
+    """EnergyGraph.adjacency of a dict graph on int vertices, read as the
+    codes of an order-2 graph with more base vertices than any of them."""
     pairs = sorted({(min(v, w), max(v, w)) for v, ws in graph.items() for w in ws})
-    return csr_adjacency(np.array([p[0] for p in pairs], dtype=np.int64),
-                         np.array([p[1] for p in pairs], dtype=np.int64))
+    return EnergyGraph(2, 1 + max((y for _, y in pairs), default=0), None,
+                       np.array([p[0] for p in pairs], dtype=np.int64),
+                       np.array([p[1] for p in pairs], dtype=np.int64)).adjacency()
 
 
 def find_dict_cycle(graph, length):
@@ -264,6 +265,17 @@ def test_search_cycle_finds_a_cycle_deeper_than_the_recursion_limit():
     # each of 1500 vertices has two neighbors, so no longer cycle exists
     assert _search_cycle(adj, 1501) is None
     assert _search_cycle(cycle_adjacency(4), 10**30) is None
+
+
+def test_cycle_search_charges_each_step_its_neighbor_count(monkeypatch):
+    # from its start 0 the 1500-cycle's search steps to 1 .. 1498, each of two
+    # neighbors, and closes at 1499 from 1498's row
+    adj = cycle_adjacency(1500)
+    monkeypatch.setenv("LOCALLAB_BUDGET", str(2 * 1498))
+    assert _search_cycle(adj, 1500) == list(range(1500))
+    monkeypatch.setenv("LOCALLAB_BUDGET", str(2 * 1498 - 1))
+    with pytest.raises(BudgetExceededError, match="the cycle search exceeded the 2995 step"):
+        _search_cycle(adj, 1500)
 
 
 # -- complete bipartite pairs ------------------------------------------------
