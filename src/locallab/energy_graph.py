@@ -43,12 +43,21 @@ from .jsonio import fields, pack_codes, unpack_codes
 from .partition import MAX_TRIALS
 
 
-def _pair_keys(xs, ys, top: int) -> np.ndarray:
+def _index_dtype(top: int):
+    """int32 when every int up to top fits it, else int64."""
+    return np.int32 if top <= np.iinfo(np.int32).max else np.int64
+
+
+def _pair_keys(xs, ys, top: int, both: bool = False) -> np.ndarray:
     """x * top + y for each pair (x, y) of xs and ys in 0..top-1, so the keys
-    order as the pairs; int32 when top^2 fits it, else int64, which it must."""
-    dtype = np.int32 if top * top <= np.iinfo(np.int32).max else np.int64
-    keys = np.multiply(xs, top, dtype=dtype)
-    keys += ys
+    order as the pairs, followed when `both` by the keys y * top + x; int32
+    when top^2 fits it, else int64, which it must.  Each half is written
+    in place, so no wider copy of either is made."""
+    dtype = _index_dtype(top * top)
+    keys = np.empty((1 + both) * len(xs), dtype)
+    for half, (a, b) in zip(np.split(keys, 1 + both), ((xs, ys), (ys, xs))):
+        np.multiply(a, top, out=half, dtype=dtype)
+        half += b
     return keys
 
 
@@ -66,18 +75,18 @@ def _rank(xs, ys) -> tuple:
     return codes, np.searchsorted(codes, xs), np.searchsorted(codes, ys)
 
 
-def _csr_rows(codes, xi, yi) -> tuple:
-    """CSR (codes, indptr, indices) of the edges {codes[xi[k]], codes[yi[k]]}
-    in any order: indices[indptr[i]:indptr[i + 1]] are the positions of
-    codes[i]'s neighbors, ascending.  One sort of the keys i * c + j of both
-    directions, c = len(codes), lays out every row: row i starts where the
-    keys reach i * c, and np.repeat takes that offset off each of its keys."""
+def _csr_rows(codes, keys) -> tuple:
+    """CSR (codes, indptr, indices) of the edges whose keys i * c + j,
+    c = len(codes), `keys` holds in both directions and in any order:
+    indices[indptr[i]:indptr[i + 1]] are the positions of codes[i]'s
+    neighbors, ascending.  keys becomes indices in place: one sort lays
+    out every row, row i starting where the keys reach i * c, and the
+    remainder by c takes that offset off each key."""
     c = len(codes)
-    keys = np.concatenate((_pair_keys(xi, yi, c), _pair_keys(yi, xi, c)))
     keys.sort()
-    starts = np.arange(c + 1, dtype=keys.dtype) * c
-    indptr = np.searchsorted(keys, starts)
-    return codes, indptr, np.subtract(keys, np.repeat(starts[:-1], np.diff(indptr)), dtype=np.int64)
+    indptr = np.searchsorted(keys, np.arange(c + 1, dtype=keys.dtype) * c)
+    np.remainder(keys, c, out=keys)
+    return codes, indptr, keys
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,7 +122,7 @@ class EnergyGraph:
 
     def digits(self, codes) -> list:
         """Coordinate j of every code in `codes`, one array per j."""
-        return [codes // self.n ** (self.r - 1 - j) % self.n for j in range(self.r)]
+        return _digits(codes, self.n, self.r)
 
     def vertices(self, codes) -> list:
         """The codes decoded to tuples of Python ints."""
@@ -134,11 +143,15 @@ class EnergyGraph:
         return self._keep("_ranks", _rank(self.xs, self.ys)) if ranks is None else ranks
 
     def adjacency(self) -> tuple:
-        """_csr_rows of ranks(), built on the first call (or by the graph
-        file reader) and kept read-only, so the cycle search and its audits
-        share it."""
+        """_csr_rows of the keys of ranks(), built on the first call (or by
+        the graph file reader) and kept read-only, so the cycle search and
+        its audits share it."""
         adj = self.__dict__.get("_adjacency")
-        return self._keep("_adjacency", _csr_rows(*self.ranks())) if adj is None else adj
+        if adj is None:
+            codes, xi, yi = self.ranks()
+            keys = _pair_keys(xi, yi, len(codes), both=True)
+            adj = self._keep("_adjacency", _csr_rows(codes, keys))
+        return adj
 
     def _keep(self, name: str, arrays) -> tuple:
         for a in arrays:
@@ -152,12 +165,17 @@ class EnergyGraph:
                            self.provenance + (stage,))
 
 
+def _digits(codes, n: int, r: int) -> list:
+    """Coordinate j of every code in `codes` below n^r, one array per j."""
+    return [codes // n ** (r - 1 - j) % n for j in range(r)]
+
+
 def _code_dtype(n: int, r: int):
     """int32 when every code below n^r fits in it, else int64; raises
     when not even int64 does."""
     if r >= 64 or n**r > np.iinfo(np.int64).max:
         raise BudgetExceededError(f"{n}^{r} vertices need codes wider than 64 bits")
-    return np.int32 if n**r <= np.iinfo(np.int32).max else np.int64
+    return _index_dtype(n**r)
 
 
 def _part_index(parts, r: int, n: int) -> np.ndarray:
@@ -176,9 +194,12 @@ def _part_index(parts, r: int, n: int) -> np.ndarray:
 
 
 def _ranges(starts, lengths) -> np.ndarray:
-    """The ranges starts[i] + range(lengths[i]), one after another."""
-    ends = np.cumsum(lengths)
-    return np.arange(np.sum(lengths)) + np.repeat(starts + lengths - ends, lengths)
+    """The ranges starts[i] + range(lengths[i]), one after another; int32
+    when their count and every entry fit it."""
+    ends, total = np.cumsum(lengths), np.sum(lengths)
+    offsets = np.arange(total, dtype=_index_dtype(max(total, np.max(starts + lengths, initial=0))))
+    offsets += np.repeat((starts + lengths - ends).astype(offsets.dtype), lengths)
+    return offsets
 
 
 def _product_graph(g: EdgeColoring, parts, cells, columns, stage: str) -> EnergyGraph:
@@ -214,8 +235,9 @@ def _product_graph(g: EdgeColoring, parts, cells, columns, stage: str) -> Energy
         reps = size[color]
         at = _ranges((np.cumsum(size) - size)[color], reps)
         weight = g.n ** (r - 1 - j)
-        xs = np.repeat(xs, reps) + (a[pool] * weight).astype(dtype)[at]
-        ys = np.repeat(ys, reps) + (b[pool] * weight).astype(dtype)[at]
+        xs, ys = np.repeat(xs, reps), np.repeat(ys, reps)
+        xs += (a[pool] * weight).astype(dtype)[at]
+        ys += (b[pool] * weight).astype(dtype)[at]
         if j < r - 1:
             color = np.repeat(color, reps)
     top, codes = g.n**r, None
@@ -223,12 +245,13 @@ def _product_graph(g: EdgeColoring, parts, cells, columns, stage: str) -> Energy
         codes, xs, ys = _rank(xs, ys)
         top = len(codes)
     keys = _pair_keys(xs, ys, top)
+    del xs, ys  # freed before the sorted ends are written
     keys.sort()
-    xs, ys = np.divmod(keys, top)
+    xs, ys = np.empty(len(keys), dtype), np.empty(len(keys), dtype)
+    np.divmod(keys, top, out=(xs, ys))
     if codes is not None:
         xs, ys = codes[xs], codes[ys]
-    return EnergyGraph(r, g.n, parts, xs.astype(dtype, copy=False), ys.astype(dtype, copy=False),
-                       (stage,))
+    return EnergyGraph(r, g.n, parts, xs, ys, (stage,))
 
 
 def build_second_energy_graph(g: EdgeColoring) -> EnergyGraph:
@@ -420,13 +443,17 @@ def energy_graph_to_dict(eg: EnergyGraph) -> dict:
     codes, xi, yi = eg.ranks()
     c = len(codes)
     keys = _pair_keys(xi, yi, c)
-    if not (keys[1:] > keys[:-1]).all():
+    increasing = (keys[1:] > keys[:-1]).all()
+    del keys  # freed before the blobs are packed
+    if not increasing:
         raise EnergyGraphError("edges must be strictly increasing in (xs, ys)")
+    # xs is sorted and holds only codes, so codes[i]'s row starts where xs reaches it
+    counts = np.diff(np.searchsorted(eg.xs, codes), append=len(xi))
     return {
         "format": 6, "r": eg.r, "n": eg.n,
         "parts": None if eg.parts is None else [list(p) for p in eg.parts],
         "codes": pack_codes(codes, eg.n**eg.r - 1),
-        "counts": pack_codes(np.bincount(xi, minlength=c), c - 1),
+        "counts": pack_codes(counts, c - 1),
         "neighbors": pack_codes(yi, c - 1),
         "provenance": list(eg.provenance),
     }
@@ -434,7 +461,10 @@ def energy_graph_to_dict(eg: EnergyGraph) -> dict:
 
 def energy_graph_from_dict(data: dict) -> EnergyGraph:
     """Read a format-6 record, checking every property the writer and the
-    builders guarantee, and keep the CSR adjacency built from its rows."""
+    builders guarantee, and keep the CSR adjacency built from its rows.
+    Besides xs and ys it keeps one per-edge array, the keys of both
+    directions of every edge: the order check reads its first half, the
+    rows' own keys, and the CSR sorts it in place."""
     if not (isinstance(data, dict) and type(data.get("format")) is int and data["format"] == 6):
         raise EnergyGraphError("not a format-6 energy graph; rebuild it with `energy-graph`")
     r, n, parts, _, _, _, provenance = fields(
@@ -452,27 +482,30 @@ def energy_graph_from_dict(data: dict) -> EnergyGraph:
     counts = counts.astype(np.int64)
     if len(counts) != c or counts.sum() != len(neighbors):
         raise EnergyGraphError("counts must hold one entry per code and sum to len(neighbors)")
-    # entries past rank's signed range wrap to negative, rejected below
-    rank = np.int32 if c <= np.iinfo(np.int32).max else np.int64
-    neighbors = neighbors.astype(rank)
-    rows = np.repeat(np.arange(c, dtype=rank), counts)
+    # intp positions gather on numpy's fast path; entries past its signed
+    # range wrap to negative, rejected below
+    neighbors = neighbors.astype(np.intp)
+    rows = np.repeat(np.arange(c, dtype=_index_dtype(c * c)), counts)
     if not ((neighbors > rows).all() and (neighbors < c).all()):
         raise EnergyGraphError("every neighbor must lie past its row and below len(codes)")
-    keys = _pair_keys(rows, neighbors, c)
-    if not (keys[1:] > keys[:-1]).all():
+    keys = _pair_keys(rows, neighbors, c, both=True)
+    del rows  # freed before the per-edge temporaries of the checks below
+    upper = keys[:len(neighbors)]
+    if not (upper[1:] > upper[:-1]).all():
         raise EnergyGraphError("each row's neighbors must be strictly increasing")
-    del keys  # freed before the CSR, the largest allocation here, and rows after it
-    codes, indptr, indices = _csr_rows(codes, rows, neighbors)
-    del rows
-    if not (indptr[1:] > indptr[:-1]).all():
+    on_edge = counts > 0
+    on_edge[neighbors] = True
+    if not on_edge.all():
         raise EnergyGraphError("every code must lie on an edge")
-    eg = EnergyGraph(r, n, None if parts is None else tuple(tuple(p) for p in parts),
-                     np.repeat(codes, counts), codes[neighbors], tuple(provenance))
-    part_of = None if parts is None else _part_index(eg.parts, r, n)
-    for j, d in enumerate(eg.digits(codes)):  # per code, then compared per edge
+    parts = None if parts is None else tuple(tuple(p) for p in parts)
+    part_of = None if parts is None else _part_index(parts, r, n)
+    for j, d in enumerate(_digits(codes, n, r)):  # per code, then compared per edge
         if (np.repeat(d, counts) == d[neighbors]).any():
             raise EnergyGraphError(f"an edge repeats its base vertex in coordinate {j + 1}")
         if part_of is not None and (part_of[d] != j).any():
             raise EnergyGraphError(f"an edge leaves part {j + 1} in coordinate {j + 1}")
-    eg._keep("_adjacency", (codes, indptr, indices))
+    ys = codes[neighbors]
+    del neighbors
+    eg = EnergyGraph(r, n, parts, np.repeat(codes, counts), ys, tuple(provenance))
+    eg._keep("_adjacency", _csr_rows(codes, keys))
     return eg

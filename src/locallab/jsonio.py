@@ -26,7 +26,8 @@ _RATIO = re.compile(r"-?\d+/\d+\Z")
 
 def write_json(payload, path) -> None:
     with open(path, "w") as fh:
-        fh.write(json.dumps(payload, sort_keys=True) + "\n")
+        fh.write(json.dumps(payload, sort_keys=True))
+        fh.write("\n")
 
 
 def read_json(path):
@@ -114,8 +115,9 @@ def code_width(top: int) -> int:
 
 def pack_codes(values, top: int) -> str:
     """The non-negative ints `values`, each at most `top`, as a base64
-    blob of little-endian unsigned ints code_width(top) bytes wide."""
-    raw = np.asarray(values).astype(f"<u{code_width(top)}").tobytes()
+    blob of little-endian unsigned ints code_width(top) bytes wide, encoded
+    from the array's own buffer."""
+    raw = np.asarray(values).astype(f"<u{code_width(top)}", order="C", copy=False)
     return base64.b64encode(raw).decode("ascii")
 
 

@@ -2,6 +2,7 @@ import base64
 import collections
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -682,9 +683,10 @@ def test_every_stage_survives_the_graph_file(form):
                                                                   eg.provenance)
         assert "_adjacency" in back.__dict__  # built by the reader, not on first use
         assert "_ranks" not in back.__dict__  # the reader keeps no per-edge ranks
-        for got, built, want in zip(back.adjacency(), eg.adjacency(),
-                                    reference_csr_adjacency(eg.xs, eg.ys)):
-            assert got.dtype == built.dtype == want.dtype
+        reference = reference_csr_adjacency(eg.xs, eg.ys)
+        for got, built, want, dtype in zip(back.adjacency(), eg.adjacency(), reference,
+                                           csr_dtypes(reference)):
+            assert got.dtype == built.dtype == dtype
             np.testing.assert_array_equal(got, built)
             np.testing.assert_array_equal(got, want)
             assert not got.flags.writeable
@@ -753,6 +755,28 @@ def test_graph_file_round_trip(tmp_path_factory, form, n, spread, seed, threshol
     assert back.provenance == eg.provenance
     write_json(energy_graph_to_dict(back), path.with_name("again.json"))
     assert path.with_name("again.json").read_bytes() == path.read_bytes()
+
+
+def traced_peak(call, *args):
+    """call(*args) and the peak bytes tracemalloc saw while it ran."""
+    tracemalloc.start()
+    try:
+        return call(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_graph_file_peaks_per_edge():
+    # 405,120 edges of 1,600 codes, int32 codes and keys: the writer holds
+    # its order-check keys, then the blobs; the reader keeps 16 bytes per
+    # edge (both ends' codes and the keys of both directions, sorted into
+    # the CSR indices) and peaks about 9 above it, in the coordinate checks
+    eg = prune_diagonal(build_second_energy_graph(random_coloring(40, 3, 1)))
+    eg.ranks()  # cached by the graph, so the writer's peak is its own
+    data, written = traced_peak(energy_graph_to_dict, eg)
+    back, read = traced_peak(energy_graph_from_dict, data)
+    assert back.num_edges == eg.num_edges == 405_120
+    assert written < 10 * eg.num_edges and read < 30 * eg.num_edges
 
 
 @pytest.mark.parametrize("n, r, width", [(16, 2, 1), (17, 2, 2), (6, 3, 1), (7, 3, 2),
@@ -824,6 +848,14 @@ def reference_csr_adjacency(xs, ys):
     return codes, indptr, dst[np.lexsort((dst, src))]
 
 
+def csr_dtypes(reference):
+    """The dtypes EnergyGraph.adjacency keeps: the sorting reference's for
+    codes and indptr, and for indices that of the keys i * c + j of its c
+    codes, which are int32 while c^2 fits it."""
+    codes, indptr, _ = reference
+    return codes.dtype, indptr.dtype, np.dtype(np.int32 if len(codes) ** 2 < 2**31 else np.int64)
+
+
 def sorted_edges(pairs, dtype):
     """Edge arrays xs < ys, strictly sorted by (xs, ys), of the pairs."""
     edges = sorted({(min(p), max(p)) for p in pairs if p[0] != p[1]})
@@ -859,9 +891,28 @@ def test_csr_adjacency_matches_the_sorting_reference(case):
     xs, ys = case
     # codes up to 10^15 lie below n^2 for this n; adjacency reads no other field
     eg = EnergyGraph(2, 10**8, None, xs, ys)
-    for got, want in zip(eg.adjacency(), reference_csr_adjacency(xs, ys)):
-        assert got.dtype == want.dtype
+    reference = reference_csr_adjacency(xs, ys)
+    for got, want, dtype in zip(eg.adjacency(), reference, csr_dtypes(reference)):
+        assert got.dtype == dtype
         np.testing.assert_array_equal(got, want)
+
+
+def test_more_codes_than_int32_keys_hold():
+    # 158,802 codes (a, b) -> (a + 1, b + 1), a even: c^2 passes int32, so the
+    # writer's, the reader's and the CSR's keys i * c + j are int64
+    n = 400
+    a, b = np.meshgrid(np.arange(0, n - 2, 2), np.arange(n - 1), indexing="ij")
+    xs = (a * n + b).ravel().astype(np.int32)
+    eg = EnergyGraph(2, n, None, xs, xs + n + 1)
+    back = energy_graph_from_dict(energy_graph_to_dict(eg))
+    assert np.array_equal(back.xs, eg.xs) and np.array_equal(back.ys, eg.ys)
+    reference = reference_csr_adjacency(eg.xs, eg.ys)
+    assert len(reference[0]) == 158_802 and csr_dtypes(reference)[2] == np.int64
+    for got, built, want, dtype in zip(back.adjacency(), eg.adjacency(), reference,
+                                       csr_dtypes(reference)):
+        assert got.dtype == built.dtype == dtype
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(built, want)
 
 
 def test_codes_wider_than_64_bits_exceed_the_budget():
