@@ -87,11 +87,15 @@ def difference_set(A: RealSet) -> np.ndarray:
 
 def coloring_from_set(A: RealSet) -> EdgeColoring:
     """K_n on the sorted elements, edge {i, j} colored by |a_i - a_j|,
-    the difference kept as its label."""
-    if len(A.elements) < 2:
-        raise LocalLabError("need at least two elements")
-    pairs = itertools.combinations(A.elements, 2)
-    return _numbered(len(A.elements), [b - a for a, b in pairs])
+    the difference kept as its label; built on the first call and kept."""
+    g = A.__dict__.get("_coloring")
+    if g is None:
+        if len(A.elements) < 2:
+            raise LocalLabError("need at least two elements")
+        pairs = itertools.combinations(A.elements, 2)
+        g = _numbered(len(A.elements), [b - a for a, b in pairs])
+        object.__setattr__(A, "_coloring", g)
+    return g
 
 
 def check_g_property(A: RealSet, k: int, l: int) -> PropertyVerdict:

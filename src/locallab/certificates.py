@@ -100,35 +100,31 @@ def _equality(eq, **claim):
     return tuple(e1), tuple(e2), value
 
 
-def _check_repetition_edges(vertices, claimed, equalities, g: EdgeColoring, messages):
-    """Re-check every equality record and recount its independence."""
+def _check_repetition_edges(equalities, vertices, n, noun, value_of, messages):
+    """Re-check parsed (edge1, edge2, claim) equalities against the JSON form
+    `value_of(u, v)` of each pair's `noun`; the union-find count of the
+    independent ones, or None once a pair is not an edge of K_n."""
     vertex_set = set(vertices)
     forest = _UnionFind()
     independent = 0
-    for idx, eq in enumerate(equalities):
-        e1, e2, color = _equality(eq, color=(int, str))
+    for idx, (e1, e2, claim) in enumerate(equalities):
         for u, v in (e1, e2):
-            if not (0 <= u < v < g.n):
+            if not (0 <= u < v < n):
                 messages.append(f"equality {idx}: pair ({u},{v}) is not an edge")
-                return
+                return None
             if u not in vertex_set or v not in vertex_set:
                 messages.append(f"equality {idx}: pair ({u},{v}) leaves the witness set")
         if e1 == e2:
             messages.append(f"equality {idx}: the two edges coincide")
             continue
-        c1 = exact_to_json(g.label_of(g.color_of(*e1)))
-        c2 = exact_to_json(g.label_of(g.color_of(*e2)))
-        if not c1 == c2 == color:
-            messages.append(
-                f"equality {idx}: colors {c1!r} and {c2!r} do not match the claim {color!r}"
-            )
+        c1, c2 = value_of(*e1), value_of(*e2)
+        if not c1 == c2 == claim:
+            messages.append(f"equality {idx}: {noun} {c1!r} and {c2!r} do not match "
+                            f"the claim {claim!r}")
             continue
         if forest.union((c1, e1), (c1, e2)):
             independent += 1
-    if independent < claimed:
-        messages.append(
-            f"only {independent} independent repetitions re-verify, {claimed} claimed"
-        )
+    return independent
 
 
 def _verify_witness_set(cert, g: EdgeColoring, messages):
@@ -142,7 +138,12 @@ def _verify_witness_set(cert, g: EdgeColoring, messages):
     if any(not 0 <= v < g.n for v in vertices):
         messages.append("witness vertex out of range")
         return
-    _check_repetition_edges(vertices, claimed, equalities, g, messages)
+    parsed = [_equality(eq, color=(int, str)) for eq in equalities]
+    independent = _check_repetition_edges(
+        parsed, vertices, g.n, "colors",
+        lambda u, v: exact_to_json(g.label_of(g.color_of(u, v))), messages)
+    if independent is not None and independent < claimed:
+        messages.append(f"only {independent} independent repetitions re-verify, {claimed} claimed")
     spanned = g.colors_within(vertices)
     if spanned != spanned_claim:
         messages.append(f"set spans {spanned} colors, certificate says {spanned_claim}")
@@ -178,28 +179,17 @@ def _verify_clique(cert, elements, messages):
         messages.append(
             f"expected {expected} listed repetitions, certificate has {repetitions}"
         )
-    listed = Counter()
-    forest = _UnionFind()
-    independent = 0
-    for idx, eq in enumerate(equalities):
-        e1, e2, claim = _equality(eq, difference=(int, str))
-        listed[e1, e2] += 1
-        difference = exact(claim)
-        if any(not 0 <= v < len(elements) for v in e1 + e2):
-            messages.append(f"equality {idx}: an edge leaves the element set")
-            continue
-        d1 = abs(elements[e1[0]] - elements[e1[1]])
-        d2 = abs(elements[e2[0]] - elements[e2[1]])
-        if not d1 == d2 == difference:
-            messages.append(
-                f"equality {idx}: differences {d1} and {d2} do not match the claim {claim!r}"
-            )
-            continue
-        if forest.union((d1, e1), (d1, e2)):
-            independent += 1
+    # exact() rejects a claim such as "abc" and reads "10/2" as 5
+    parsed = [(e1, e2, exact_to_json(exact(claim))) for e1, e2, claim in
+              (_equality(eq, difference=(int, str)) for eq in equalities)]
+    listed = Counter((e1, e2) for e1, e2, _ in parsed)
+    values = tuple(elements)
+    independent = _check_repetition_edges(
+        parsed, base, len(values), "differences",
+        lambda u, v: exact_to_json(abs(values[u] - values[v])), messages)
     if listed != implied:
         messages.append("listed equalities are not the pairs the clique rows imply")
-    if independent != independent_claim:
+    if independent is not None and independent != independent_claim:
         messages.append(
             f"{independent} independent repetitions re-verify, certificate says {independent_claim}"
         )
@@ -279,8 +269,8 @@ def verify_certificate(cert: dict, coloring: EdgeColoring | None = None,
     were issued for; arith-clique needs the element set; oracle
     certificates embed their witness and need nothing, though an
     infeasible oracle-g record re-runs its search under the oracle node
-    budget.  A certificate with a missing or mistyped field raises
-    LocalLabError.
+    budget.  A certificate with a missing or mistyped field, or without
+    the input it needs, raises LocalLabError.
     """
     ctype = cert.get("type")
     if not isinstance(ctype, str) or ctype not in _VERIFIERS:
@@ -288,7 +278,7 @@ def verify_certificate(cert: dict, coloring: EdgeColoring | None = None,
     verifier, needs = _VERIFIERS[ctype]
     given = {"coloring": coloring, "element set": elements}.get(needs)
     if needs and given is None:
-        return False, [f"{ctype} verification needs the {needs}"]
+        raise LocalLabError(f"{ctype} verification needs the {needs}")
     messages = []
     verifier(cert, given, messages)
     return not messages, messages

@@ -148,8 +148,7 @@ def _cmd_energy_graph(args) -> int:
 
     for token in tokens:
         if token == "sign":
-            # g is the coloring of values unless --input named another
-            classes = sign_decompose(eg, values, None if args.input else g)
+            classes = sign_decompose(eg, values)
             out = Path(args.out)
             for signs, class_eg in classes.items():
                 tag = "".join(signs).replace("+", "p").replace("-", "m")

@@ -401,7 +401,7 @@ def edge_sign_vector(x, y, values) -> tuple:
     return tuple(signs)
 
 
-def sign_decompose(eg: EnergyGraph, values: RealSet, colored=None) -> dict:
+def sign_decompose(eg: EnergyGraph, values: RealSet) -> dict:
     """Partition an arithmetic energy graph into its 2^(r-1) sign classes.
 
     values is the RealSet whose element i is base vertex i's exact
@@ -410,15 +410,13 @@ def sign_decompose(eg: EnergyGraph, values: RealSet, colored=None) -> dict:
     edges; the classes are edge-disjoint and exhaustive.  |d_1| = |d_j|
     exactly when the pairs share a color of coloring_from_set(values), and
     then d_1 = d_j when a_1 > b_1 and a_j > b_j agree: a RealSet increases.
-    A caller that has built coloring_from_set(values) passes it as
-    `colored`, and it is not built again.
     """
     if eg.parts is None:
         raise EnergyGraphError("sign classes need the partitioned form")
     if not isinstance(values, RealSet):
         raise EnergyGraphError("sign classes need a RealSet, whose order is its values' order")
     check_same_size(eg, values)
-    color = (colored or coloring_from_set(values)).color_matrix()
+    color = coloring_from_set(values).color_matrix()
     (a1, *a), (b1, *b) = eg.digits(eg.xs), eg.digits(eg.ys)
     c1, down, bad = color[a1, b1], a1 > b1, a1 == b1  # bad: a zero first difference
     index = np.zeros(eg.num_edges, dtype=np.int64)  # '-' is bit 1, coordinate 2 the top bit

@@ -221,7 +221,11 @@ def exact_g_integers(n: int, k: int, l: int, max_value: int) -> OracleResult:
             extend(seen | reach, reach | 1, passed, differences)
             chosen.pop()
 
-    extend(0, 1, True, [])
+    try:
+        extend(0, 1, True, [])
+    except RecursionError:
+        raise BudgetExceededError(f"exact_g_integers({n},{k},{l},{max_value}) would recurse "
+                                  f"{n} levels, past the interpreter's recursion limit") from None
     if best_set is None:
         return OracleResult(None, None, nodes, classes, "infeasible")
     witness = RealSet(best_set)

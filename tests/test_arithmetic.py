@@ -116,6 +116,11 @@ def test_coloring_from_set_matches_the_new_coloring_build(values):
     assert list(map(type, got.color_names)) == list(map(type, want.color_names))
 
 
+def test_coloring_from_set_is_built_once_per_set():
+    A = real_set([0, 1, 3, 7])
+    assert coloring_from_set(A) is coloring_from_set(A)
+
+
 def test_coloring_from_set_needs_two_elements():
     with pytest.raises(LocalLabError, match="need at least two elements"):
         coloring_from_set(real_set([Fraction(1, 3)]))

@@ -130,6 +130,15 @@ def test_oracle_g_budget_caps_a_huge_range(monkeypatch, capsys):
     assert "exceeded the 1000 node budget" in capsys.readouterr().err
 
 
+def test_oracle_g_deeper_than_the_recursion_limit_exits_3(capsys):
+    # one call level per chosen value: 1200 levels pass the default limit of 1000
+    assert run(["oracle-g", "--n", "1200", "--k", "2", "--l", "1", "--max-value", "1300"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("error: exact_g_integers(1200,2,1,1300) would recurse 1200 levels, "
+            "past the interpreter's recursion limit") in captured.err
+
+
 def test_forged_infeasible_oracle_g_record_is_invalid(tmp_path, capsys):
     # oracle-g --n 4 --k 3 --l 2 --max-value 100 finds g = 3 with [0, 1, 2, 3]
     cert = tmp_path / "forged.json"
@@ -329,6 +338,28 @@ def test_arith_witness_pipeline(tmp_path, capsys):
     assert run(["verify", "--cert", str(cert), "--values", str(values)]) == 0
     out = capsys.readouterr().out
     assert "12" in out  # repetition count
+
+
+def test_verify_without_the_input_its_certificate_needs_exits_2(tmp_path, capsys):
+    mono = str(mono_file(tmp_path, 12))
+    values = str(tmp_path / "vals.json")
+    save_real_set(real_set([0, 1, 2, 3, 10, 11, 12, 13]), values)
+    graph, pair, sign, clique = (str(tmp_path / name) for name in
+                                 ("g.json", "w.json", "s.json", "a.json"))
+    assert run(["energy-graph", "--input", mono, "--stages", "diagonal", "--out", graph]) == 0
+    assert run(["witness", "--kind", "pair", "--k", "8", "--input", mono, "--graph", graph,
+                "--cert", pair]) == 1
+    assert run(["energy-graph", "--values", values, "--preset", "sign-split", "--seed", "6",
+                "--out", sign]) == 0
+    assert run(["witness", "--kind", "arith", "--k", "2", "--values", values,
+                "--graph", str(tmp_path / "s.p.json"), "--cert", clique]) == 1
+    capsys.readouterr()
+    for argv, message in ((["--cert", pair], "witness-set verification needs the coloring"),
+                          (["--cert", clique, "--input", mono],
+                           "arith-clique verification needs the element set")):
+        assert run(["verify", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
 # every subcommand slot that reads a file; BAD is replaced by the bad file
