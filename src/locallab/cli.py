@@ -88,7 +88,9 @@ def _cmd_check(args) -> int:
     print(f"coloring: {g.n} vertices, {g.num_colors} colors")
     print(f"checked {scope} {args.k}-subsets for at least {args.l} colors")
     if verdict.holds:
-        print(f"HOLDS (minimum colors seen: {verdict.min_colors_seen})")
+        found = ("HOLDS" if args.mode == "exhaustive"
+                 else f"no violation found among {scope} {args.k}-subsets")
+        print(f"{found} (minimum colors seen: {verdict.min_colors_seen})")
         return 0
     print(f"REFUTED by subset {verdict.witness} spanning {verdict.min_colors_seen} colors")
     return 1
@@ -361,7 +363,9 @@ def _cmd_verify(args) -> int:
     values = load_real_set(args.values) if args.values else None
     ok, messages = verify_certificate(cert, coloring=coloring, elements=values)
     if ok:
-        print(f"certificate {cert['type']}: OK")
+        sampled = cert.get("mode") == "sampled" and cert["holds"]
+        note = " (re-drew the same samples; not a proof)" if sampled else ""
+        print(f"certificate {cert['type']}: OK{note}")
         return 0
     print(f"certificate {cert['type']}: INVALID")
     for message in messages:

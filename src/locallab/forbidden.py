@@ -167,8 +167,8 @@ def find_subdivision(g: EdgeColoring, color: int, t: int):
 
     Branch t-sets are scanned lexicographically in numpy blocks; a branch
     set with fewer than C(t, 2) outside vertices joined to two of its
-    vertices is skipped, and midpoints for the rest are assigned by
-    backtracking over the scarcest pair first.
+    vertices is skipped, and midpoints for the rest are assigned by a
+    lexicographic-first matching over the scarcest pair first.
     """
     if t < 3:
         raise LocalLabError(f"need t >= 3, got {t}")
@@ -195,35 +195,35 @@ def find_subdivision(g: EdgeColoring, color: int, t: int):
 
 def _assign_midpoints(branch, neighbors):
     """Distinct midpoints outside `branch`, one per branch pair and joined
-    to both its ends, as a sorted pair -> midpoint dict; or None.  Pairs
-    are assigned by backtracking over the scarcest pair first."""
+    to both its ends, as a sorted pair -> midpoint dict; or None.  Scarcest
+    pair first, each takes its least candidate that leaves the later pairs a
+    complete matching (Kuhn's augmenting paths): backtracking's first answer."""
     banned = set(branch)
-    candidates = {}
-    for u, v in itertools.combinations(branch, 2):
-        cands = sorted((neighbors[u] & neighbors[v]) - banned)
-        if not cands:
-            return None
-        candidates[(u, v)] = cands
+    candidates = {pair: sorted((neighbors[pair[0]] & neighbors[pair[1]]) - banned)
+                  for pair in itertools.combinations(branch, 2)}
     order = sorted(candidates, key=lambda p: (len(candidates[p]), p))
+
+    def matchable(pairs, taken):
+        owner = {}  # midpoint -> pair; each augmenting path visits a midpoint once
+
+        def augment(pair, seen):
+            for m in candidates[pair]:
+                if m not in seen:
+                    seen.add(m)
+                    if m not in owner or augment(owner[m], seen):
+                        owner[m] = pair
+                        return True
+            return False
+
+        return all(augment(pair, set(taken)) for pair in pairs)
+
+    if not matchable(order, ()):
+        return None
     assignment = {}
-    used = set()
-
-    def assign(i):
-        if i == len(order):
-            return True
-        pair = order[i]
-        for m in candidates[pair]:
-            if m in used:
-                continue
-            assignment[pair] = m
-            used.add(m)
-            if assign(i + 1):
-                return True
-            del assignment[pair]
-            used.remove(m)
-        return False
-
-    return dict(sorted(assignment.items())) if assign(0) else None
+    for i, pair in enumerate(order):
+        assignment[pair] = next(m for m in candidates[pair] if m not in assignment.values()
+                                and matchable(order[i + 1:], {*assignment.values(), m}))
+    return dict(sorted(assignment.items()))
 
 
 # ---------------------------------------------------------------------------

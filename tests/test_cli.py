@@ -269,6 +269,24 @@ def test_verify_sampled_verdict_without_seed_exits_2(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_sampled_check_without_violation_is_no_proof(tmp_path, capsys):
+    # five samples miss every violation; the exhaustive scan finds one
+    coloring = tmp_path / "c.json"
+    save_coloring(random_coloring(30, 40, 3), coloring)
+    check = ["check", "--input", str(coloring), "--k", "4", "--l", "5"]
+    cert = tmp_path / "v.json"
+    sampled = ["--mode", "sampled", "--trials", "5", "--seed", "1", "--cert", str(cert)]
+    assert run(check + sampled) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "no violation found among 5 sampled 4-subsets (minimum colors seen: 5)")
+    assert run(["verify", "--cert", str(cert), "--input", str(coloring)]) == 0
+    assert capsys.readouterr().out == (
+        "certificate property-verdict: OK (re-drew the same samples; not a proof)\n")
+    assert run(check) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "REFUTED by subset (0, 2, 3, 10) spanning 3 colors")
+
+
 def test_parser_is_built_once_and_reused(tmp_path, capsys):
     mono = mono_file(tmp_path, 6)
     commands = [

@@ -47,6 +47,7 @@ from locallab import (
 from locallab.forbidden import (
     ColorRepetition,
     WitnessSet,
+    _assign_midpoints,
     _base_pair,
     _check_steps,
     _search_cycle,
@@ -398,46 +399,47 @@ def test_find_subdivision_skips_small_classes():
         find_subdivision(g, 0, 2)
 
 
+def reference_midpoints(branch, neighbors):
+    # the backtracking over the scarcest pair first that the matching replaced
+    banned = set(branch)
+    candidates = {}
+    for u, v in itertools.combinations(branch, 2):
+        cands = sorted((neighbors[u] & neighbors[v]) - banned)
+        if not cands:
+            return None
+        candidates[(u, v)] = cands
+    order = sorted(candidates, key=lambda p: (len(candidates[p]), p))
+    assignment = {}
+    used = set()
+
+    def assign(i):
+        if i == len(order):
+            return True
+        pair = order[i]
+        for m in candidates[pair]:
+            if m in used:
+                continue
+            assignment[pair] = m
+            used.add(m)
+            if assign(i + 1):
+                return True
+            del assignment[pair]
+            used.remove(m)
+        return False
+
+    return dict(sorted(assignment.items())) if assign(0) else None
+
+
 def reference_subdivision(g, color, t):
     # the per-branch-set search the block filter replaced
     mask = g.color_matrix() == color
     if np.count_nonzero(mask) // 2 < t * (t - 1):
         return None
     neighbors = [set(np.flatnonzero(row).tolist()) for row in mask]
-    pair_count = t * (t - 1) // 2
     for branch in itertools.combinations(range(g.n), t):
-        banned = set(branch)
-        candidates = {}
-        feasible = True
-        for u, v in itertools.combinations(branch, 2):
-            cands = sorted((neighbors[u] & neighbors[v]) - banned)
-            if not cands:
-                feasible = False
-                break
-            candidates[(u, v)] = cands
-        if not feasible:
-            continue
-        order = sorted(candidates, key=lambda p: (len(candidates[p]), p))
-        assignment = {}
-        used = set()
-
-        def assign(i):
-            if i == pair_count:
-                return True
-            pair = order[i]
-            for m in candidates[pair]:
-                if m in used:
-                    continue
-                assignment[pair] = m
-                used.add(m)
-                if assign(i + 1):
-                    return True
-                del assignment[pair]
-                used.remove(m)
-            return False
-
-        if assign(0):
-            return branch, dict(sorted(assignment.items()))
+        midpoints = reference_midpoints(branch, neighbors)
+        if midpoints is not None:
+            return branch, midpoints
     return None
 
 
@@ -480,6 +482,54 @@ def test_find_subdivision_answer_past_the_first_block():
     assert as_pair(emb) == reference_subdivision(g, color, 4)
     assert emb.branch_vertices == (14, 15, 16, 17)
     check_subdivision(g, color, emb, 4)
+
+
+@st.composite
+def midpoint_systems(draw):
+    # a graph on 6-16 vertices whose density, from sparse to complete, puts
+    # branch sets on both sides of Hall's condition, and a sorted branch set
+    n = draw(st.integers(6, 16))
+    density = draw(st.integers(0, 256))
+    draws = draw(st.binary(min_size=math.comb(n, 2), max_size=math.comb(n, 2)))
+    neighbors = [set() for _ in range(n)]
+    for (u, v), byte in zip(itertools.combinations(range(n), 2), draws):
+        if byte < density:
+            neighbors[u].add(v)
+            neighbors[v].add(u)
+    t = draw(st.integers(3, 5))
+    branch = draw(st.lists(st.integers(0, n - 1), min_size=t, max_size=t, unique=True))
+    return tuple(sorted(branch)), neighbors
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(case=midpoint_systems())
+def test_assign_midpoints_matches_the_backtracking_reference(case):
+    branch, neighbors = case
+    assert _assign_midpoints(branch, neighbors) == reference_midpoints(branch, neighbors)
+
+
+def hall_failure(t):
+    # core vertices 0..t-2 share C(t-1, 2) - 1 midpoints, one too few for
+    # their pairs, while private midpoints through hub t-1 and one vertex
+    # joined to the hub and 0 let branch set 0..t-1 pass the block filter
+    shared = range(t, t + math.comb(t - 1, 2) - 1)
+    private = t + len(shared)  # core vertex c's private midpoint is private + c
+    n = private + t
+    red = {(c, m) for c in range(t - 1) for m in shared}
+    red |= {(c, private + c) for c in range(t - 1)} | {(t - 1, private + c) for c in range(t - 1)}
+    red |= {(t - 1, n - 1), (0, n - 1)}
+    return new_coloring(n, [(u, v, "r" if (u, v) in red else "b")
+                            for u, v in itertools.combinations(range(n), 2)])
+
+
+def test_find_subdivision_hall_failure_ends():
+    # a backtracking midpoint search tries every injective partial
+    # assignment of branch set 0..6 before it fails
+    g = hall_failure(7)
+    assert find_subdivision(g, g.color_id("r"), 7) is None
+    g = hall_failure(5)
+    emb = find_subdivision(g, g.color_id("r"), 5)
+    assert as_pair(emb) == reference_subdivision(g, g.color_id("r"), 5)
 
 
 # -- witness sets from second-order cycles -----------------------------------
