@@ -431,66 +431,78 @@ def sign_decompose(eg: EnergyGraph, values: RealSet) -> dict:
 
 
 def energy_graph_to_dict(eg: EnergyGraph) -> dict:
-    """Format-6 JSON shape: the graph alone, as the upper rows of its CSR
+    """Format-7 JSON shape: the graph alone, as the upper rows of its CSR
     adjacency, each edge once.  `codes` are the sorted distinct codes on an
     edge, `counts[i]` the number of edges whose smaller end is codes[i],
-    and `neighbors` the position in codes of each larger end, row by row
-    and ascending; pack_codes blobs of entries below n^r and below
-    len(codes).  Edge colors belong to the coloring, so the file holds
-    none.  Raises unless the edges are strictly increasing in (xs, ys)."""
-    codes, xi, yi = eg.ranks()
-    c = len(codes)
-    keys = _pair_keys(xi, yi, c)
-    increasing = (keys[1:] > keys[:-1]).all()
-    del keys  # freed before the blobs are packed
-    if not increasing:
-        raise EnergyGraphError("edges must be strictly increasing in (xs, ys)")
+    and `neighbors` each larger end's position in codes, row by row and
+    ascending.  Codes and neighbors are gaps: each entry less the one before
+    it (first in a row, the row itself) less 1.  Each blob is as wide as its
+    largest entry, as `widths` says.  The file holds no edge colors: they
+    belong to the coloring.  Raises unless xs < ys, strictly increasing."""
+    codes, _, yi = eg.ranks()
     # xs is sorted and holds only codes, so codes[i]'s row starts where xs reaches it
-    counts = np.diff(np.searchsorted(eg.xs, codes), append=len(xi))
+    starts = np.searchsorted(eg.xs, codes)
+    counts = np.diff(starts, append=len(yi))
+    filled = np.flatnonzero(counts)
+    gaps = np.empty_like(yi)
+    np.subtract(yi[1:], yi[:-1], out=gaps[1:])
+    gaps[starts[filled]] = yi[starts[filled]] - filled
+    gaps -= 1
+    if not ((eg.xs[1:] >= eg.xs[:-1]).all() and (gaps >= 0).all()):
+        raise EnergyGraphError("edges must be strictly increasing in (xs, ys)")
+    (codes, counts, neighbors), widths = zip(*map(pack_codes, (
+        np.diff(codes, prepend=-1) - 1, counts, gaps)))
     return {
-        "format": 6, "r": eg.r, "n": eg.n,
+        "format": 7, "r": eg.r, "n": eg.n,
         "parts": None if eg.parts is None else [list(p) for p in eg.parts],
-        "codes": pack_codes(codes, eg.n**eg.r - 1),
-        "counts": pack_codes(counts, c - 1),
-        "neighbors": pack_codes(yi, c - 1),
+        "codes": codes, "counts": counts, "neighbors": neighbors, "widths": list(widths),
         "provenance": list(eg.provenance),
     }
 
 
 def energy_graph_from_dict(data: dict) -> EnergyGraph:
-    """Read a format-6 record, checking every property the writer and the
-    builders guarantee, and keep the CSR adjacency built from its rows.
-    Besides xs and ys it keeps one per-edge array, the keys of both
-    directions of every edge: the order check reads its first half, the
-    rows' own keys, and the CSR sorts it in place."""
-    if not (isinstance(data, dict) and type(data.get("format")) is int and data["format"] == 6):
-        raise EnergyGraphError("not a format-6 energy graph; rebuild it with `energy-graph`")
-    r, n, parts, _, _, _, provenance = fields(
+    """Read a format-7 record, checking what the writer and the builders
+    guarantee and its gaps do not, each gap and count bounded before it is
+    summed, and keep the CSR adjacency built from its rows.  Besides xs
+    and ys it keeps one per-edge array, the keys of both directions of
+    every edge, which the CSR sorts in place."""
+    if not (isinstance(data, dict) and type(data.get("format")) is int and data["format"] == 7):
+        raise EnergyGraphError("not a format-7 energy graph; rebuild it with `energy-graph`")
+    r, n, parts, _, _, _, widths, provenance = fields(
         data, r=int, n=int, parts=([list], None), codes=str, counts=str, neighbors=str,
-        provenance=[str],
+        widths=[int], provenance=[str],
     )
     if r < 2 or n < 2:
         raise EnergyGraphError(f"r={r} and n={n} must both be at least 2")
     dtype = _code_dtype(n, r)  # first: it raises when n^r needs more than 64 bits
-    codes = unpack_codes(data["codes"], n**r - 1, "codes")
-    if len(codes) and not ((codes[1:] > codes[:-1]).all() and int(codes[-1]) < n**r):
+    if not (len(widths) == 3 and all(w in (1, 2, 4, 8) for w in widths)):
+        raise EnergyGraphError("widths must give codes, counts and neighbors 1, 2, 4 or 8 bytes")
+    codes, counts, neighbors = (unpack_codes(data[name], w, name)
+                                for name, w in zip(("codes", "counts", "neighbors"), widths))
+    # gaps below n^r < 2^63 keep the uint64 sums from wrapping before they pass n^r
+    ends = np.cumsum(codes.astype(np.uint64) + 1)
+    if (codes >= n**r).any() or (ends > n**r).any():
         raise EnergyGraphError(f"codes must be strictly increasing and below {n}^{r}")
-    c, codes = len(codes), codes.astype(dtype)
-    counts, neighbors = (unpack_codes(data[name], c - 1, name) for name in ("counts", "neighbors"))
+    c, codes = len(codes), (ends - 1).astype(dtype)
+    past = "every neighbor must lie past its row and below len(codes)"
+    if (counts >= c).any() or (neighbors >= c).any():  # so no row's sum reaches c^2
+        raise EnergyGraphError(past)
     counts = counts.astype(np.int64)
     if len(counts) != c or counts.sum() != len(neighbors):
         raise EnergyGraphError("counts must hold one entry per code and sum to len(neighbors)")
-    # intp positions gather on numpy's fast path; entries past its signed
-    # range wrap to negative, rejected below
-    neighbors = neighbors.astype(np.intp)
+    # intp positions, for numpy's fast gathers: gaps plus 1, summed, where each
+    # row's first term swaps the last neighbor of the row before for the row
+    filled = np.flatnonzero(counts)
+    firsts = (np.cumsum(counts) - counts)[filled]
+    neighbors = np.add(neighbors, 1, dtype=np.intp)
+    ends = filled + np.add.reduceat(neighbors, firsts)  # each row's last neighbor
+    if (ends >= c).any():
+        raise EnergyGraphError(past)
+    neighbors[firsts] += filled - np.append(0, ends[:-1])
+    np.cumsum(neighbors, out=neighbors)
     rows = np.repeat(np.arange(c, dtype=_index_dtype(c * c)), counts)
-    if not ((neighbors > rows).all() and (neighbors < c).all()):
-        raise EnergyGraphError("every neighbor must lie past its row and below len(codes)")
     keys = _pair_keys(rows, neighbors, c, both=True)
-    del rows  # freed before the per-edge temporaries of the checks below
-    upper = keys[:len(neighbors)]
-    if not (upper[1:] > upper[:-1]).all():
-        raise EnergyGraphError("each row's neighbors must be strictly increasing")
+    del rows, filled, firsts, ends  # freed before the per-edge temporaries of the checks below
     on_edge = counts > 0
     on_edge[neighbors] = True
     if not on_edge.all():

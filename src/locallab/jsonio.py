@@ -113,19 +113,20 @@ def code_width(top: int) -> int:
     raise LocalLabError(f"{top} does not fit in 64 bits")
 
 
-def pack_codes(values, top: int) -> str:
-    """The non-negative ints `values`, each at most `top`, as a base64
-    blob of little-endian unsigned ints code_width(top) bytes wide, encoded
-    from the array's own buffer."""
-    raw = np.asarray(values).astype(f"<u{code_width(top)}", order="C", copy=False)
-    return base64.b64encode(raw).decode("ascii")
+def pack_codes(values) -> tuple:
+    """(blob, width): the non-negative ints `values` as a base64 blob of
+    little-endian unsigned ints width = code_width(max(values)) bytes
+    wide, encoded from the array's own buffer."""
+    width = code_width(int(np.max(values, initial=0)))
+    raw = np.asarray(values).astype(f"<u{width}", order="C", copy=False)
+    return base64.b64encode(raw).decode("ascii"), width
 
 
-def unpack_codes(blob: str, top: int, name: str) -> np.ndarray:
-    """Inverse of pack_codes: a read-only array of unsigned ints.  Raises
-    LocalLabError when the string `blob` is not strict base64 or does
-    not hold a whole number of entries; `name` labels the blob."""
-    width = code_width(top)
+def unpack_codes(blob: str, width: int, name: str) -> np.ndarray:
+    """Inverse of pack_codes: a read-only array of unsigned ints `width`
+    (1, 2, 4 or 8) bytes wide.  Raises LocalLabError when the string
+    `blob` is not strict base64 or does not hold a whole number of
+    entries; `name` labels the blob."""
     try:
         raw = base64.b64decode(blob, validate=True)
     except ValueError:  # binascii.Error, or a character outside ASCII

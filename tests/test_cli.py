@@ -470,25 +470,26 @@ def test_bool_vertex_in_coloring_file_exits_2(tmp_path, capsys):
     assert "vertex True" in capsys.readouterr().err
 
 
-def codes(*values, top=15):
-    """`values` as a code blob of a graph whose codes are at most `top`
-    (n=4, r=2 by default: one byte per entry)."""
-    return pack_codes(list(values), top)
+def blob(*values, width=1):
+    """`values` as a blob of little-endian unsigned ints `width` bytes wide."""
+    return base64.b64encode(b"".join(v.to_bytes(width, "little") for v in values)).decode()
 
 
-def ranks(*values, top=1):
-    """`values` as a counts or neighbors blob of a graph with top + 1
-    codes (two by default)."""
-    return pack_codes(list(values), top)
+def codes(*values):
+    """The one-byte code blob of the ascending codes `values`: each less the
+    previous one less 1, the first as it is."""
+    return blob(*(b - a - 1 for a, b in zip((-1,) + values, values)))
 
 
 def graph_file(tmp_path, drop=(), **fields):
-    """A well-formed format-6 order-2 graph file on n=4, with `fields`
+    """A well-formed format-7 order-2 graph file on n=4, with `fields`
     replaced and the keys in `drop` removed.  Its one edge joins the
     vertices (0, 2) and (1, 3), whose codes are 0*4+2 and 1*4+3: the row
-    of code 2 holds the rank 1 of code 7, and the row of code 7 is empty."""
-    record = {"format": 6, "r": 2, "n": 4, "parts": None, "codes": codes(2, 7),
-              "counts": ranks(1, 0), "neighbors": ranks(1), "provenance": ["build_partitioned"]}
+    of code 2 holds position 1 (code 7) as the gap 0 past the row itself,
+    and the row of code 7 is empty.  Every blob is one byte an entry."""
+    record = {"format": 7, "r": 2, "n": 4, "parts": None, "codes": codes(2, 7),
+              "counts": blob(1, 0), "neighbors": blob(0), "widths": [1, 1, 1],
+              "provenance": ["build_partitioned"]}
     record.update(fields)
     for key in drop:
         del record[key]
@@ -507,15 +508,21 @@ REBUILD = "rebuild it with `energy-graph`"
 RANGE = "codes must be strictly increasing and below 4^2"
 PARTS_ERROR = "parts must be 2 disjoint sets covering 0..3"
 COUNTS = "counts must hold one entry per code and sum to len(neighbors)"
-ORDER = "each row's neighbors must be strictly increasing"
 NEIGHBOR = "every neighbor must lie past its row and below len(codes)"
+WIDTHS = "widths must give codes, counts and neighbors 1, 2, 4 or 8 bytes"
+# the largest 8-byte entry: 1 more wraps to 0
+WRAP = 2**64 - 1
 # three codes, 2, 7 and 11, that is (0, 2), (1, 3) and (2, 3)
-THREE = {"codes": codes(2, 7, 11), "counts": ranks(2, 0, 0, top=2)}
+THREE = {"codes": codes(2, 7, 11), "counts": blob(2, 0, 0)}
 # each bad record and the fragment its error message must hold
 BAD_GRAPHS = {
     # the code of the three-entry vertex [1, 2, 5]
     "wide-vertex": ({"codes": codes(2, 1 * 16 + 2 * 4 + 5)}, RANGE),
-    "codes-not-increasing": ({"codes": codes(7, 2)}, RANGE),
+    # codes cannot decrease in gaps: the 8-byte gap that would wrap 7 back to 2
+    "codes-not-increasing": ({"codes": blob(7, WRAP - 5, width=8), "widths": [8, 1, 1]}, RANGE),
+    # a gap past n^r, whose code 2 + 2^63 + 1 an int64 sum would wrap
+    "code-gap-past-n-to-the-r": ({"codes": blob(2, 2**63, width=8), "widths": [8, 1, 1]},
+                                 RANGE),
     # the one-entry vertex [1], read as the code of (0, 1), lands outside part 2
     "narrow-vertex": ({"codes": codes(1, 7), "parts": PARTS},
                       "an edge leaves part 2 in coordinate 2"),
@@ -538,29 +545,44 @@ BAD_GRAPHS = {
     "format-3": ({"format": 3, "color_base_edges": {"0": 1}}, REBUILD),
     # an older record, with its edge color blob
     "format-4": ({"format": 4, "cs": codes(0)}, REBUILD),
-    # the record the previous version wrote: each edge's two codes
+    # an older record: each edge's two codes
     "format-5": ({"format": 5, "xs": codes(2), "ys": codes(7)}, REBUILD),
-    "string-format": ({"format": "6"}, REBUILD),
-    # the row of code 2 lists 11 before 7, or 7 twice
-    "unsorted-edges": ({**THREE, "neighbors": ranks(2, 1, top=2)}, ORDER),
-    "duplicate-edges": ({"counts": ranks(2, 0), "neighbors": ranks(1, 1)}, ORDER),
-    # the edge stored in the row of its larger end
-    "xs-not-below-ys": ({"counts": ranks(0, 1), "neighbors": ranks(0)}, NEIGHBOR),
-    "neighbor-past-codes": ({"neighbors": ranks(2)}, NEIGHBOR),
-    "length-mismatch": ({"counts": ranks(1)}, COUNTS),
-    "count-sum-mismatch": ({"counts": ranks(1, 1)}, COUNTS),
+    # the record the previous version wrote: codes and positions, not gaps
+    "format-6": ({"format": 6, "codes": blob(2, 7), "counts": blob(1, 0),
+                  "neighbors": blob(1)}, REBUILD),
+    "string-format": ({"format": "7"}, REBUILD),
+    # rows cannot decrease in gaps: the 8-byte gaps that would wrap the row of
+    # code 2 from 11 back to 7, or from 7 to 7 again, or put code 2 in the row of 7
+    "unsorted-edges": ({**THREE, "neighbors": blob(1, WRAP - 1, width=8), "widths": [1, 1, 8]},
+                       NEIGHBOR),
+    "duplicate-edges": ({"counts": blob(2, 0), "neighbors": blob(0, WRAP, width=8),
+                         "widths": [1, 1, 8]}, NEIGHBOR),
+    "xs-not-below-ys": ({"counts": blob(0, 1), "neighbors": blob(WRAP - 1, width=8),
+                         "widths": [1, 1, 8]}, NEIGHBOR),
+    "neighbor-past-codes": ({"neighbors": blob(1)}, NEIGHBOR),
+    # a count that wraps to -1 as an int64, so that the counts sum to the one neighbor
+    "count-wraps": ({**THREE, "counts": blob(2, WRAP, 0, width=8), "neighbors": blob(0),
+                     "widths": [1, 8, 1]}, NEIGHBOR),
+    "length-mismatch": ({"counts": blob(1)}, COUNTS),
+    "count-sum-mismatch": ({"counts": blob(1, 1)}, COUNTS),
     # code 11 lies on no edge
-    "isolated-code": ({**THREE, "counts": ranks(1, 0, 0, top=2), "neighbors": ranks(1, top=2)},
+    "isolated-code": ({**THREE, "counts": blob(1, 0, 0), "neighbors": blob(0)},
                       "every code must lie on an edge"),
+    "width-3": ({"widths": [1, 3, 1]}, WIDTHS),
+    "two-widths": ({"widths": [1, 1]}, WIDTHS),
+    "bool-width": ({"widths": [1, True, 1]}, "field 'widths' has the wrong type"),
     # blob errors
     "list-blob": ({"codes": [2, 7]}, "field 'codes' has the wrong type"),
     "list-rank-blob": ({"neighbors": [1]}, "field 'neighbors' has the wrong type"),
     # "Ag==" is the blob of [2]; a lenient decoder would drop the "*"
     "not-base64": ({"codes": "A*g=="}, "codes is not a base64 string"),
     "rank-blob-not-base64": ({"counts": "A*Q=="}, "counts is not a base64 string"),
-    # n=17 gives codes up to 288, two bytes each; the blob holds one byte
-    "short-blob": ({"n": 17, "codes": base64.b64encode(b"\x02").decode()},
+    # codes declared two bytes an entry, and one byte
+    "short-blob": ({"codes": blob(2), "widths": [2, 1, 1]},
                    "codes decodes to a length of 1, not a whole number of 2-byte entries"),
+    "short-8-byte-blob": ({"neighbors": blob(0, width=4), "widths": [1, 1, 8]},
+                          "neighbors decodes to a length of 4, not a whole number of 8-byte "
+                          "entries"),
     # the decimal int lists of format 2 under the current format number
     "format-2-body-as-3": ({"codes": [2, 7], "counts": [1, 0], "neighbors": [1]},
                            "field 'codes' has the wrong type"),
@@ -791,10 +813,10 @@ def test_triple_witness_reads_edge_colors_from_the_coloring(tmp_path, capsys, b,
     witness = ["witness", "--kind", "triple", "--input", str(coloring), "--graph", str(graph)]
     assert run(witness) == 2
     assert "color id 1 has fewer than 4 base edges" in capsys.readouterr().err
-    # a graph file of the previous format, whose edge colors say all A
+    # a graph file of format 4, whose edge colors say all A
     record = json.loads(graph.read_text())
     record["format"] = 4
-    record["cs"] = pack_codes([0] * edges, 30**3 - 1)
+    record["cs"], _ = pack_codes([0] * edges)
     graph.write_text(json.dumps(record))
     assert run(witness) == 2
     captured = capsys.readouterr()

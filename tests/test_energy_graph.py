@@ -35,7 +35,7 @@ from locallab import (
 )
 from locallab.coloring import pair_cells
 from locallab.energy_graph import _part_index, colors_at_least, edge_colors
-from locallab.jsonio import code_width, pack_codes, read_json, write_json
+from locallab.jsonio import code_width, read_json, write_json
 
 
 def mono(n):
@@ -313,10 +313,15 @@ def test_build_past_int64_keys_ranks_the_codes_first():
     assert (eg.n**eg.r) ** 2 > np.iinfo(np.int64).max
 
 
+def wide(*values):
+    """`values` as a blob of 8-byte little-endian unsigned ints."""
+    return base64.b64encode(np.array(values, dtype="<u8")).decode()
+
+
 def test_graph_file_order_is_checked_past_int64_keys():
-    _, _, eg = past_int64_keys_graph(260)  # 260^4 > 2^32: eight bytes a code
+    _, _, eg = past_int64_keys_graph(260)  # 260^4 > 2^32: a code gap needs eight bytes
     data = energy_graph_to_dict(eg)
-    assert code_width(eg.n**eg.r - 1) == 8
+    assert data["widths"] == [8, 1, 1]
     back = energy_graph_from_dict(data)
     assert np.array_equal(back.xs, eg.xs) and np.array_equal(back.ys, eg.ys)
     assert back.edges == eg.edges
@@ -327,17 +332,18 @@ def test_graph_file_order_is_checked_past_int64_keys():
         assert bad.xs[-1] > 3.04e9
         with pytest.raises(EnergyGraphError, match="strictly increasing"):
             energy_graph_to_dict(bad)
-    # and the reader a row out of order or repeating an entry: the last
-    # edge's smaller end X joined to its larger end Y and to Y moved down
-    # by 4 in the last coordinate, which keeps it in its part
-    x, y, top = int(eg.xs[-1]), int(eg.ys[-1]), eg.n**eg.r - 1
+    # and the reader rows of 8-byte gaps: the last edge's smaller end X
+    # joined to its larger end Y and to Y moved down by 4 in the last
+    # coordinate, which keeps it in its part; a gap that would wrap the
+    # row back from Y to Y - 4, or from Y - 4 to itself, is refused
+    x, y = int(eg.xs[-1]), int(eg.ys[-1])
     assert x > 3.04e9 and y % eg.n >= 4 and (y - 4) % eg.n != x % eg.n
-    rows = dict(data, codes=pack_codes([x, y - 4, y], top), counts=pack_codes([2, 0, 0], 2))
-    sorted_rows = energy_graph_from_dict(dict(rows, neighbors=pack_codes([1, 2], 2)))
+    rows = dict(data, codes=wide(x, y - 4 - x - 1, 3), counts=wide(2, 0, 0), widths=[8, 8, 8])
+    sorted_rows = energy_graph_from_dict(dict(rows, neighbors=wide(0, 0)))
     assert sorted_rows.xs.tolist() == [x, x] and sorted_rows.ys.tolist() == [y - 4, y]
-    for neighbors in ([2, 1], [1, 1]):
-        with pytest.raises(EnergyGraphError, match="row's neighbors must be strictly increasing"):
-            energy_graph_from_dict(dict(rows, neighbors=pack_codes(neighbors, 2)))
+    for gaps in ([1, 2**64 - 2], [0, 2**64 - 1]):  # positions 2, 1 and 1, 1
+        with pytest.raises(EnergyGraphError, match="every neighbor must lie past its row"):
+            energy_graph_from_dict(dict(rows, neighbors=wide(*gaps)))
 
 
 @pytest.mark.parametrize("other", [24, 36])
@@ -634,9 +640,9 @@ def test_json_round_trip():
     assert back.edges == eg.edges
     assert back.r == eg.r and back.n == eg.n and back.parts == eg.parts
     assert back.provenance == eg.provenance
-    assert data["format"] == 6
+    assert data["format"] == 7
     assert list(data) == ["format", "r", "n", "parts", "codes", "counts", "neighbors",
-                          "provenance"]
+                          "widths", "provenance"]
 
     part = partition_for_rth_energy(g, 2, seed=0)
     eg2 = build_rth_energy_graph(g, 2, part.parts)
@@ -726,28 +732,73 @@ def build_form(form, g):
     return build_rth_energy_graph(g, r, [range(j, g.n, r) for j in range(r)])
 
 
-@settings(max_examples=60, deadline=None)
-@given(form=st.sampled_from(["full-2", "partitioned-2", "partitioned-3"]),
-       n=st.sampled_from([4, 7, 17, 41]), spread=st.integers(1, 8),
-       seed=st.integers(0, 2**16), threshold=st.integers(0, 12))
-# one byte per code, an empty graph, two bytes (n^r > 256), four (n^r > 65536)
-@example(form="full-2", n=7, spread=3, seed=0, threshold=0)
-@example(form="partitioned-2", n=7, spread=3, seed=0, threshold=10**6)
-@example(form="partitioned-3", n=17, spread=1, seed=1, threshold=0)
-@example(form="partitioned-3", n=41, spread=1, seed=2, threshold=0)
-def test_graph_file_round_trip(tmp_path_factory, form, n, spread, seed, threshold):
-    # the palette holds between an eighth of the base pairs and all of them
+def random_graph(form, n, spread, seed, threshold):
+    """The graph of `form` over a seeded coloring whose palette holds between
+    an eighth of the base pairs and all of them, its rare colors pruned."""
     g = random_coloring(n, max(1, n * (n - 1) // 2 * spread // 8), seed=seed)
-    eg = prune_rare_colors(build_form(form, g), g, threshold)
+    return prune_rare_colors(build_form(form, g), g, threshold)
+
+
+def star(n, count, low):
+    """The order-2 graph on n whose `count` edges join one vertex to the
+    first `count` codes that differ from it in both coordinates.  When its
+    code is 0 (low), its row holds all `count`; when it is n^2 - 1, the
+    row of the smallest code holds it as a neighbor gap of count - 1."""
+    hub, others = (0, range(1, n)) if low else (n * n - 1, range(n - 1))
+    spokes = np.array([a * n + b for a in others for b in others][:count], dtype=np.int32)
+    hubs = np.full(count, hub, dtype=np.int32)
+    return EnergyGraph(2, n, None, *((hubs, spokes) if low else (spokes, hubs)))
+
+
+def one_edge(n, gap):
+    """The order-2 graph on n of the one edge from code 0 to code gap + 1."""
+    return EnergyGraph(2, n, None, np.array([0], np.int32), np.array([gap + 1], np.int32))
+
+
+def reference_gaps(eg):
+    """The entries of the code, count and neighbor blobs of eg's graph file,
+    by Python loops over its edges."""
+    codes = sorted(set(eg.xs.tolist()) | set(eg.ys.tolist()))
+    position = {code: i for i, code in enumerate(codes)}
+    rows = [[] for _ in codes]
+    for x, y in zip(eg.xs.tolist(), eg.ys.tolist()):
+        rows[position[x]].append(position[y])
+    return ([b - a - 1 for a, b in zip([-1] + codes, codes)], [len(row) for row in rows],
+            [b - a - 1 for i, row in enumerate(rows) for a, b in zip([i] + row, row)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(eg=st.builds(random_graph, st.sampled_from(["full-2", "partitioned-2", "partitioned-3"]),
+                    st.sampled_from([4, 7, 17, 41]), st.integers(1, 8), st.integers(0, 2**16),
+                    st.integers(0, 12)))
+# a full and a partitioned graph, an empty graph, and codes past 2^8 and 2^16
+@example(eg=random_graph("full-2", 7, 3, 0, 0))
+@example(eg=random_graph("partitioned-2", 7, 3, 0, 10**6))
+@example(eg=random_graph("partitioned-3", 17, 1, 1, 0))
+@example(eg=random_graph("partitioned-3", 41, 1, 2, 0))
+# the largest count, neighbor gap and code gap on each side of the 1- and 2-byte widths
+@example(eg=star(18, 255, low=True))
+@example(eg=star(18, 256, low=True))
+@example(eg=star(257, 65_535, low=True))
+@example(eg=star(257, 65_536, low=True))
+@example(eg=star(18, 256, low=False))
+@example(eg=star(18, 257, low=False))
+@example(eg=star(258, 65_536, low=False))
+@example(eg=star(258, 65_537, low=False))
+@example(eg=one_edge(18, 255))
+@example(eg=one_edge(18, 256))
+@example(eg=one_edge(300, 65_535))
+@example(eg=one_edge(300, 65_536))
+def test_graph_file_round_trip(tmp_path_factory, eg):
     path = tmp_path_factory.mktemp("graph") / "g.json"
     write_json(energy_graph_to_dict(eg), path)
     record = read_json(path)
     back = energy_graph_from_dict(record)
-    codes = np.unique(np.concatenate((eg.xs, eg.ys)))
-    width, rank_width = code_width(n**eg.r - 1), code_width(len(codes) - 1)
-    assert len(base64.b64decode(record["codes"])) == width * len(codes)
-    assert len(base64.b64decode(record["counts"])) == rank_width * len(codes)
-    assert len(base64.b64decode(record["neighbors"])) == rank_width * eg.num_edges
+    # each blob holds the reference's entries, as wide as the largest of them
+    for name, width, entries in zip(("codes", "counts", "neighbors"), record["widths"],
+                                    reference_gaps(eg)):
+        assert width == code_width(max(entries, default=0))
+        assert np.frombuffer(base64.b64decode(record[name]), f"<u{width}").tolist() == entries
     for name in ("xs", "ys"):
         before, after = getattr(eg, name), getattr(back, name)
         assert after.dtype == before.dtype and np.array_equal(after, before)
@@ -766,9 +817,9 @@ def traced_peak(call, *args):
         tracemalloc.stop()
 
 
-def test_graph_file_peaks_per_edge():
+def test_graph_file_peaks_per_edge(tmp_path):
     # 405,120 edges of 1,600 codes, int32 codes and keys: the writer holds
-    # its order-check keys, then the blobs; the reader keeps 16 bytes per
+    # its int32 neighbor gaps, then the blobs; the reader keeps 16 bytes per
     # edge (both ends' codes and the keys of both directions, sorted into
     # the CSR indices) and peaks about 9 above it, in the coordinate checks
     eg = prune_diagonal(build_second_energy_graph(random_coloring(40, 3, 1)))
@@ -776,7 +827,11 @@ def test_graph_file_peaks_per_edge():
     data, written = traced_peak(energy_graph_to_dict, eg)
     back, read = traced_peak(energy_graph_from_dict, data)
     assert back.num_edges == eg.num_edges == 405_120
-    assert written < 10 * eg.num_edges and read < 30 * eg.num_edges
+    assert written < 10 * eg.num_edges and read < 26 * eg.num_edges
+    # each row's gaps fit one byte where the positions among 1,600 codes need two
+    assert data["widths"][2] == 1 and len(base64.b64decode(data["neighbors"])) == eg.num_edges
+    write_json(data, tmp_path / "g.json")
+    assert (tmp_path / "g.json").stat().st_size < 600_000
 
 
 @pytest.mark.parametrize("n, r, width", [(16, 2, 1), (17, 2, 2), (6, 3, 1), (7, 3, 2),
