@@ -16,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coloring import EdgeColoring, PropertyVerdict, _numbered, check_local_property
-from .config import EXACT_PAIR_BUDGET, PRESENCE_PAIR_BUDGET, PRESENCE_SPAN_BUDGET, budget
-from .errors import BudgetExceededError, LocalLabError
+from .config import (EXACT_PAIR_BUDGET, PRESENCE_PAIR_BUDGET, PRESENCE_SPAN_BUDGET, budget,
+                     check_budget)
+from .errors import LocalLabError
 from .jsonio import exact, exact_to_json, fields, read_json, write_json
 
 # Enumerating digit vectors stays cheap as long as d**m is capped.
@@ -64,10 +65,8 @@ def _offsets(xs):
     their span fits; else None, for the exact loop.  Either path's C(n, 2)
     pairs must first fit that path's own ceiling."""
     presence = all(type(x) is int for x in xs) and xs[-1] - xs[0] <= budget(PRESENCE_SPAN_BUDGET)
-    kind, cap = ("presence", PRESENCE_PAIR_BUDGET) if presence else ("exact", EXACT_PAIR_BUDGET)
-    pairs, cap = math.comb(len(xs), 2), budget(cap)
-    if pairs > cap:
-        raise BudgetExceededError(f"{pairs} {kind} pairs exceed the budget {cap}")
+    kind, default = ("presence", PRESENCE_PAIR_BUDGET) if presence else ("exact", EXACT_PAIR_BUDGET)
+    check_budget(default, math.comb(len(xs), 2), f"{kind} pairs")
     return np.fromiter((x - xs[0] for x in xs), np.int64, len(xs)) if presence else None
 
 

@@ -9,8 +9,8 @@ or element set supplied by the caller.
 
 from __future__ import annotations
 
+import dataclasses
 from collections import Counter
-from dataclasses import asdict
 
 from .coloring import (
     EdgeColoring,
@@ -39,12 +39,12 @@ def _record(result) -> dict:
     def plain(key, value):
         if key in ("color", "difference"):
             return exact_to_json(value)
-        if isinstance(value, dict):
-            return {k: plain(k, v) for k, v in value.items()}
+        if dataclasses.is_dataclass(value):
+            return {f.name: plain(f.name, getattr(value, f.name)) for f in dataclasses.fields(value)}
         if isinstance(value, tuple):
             return [plain(None, v) for v in value]
         return value
-    return plain(None, asdict(result))
+    return plain(None, result)
 
 
 def witness_set_certificate(ws: WitnessSet) -> dict:
@@ -88,7 +88,9 @@ def save_certificate(cert: dict, path) -> None:
 
 def load_certificate(path) -> dict:
     cert = read_json(path)
-    fields(cert, type=str)
+    ctype, = fields(cert, type=str)
+    if ctype not in _VERIFIERS:
+        raise LocalLabError(f"unknown certificate type {ctype!r}")
     return cert
 
 

@@ -13,8 +13,11 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import math
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from .arithmetic import (
     behrend_set,
@@ -98,7 +101,12 @@ def _cmd_check(args) -> int:
 
 def _cmd_energy(args) -> int:
     g = load_coloring(args.input)
-    value = energy(g, args.r)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # E_r >= (2 max m_c)^r, so most orders too large to print are refused unpowered
+    settled = limit and args.r > (limit + 1) / math.log10(2 * np.bincount(g.colors).max())
+    value = None if settled else energy(g, args.r)
+    if limit and (settled or value >= 10**limit):
+        raise LocalLabError(f"E_{args.r} has more digits than the {limit} this interpreter prints")
     print(f"E_{args.r} = {value} (n={g.n}, {g.num_colors} colors)")
     if args.bruteforce:
         brute = energy_bruteforce(g, args.r)

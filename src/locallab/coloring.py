@@ -23,7 +23,6 @@ import numpy as np
 
 from . import config
 from .errors import (
-    BudgetExceededError,
     ColoringError,
     DuplicatePairError,
     MissingPairError,
@@ -360,15 +359,6 @@ def _sampled_chunks(n, k, trials, seed, dtype):
         yield np.array([sorted(rng.sample(range(n), k)) for _ in range(rows)], dtype=dtype)
 
 
-def _check_subset_budget(n, k, trials=None):
-    """Raise unless all C(n, k) k-subsets, or `trials` sampled ones, fit
-    SUBSET_SCAN_BUDGET."""
-    total = math.comb(n, k) if trials is None else trials
-    ceiling = config.budget(config.SUBSET_SCAN_BUDGET)
-    if total > ceiling:
-        raise BudgetExceededError(f"scanning {total} {k}-subsets exceeds the {ceiling} subset budget")
-
-
 def _scan(g, k, cap, trials=None, seed=None):
     """Return (fewest colors, first subset spanning that many).
 
@@ -385,7 +375,8 @@ def _scan(g, k, cap, trials=None, seed=None):
     checked against SUBSET_SCAN_BUDGET, which counts all C(n, k) subsets
     or the `trials`, before it starts.
     """
-    _check_subset_budget(g.n, k, trials)
+    config.check_budget(config.SUBSET_SCAN_BUDGET,
+                        math.comb(g.n, k) if trials is None else trials, f"{k}-subsets")
     vertex = np.min_scalar_type(g.n - 1)
     if trials is None:
         best, best_subset = min(k * (k - 1) // 2, cap), tuple(range(k))

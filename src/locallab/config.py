@@ -1,13 +1,13 @@
 """Enumeration ceilings.
 
 Every exhaustive kernel checks its workload against a ceiling before it
-starts.  The environment variable LOCALLAB_BUDGET, when set to an
-integer, overrides all of them at once.
+starts, through check_budget.  The environment variable LOCALLAB_BUDGET,
+when set to an integer, overrides all of them at once.
 """
 
 import os
 
-from .errors import LocalLabError
+from .errors import BudgetExceededError, LocalLabError
 
 # ordered 2r-tuple enumeration in the brute-force energy count
 BRUTE_FORCE_TUPLE_BUDGET = 10**9
@@ -40,3 +40,11 @@ def budget(default):
         return int(raw)
     except ValueError:
         raise LocalLabError(f"LOCALLAB_BUDGET must be an integer, got {raw!r}") from None
+
+
+def check_budget(default, requested, what):
+    """Return budget(default), or raise BudgetExceededError when `requested` exceeds it."""
+    ceiling = budget(default)
+    if requested > ceiling:
+        raise BudgetExceededError(f"{requested} {what} exceed the budget {ceiling}")
+    return ceiling

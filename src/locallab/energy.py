@@ -17,9 +17,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .config import BRUTE_FORCE_TUPLE_BUDGET, budget
+from .config import BRUTE_FORCE_TUPLE_BUDGET, check_budget
 from .coloring import EdgeColoring
-from .errors import BudgetExceededError, LocalLabError
+from .errors import LocalLabError
 
 
 def energy(g: EdgeColoring, r: int) -> int:
@@ -39,12 +39,7 @@ def energy_bruteforce(g: EdgeColoring, r: int) -> int:
     """
     if r < 2:
         raise LocalLabError(f"energy order r={r} must be >= 2")
-    space = g.n ** (2 * r)
-    cap = budget(BRUTE_FORCE_TUPLE_BUDGET)
-    if space > cap:
-        raise BudgetExceededError(
-            f"{g.n}^{2 * r} = {space} ordered tuples exceeds the budget {cap}"
-        )
+    check_budget(BRUTE_FORCE_TUPLE_BUDGET, g.n ** (2 * r), "ordered tuples")
     mat = g.color_matrix().tolist()
     n = g.n
 

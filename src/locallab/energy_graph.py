@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arithmetic import RealSet, coloring_from_set
-from .config import ENERGY_GRAPH_EDGE_BUDGET, budget
+from .config import ENERGY_GRAPH_EDGE_BUDGET, check_budget
 from .coloring import EdgeColoring, pair_cells
 from .errors import (
     BudgetExceededError,
@@ -220,10 +220,7 @@ def _product_graph(g: EdgeColoring, parts, cells, columns, stage: str) -> Energy
     starts = (np.cumsum(counts) - counts.ravel()).reshape(counts.shape)[:, columns]
     listed = counts[:, columns]
     sizes = listed * np.where(np.arange(r), 2, 1)  # pairs per color and coordinate
-    cap = budget(ENERGY_GRAPH_EDGE_BUDGET)
-    predicted = sum(map(math.prod, sizes.tolist()))
-    if predicted > cap:
-        raise BudgetExceededError(f"{predicted} energy edges exceed the budget {cap}")
+    check_budget(ENERGY_GRAPH_EDGE_BUDGET, sum(map(math.prod, sizes.tolist())), "energy edges")
     a, b = np.concatenate((us, vs)), np.concatenate((vs, us))  # each pair in both orders
     color = np.arange(len(sizes))
     xs = ys = np.zeros(len(sizes), dtype)

@@ -13,12 +13,13 @@ and any shortfall is padded with unused edges of the first step's color.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import config
-from .coloring import EdgeColoring, _check_subset_budget, _lex_chunks
+from .coloring import EdgeColoring, _lex_chunks
 from .energy import ln_ceiling
 from .energy_graph import (
     EnergyGraph,
@@ -141,7 +142,7 @@ def find_complete_bipartite(g: EdgeColoring, color: int, s: int, t: int):
         raise LocalLabError(f"need 1 <= s <= t, got s={s}, t={t}")
     if color not in g.palette:
         raise LocalLabError(f"color id {color} not in the palette")
-    _check_subset_budget(g.n, s)
+    config.check_budget(config.SUBSET_SCAN_BUDGET, math.comb(g.n, s), f"{s}-subsets")
     # the diagonal holds -1, so no vertex is common to a side holding it
     mask = g.color_matrix() == color
     for rows in _lex_chunks(g.n, s, np.min_scalar_type(g.n - 1)):
@@ -174,7 +175,7 @@ def find_subdivision(g: EdgeColoring, color: int, t: int):
         raise LocalLabError(f"need t >= 3, got {t}")
     if color not in g.palette:
         raise LocalLabError(f"color id {color} not in the palette")
-    _check_subset_budget(g.n, t)
+    config.check_budget(config.SUBSET_SCAN_BUDGET, math.comb(g.n, t), f"{t}-subsets")
     mask = g.color_matrix() == color
     if np.count_nonzero(mask) // 2 < t * (t - 1):
         return None

@@ -34,8 +34,8 @@ def read_json(path):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-        # RecursionError: arrays or objects nested deeper than the parser goes
+    except (ValueError, RecursionError) as exc:
+        # bad JSON or UTF-8, an int past the interpreter's digit limit, or deep nesting
         raise LocalLabError(f"{path} is not a JSON file: {exc}") from None
 
 

@@ -69,6 +69,9 @@ def exact_f(n: int, k: int, l: int) -> OracleResult:
     if l > pair_count:
         return OracleResult(None, None, 0, 0, "infeasible")
 
+    # the C(n, k) getters are built before the first node, so they count against the node budget
+    node_budget = config.check_budget(config.ORACLE_NODE_BUDGET,
+                                      math.comb(n, k) if l > 1 else 0, f"{k}-subset getters")
     edges = [(u, v) for v in range(n) for u in range(v)]
     # finished_at[i]: a getter of the other edge slots of each k-subset
     # whose last edge is slot i; with l = 1 every coloring passes, and
@@ -78,7 +81,6 @@ def exact_f(n: int, k: int, l: int) -> OracleResult:
         for _, slots in _subset_slots(n, k):
             finished_at[slots[-1]].append(operator.itemgetter(*slots[:-1]))
 
-    node_budget = config.budget(config.ORACLE_NODE_BUDGET)
     assignment = [0] * len(edges)
     best = len(edges) + 1
     best_assignment = None
@@ -158,15 +160,9 @@ def exact_g_integers(n: int, k: int, l: int, max_value: int) -> OracleResult:
     if l > k * (k - 1) // 2:
         return OracleResult(None, None, 0, 0, "infeasible")
 
-    node_budget = config.budget(config.ORACLE_NODE_BUDGET)
-    # the k-subset getters are built before the first node, so they count
-    # against the same ceiling
-    setup = math.comb(n, k) if l > 1 else 0
-    if setup > node_budget:
-        raise BudgetExceededError(
-            f"exact_g_integers({n},{k},{l},{max_value}) needs {setup} {k}-subset getters "
-            f"before its first node, more than the {node_budget} node budget"
-        )
+    # the C(n, k) getters are built before the first node, so they count against the node budget
+    node_budget = config.check_budget(config.ORACLE_NODE_BUDGET,
+                                      math.comb(n, k) if l > 1 else 0, f"{k}-subset getters")
     best = max_value * (max_value + 1)
     best_set = None
     nodes = classes = 0

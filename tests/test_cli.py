@@ -470,6 +470,52 @@ def test_bool_vertex_in_coloring_file_exits_2(tmp_path, capsys):
     assert "vertex True" in capsys.readouterr().err
 
 
+@pytest.fixture
+def int_digits_4300():
+    """The interpreter's default limit on the digits of an int it converts."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter converts ints of any length")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+def test_ints_longer_than_the_interpreter_converts_exit_2(tmp_path, capsys, int_digits_4300):
+    big = "1" + "0" * 5000
+    elements, coloring = tmp_path / "big.json", tmp_path / "c.json"
+    elements.write_text(f'{{"elements": [0, {big}]}}')
+    coloring.write_text(f'{{"n": 2, "edges": [[0, 1, {big}]]}}')
+    assert run(["diffset", "--input", str(elements)]) == 2
+    assert run(["check", "--input", str(coloring), "--k", "2", "--l", "1"]) == 2
+    assert capsys.readouterr().err.count("is not a JSON file") == 2
+
+
+def test_energy_past_the_printable_digits_exits_2(tmp_path, capsys, int_digits_4300):
+    path = tmp_path / "c30.json"
+    save_coloring(random_coloring(30, 4, seed=5), path)
+    assert run(["energy", "--input", str(path), "--r", "1793"]) == 0
+    assert len(capsys.readouterr().out.split()[2]) == 4300
+    assert run(["energy", "--input", str(path), "--r", "1794"]) == 2
+    assert capsys.readouterr().err == ("error: E_1794 has more digits than the 4300 "
+                                       "this interpreter prints\n")
+    # (2 max m_c)^r bounds E_r from below, so no power of 10^9 is taken
+    with mock.patch.object(cli, "energy", side_effect=AssertionError("computed")):
+        assert run(["energy", "--input", str(path), "--r", str(10**9)]) == 2
+    assert "E_1000000000 has more digits" in capsys.readouterr().err
+    # without a limit every energy prints
+    sys.set_int_max_str_digits(0)
+    assert run(["energy", "--input", str(path), "--r", "1794"]) == 0
+    assert len(capsys.readouterr().out.split()[2]) == 4302
+
+
+def test_verify_of_an_unknown_certificate_type_exits_2(tmp_path, capsys):
+    cert = tmp_path / "x.json"
+    cert.write_text('{"type": "mystery"}')
+    assert run(["verify", "--cert", str(cert)]) == 2
+    assert capsys.readouterr().err == "error: unknown certificate type 'mystery'\n"
+
+
 def blob(*values, width=1):
     """`values` as a blob of little-endian unsigned ints `width` bytes wide."""
     return base64.b64encode(b"".join(v.to_bytes(width, "little") for v in values)).decode()

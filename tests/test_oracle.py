@@ -335,14 +335,25 @@ def test_exact_g_setup_counts_against_the_node_budget(monkeypatch):
     # C(7, 4) = 35 subset getters
     monkeypatch.setenv("LOCALLAB_BUDGET", "34")
     with pytest.raises(BudgetExceededError,
-                       match="needs 35 4-subset getters before its first node"):
+                       match="^35 4-subset getters exceed the budget 34$"):
         exact_g_integers(7, 4, 5, 18)
     # with l = 1 no getter is built, so a budget below C(4, 2) runs all 4 nodes
     monkeypatch.setenv("LOCALLAB_BUDGET", "5")
     assert exact_g_integers(4, 3, 1, 3).nodes_explored == 4
     monkeypatch.delenv("LOCALLAB_BUDGET")
-    with pytest.raises(BudgetExceededError, match="more than the 100000000 node budget"):
+    with pytest.raises(BudgetExceededError,
+                       match="^137846528820 20-subset getters exceed the budget 100000000$"):
         exact_g_integers(40, 20, 2, 100)
+
+
+def test_exact_f_setup_counts_against_the_node_budget(monkeypatch):
+    # C(5, 3) = 10 subset getters, charged before the first node
+    monkeypatch.setenv("LOCALLAB_BUDGET", "9")
+    with pytest.raises(BudgetExceededError, match="^10 3-subset getters exceed the budget 9$"):
+        exact_f(5, 3, 2)
+    # with l = 1 no getter is built, so the same budget trips on a node instead
+    with pytest.raises(BudgetExceededError, match="^exact_f\\(5,3,1\\) exceeded the 9 node budget$"):
+        exact_f(5, 3, 1)
 
 
 @pytest.mark.parametrize("search, args, nodes", [
