@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 from collections import Counter
 
+from . import config
 from .coloring import (
     EdgeColoring,
     PropertyVerdict,
@@ -19,17 +20,12 @@ from .coloring import (
     coloring_from_dict,
     coloring_to_dict,
 )
-from .arithmetic import (
-    check_g_property,
-    difference_set,
-    real_set_from_dict,
-    real_set_to_dict,
-)
+from .arithmetic import coloring_from_set, real_set_from_dict, real_set_to_dict
 from .energy_graph import edge_sign_vector
 from .errors import LocalLabError, SignConsistencyError
 from .forbidden import CliqueWitness, WitnessSet, _UnionFind, clique_equality_edges
 from .jsonio import exact, exact_to_json, fields, read_json, write_json
-from .oracle import OracleResult, exact_g_integers
+from .oracle import OracleResult, exact_g_integers, witness_failures
 
 
 def _record(result) -> dict:
@@ -219,15 +215,7 @@ def _verify_oracle_f(cert, _, messages):
             messages.append("infeasible status but l <= C(k,2)")
         return
     value, witness = fields(cert, value=int, witness=dict)
-    g = coloring_from_dict(witness)
-    if g.n != n:
-        messages.append(f"witness is on {g.n} vertices, certificate says {n}")
-        return
-    if g.num_colors != value:
-        messages.append(f"witness uses {g.num_colors} colors, certificate says {value}")
-    verdict = check_local_property(g, k, l)
-    if not verdict.holds:
-        messages.append(f"witness coloring violates the ({k},{l}) property")
+    messages.extend(witness_failures(coloring_from_dict(witness), n, k, l, value))
 
 
 def _verify_oracle_g(cert, _, messages):
@@ -241,16 +229,13 @@ def _verify_oracle_g(cert, _, messages):
         return
     value, witness = fields(cert, value=int, witness=dict)
     A = real_set_from_dict(witness)
-    if len(A.elements) != n:
-        messages.append(f"witness has {len(A.elements)} elements, certificate says {n}")
+    if len(A) != n:
+        messages.append(f"witness has {len(A)} elements, not {n}")
         return
     if min(A.elements) != 0 or max(A.elements) > max_value:
         messages.append(f"witness leaves the normalized range 0..{max_value}")
-    size = len(difference_set(A))
-    if size != value:
-        messages.append(f"witness difference set has {size} values, certificate says {value}")
-    if not check_g_property(A, k, l).holds:
-        messages.append(f"witness set violates the ({k},{l}) property")
+    config.check_budget(config.EXACT_PAIR_BUDGET, n * (n - 1) // 2, "witness pairs")
+    messages.extend(witness_failures(coloring_from_set(A), n, k, l, value))
 
 
 # type -> (verifier, the input it needs, if any)

@@ -38,6 +38,7 @@ from .certificates import (
     witness_set_certificate,
 )
 from .coloring import check_local_property, load_coloring, random_coloring
+from .config import digit_limit
 from .energy import energy, energy_bruteforce, implied_color_lower_bound, ln_ceiling
 from .energy_graph import (
     build_rth_energy_graph,
@@ -101,7 +102,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_energy(args) -> int:
     g = load_coloring(args.input)
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = digit_limit()
     # E_r >= (2 max m_c)^r, so most orders too large to print are refused unpowered
     settled = limit and args.r > (limit + 1) / math.log10(2 * np.bincount(g.colors).max())
     value = None if settled else energy(g, args.r)
@@ -121,20 +122,23 @@ def _cmd_energy(args) -> int:
 
 
 def _stage_tokens(args) -> tuple:
-    """(order r, stage tokens) of an energy-graph run: a preset's, else
-    --r and the --stages list."""
+    """(order r, stage tokens) of an energy-graph run: a preset's, else --r
+    (2 when absent) and the --stages list; a preset that fixes r refuses another."""
+    fixed = {"pair-cycle": 2, "triple-cycle": 3}.get(args.preset)
+    if fixed and args.r not in (None, fixed):
+        raise LocalLabError(f"the {args.preset} preset builds r={fixed}, not --r {args.r}")
+    r = 2 if args.r is None else args.r
     if args.preset == "pair-cycle":
         if args.k is None:
             raise LocalLabError("the pair-cycle preset needs --k for its threshold")
         return 2, ["diagonal", f"rare:{100 * args.k * args.k}"]
     if args.preset == "triple-cycle":
         return 3, ["rare", "halve", "coordinate"]
-    if args.preset == "sign-split":
-        return args.r, ["rare", "sign"]
-    tokens = [t for t in (args.stages or "").split(",") if t]
+    stages = "rare,sign" if args.preset == "sign-split" else args.stages or ""
+    tokens = [t for t in stages.split(",") if t]
     if "sign" in tokens[:-1]:
         raise LocalLabError("the sign stage must be the last stage")
-    return args.r, tokens
+    return r, tokens
 
 
 def _cmd_energy_graph(args) -> int:
@@ -311,6 +315,10 @@ def _cmd_behrend(args) -> int:
 def _cmd_diffset(args) -> int:
     A = load_real_set(args.input)
     diffs = difference_set(A)
+    limit = digit_limit()
+    # an int64 difference always prints; an exact one, or a fraction's terms, may not
+    if limit and diffs.dtype.hasobject and max(max(d.as_integer_ratio()) for d in diffs) >= 10**limit:
+        raise LocalLabError(f"a difference has more digits than the {limit} this interpreter prints")
     print(f"|A| = {len(A.elements)}, |A-A| = {len(diffs)}")
     suffix = " ..." if len(diffs) > 20 else ""
     print("differences: " + ", ".join(str(d) for d in diffs[:20]) + suffix)
@@ -412,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("energy-graph", help="build, prune, and export energy graphs")
     p.add_argument("--input")
     p.add_argument("--values", help="element-set file for arithmetic colorings")
-    p.add_argument("--r", type=int, default=2)
+    p.add_argument("--r", type=int, help="energy order, 2 when absent; a preset fixes its own")
     chain = p.add_mutually_exclusive_group()
     chain.add_argument("--preset", choices=["pair-cycle", "triple-cycle", "sign-split"])
     chain.add_argument("--stages",

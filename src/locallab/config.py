@@ -6,6 +6,7 @@ when set to an integer, overrides all of them at once.
 """
 
 import os
+import sys
 
 from .errors import BudgetExceededError, LocalLabError
 
@@ -42,9 +43,16 @@ def budget(default):
         raise LocalLabError(f"LOCALLAB_BUDGET must be an integer, got {raw!r}") from None
 
 
+def digit_limit():
+    """The most digits this interpreter converts an int to or from text; 0 for no limit."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 def check_budget(default, requested, what):
     """Return budget(default), or raise BudgetExceededError when `requested` exceeds it."""
     ceiling = budget(default)
     if requested > ceiling:
-        raise BudgetExceededError(f"{requested} {what} exceed the budget {ceiling}")
+        limit = digit_limit()
+        count = f"at least 10^{limit}" if limit and requested >= 10**limit else requested
+        raise BudgetExceededError(f"{count} {what} exceed the budget {ceiling}")
     return ceiling

@@ -371,6 +371,8 @@ def witness_request(g: EdgeColoring, eg: EnergyGraph, kind: str, k: int | None =
             raise WitnessError(f"k={k} exceeds the {g.n} base vertices")
         check_same_n(eg, g)
         return k // 2, k, k // 2
+    if kind != "triple":
+        raise WitnessError(f"unknown witness kind {kind!r}")
     if eg.r != 3:
         raise WitnessError("needs a third energy graph")
     if g.n < 24:

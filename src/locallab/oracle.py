@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import config
-from .arithmetic import RealSet, check_g_property
-from .coloring import check_local_property, new_coloring
+from .arithmetic import RealSet, coloring_from_set
+from .coloring import EdgeColoring, check_local_property, new_coloring
 from .errors import BudgetExceededError, LocalLabError
 
 
@@ -38,11 +38,35 @@ class OracleResult:
 _EXACT_F_MAX_N = 6
 
 
-def _subset_slots(n: int, k: int):
-    """Each k-subset of range(n) with the slots of its pairs in
-    combinations order, pair (i, j), i < j, at slot j(j-1)/2 + i."""
-    for subset in itertools.combinations(range(n), k):
-        yield subset, [j * (j - 1) // 2 + i for i, j in itertools.combinations(subset, 2)]
+def _check_args(n: int, k: int, l: int) -> None:
+    if not 2 <= k <= n:
+        raise LocalLabError(f"need 2 <= k <= n, got k={k}, n={n}")
+    if l < 1:
+        raise LocalLabError(f"need l >= 1, got {l}")
+
+
+def _getter_table(n: int, k: int, l: int, rows: int, where) -> tuple:
+    """(node budget, table): `where(subset, slots)` says at which row of the table a
+    k-subset of range(n) files its itemgetter and which of its slots it reads, pair (i, j),
+    i < j, at slot j(j-1)/2 + i.  The C(n, k) getters count against the node budget."""
+    node_budget = config.check_budget(config.ORACLE_NODE_BUDGET,
+                                      math.comb(n, k) if l > 1 else 0, f"{k}-subset getters")
+    table = [[] for _ in range(rows)]
+    for subset in itertools.combinations(range(n), k) if l > 1 else ():
+        pairs = itertools.combinations(subset, 2)
+        row, read = where(subset, [j * (j - 1) // 2 + i for i, j in pairs])
+        table[row].append(operator.itemgetter(*read))
+    return node_budget, table
+
+
+def witness_failures(g: EdgeColoring, n: int, k: int, l: int, value: int) -> list:
+    """What witness g fails of its claim: n vertices, `value` colors, the (k, l) property."""
+    if g.n != n:
+        return [f"witness is on {g.n} vertices, not {n}"]
+    failures = [f"witness has {g.num_colors} colors, not {value}"] if g.num_colors != value else []
+    if not check_local_property(g, k, l).holds:
+        failures.append(f"witness violates the ({k},{l}) property")
+    return failures
 
 
 def exact_f(n: int, k: int, l: int) -> OracleResult:
@@ -57,29 +81,18 @@ def exact_f(n: int, k: int, l: int) -> OracleResult:
     l-1), ban nothing, or leave no color for the last edge.  Branches
     that cannot beat the incumbent are cut.
     """
-    if not 2 <= k <= n:
-        raise LocalLabError(f"need 2 <= k <= n, got k={k}, n={n}")
+    _check_args(n, k, l)
     if n > _EXACT_F_MAX_N:
         raise LocalLabError(
             f"n={n} has too many edge partitions; the search is guarded at n <= {_EXACT_F_MAX_N}"
         )
-    if l < 1:
-        raise LocalLabError(f"need l >= 1, got {l}")
-    pair_count = k * (k - 1) // 2
-    if l > pair_count:
+    if l > k * (k - 1) // 2:
         return OracleResult(None, None, 0, 0, "infeasible")
 
-    # the C(n, k) getters are built before the first node, so they count against the node budget
-    node_budget = config.check_budget(config.ORACLE_NODE_BUDGET,
-                                      math.comb(n, k) if l > 1 else 0, f"{k}-subset getters")
     edges = [(u, v) for v in range(n) for u in range(v)]
-    # finished_at[i]: a getter of the other edge slots of each k-subset
-    # whose last edge is slot i; with l = 1 every coloring passes, and
-    # k >= 3 leaves every getter at least two slots, so it yields a tuple
-    finished_at = [[] for _ in edges]
-    if l > 1:
-        for _, slots in _subset_slots(n, k):
-            finished_at[slots[-1]].append(operator.itemgetter(*slots[:-1]))
+    # finished_at[i]: per k-subset whose last edge is slot i, a getter of its other slots
+    node_budget, finished_at = _getter_table(n, k, l, len(edges),
+                                             lambda _, slots: (slots[-1], slots[:-1]))
 
     assignment = [0] * len(edges)
     best = len(edges) + 1
@@ -117,10 +130,8 @@ def exact_f(n: int, k: int, l: int) -> OracleResult:
     place(0, 0)
     if best_assignment is None:
         raise LocalLabError(f"no coloring of K_{n} satisfies ({k},{l})")
-    witness = new_coloring(n, [(u, v, best_assignment[i])
-                               for i, (u, v) in enumerate(edges)])
-    verdict = check_local_property(witness, k, l)
-    if not verdict.holds or witness.num_colors != best:
+    witness = new_coloring(n, [(u, v, c) for (u, v), c in zip(edges, best_assignment)])
+    if witness_failures(witness, n, k, l, best):
         raise LocalLabError("oracle witness failed re-validation")
     return OracleResult(best, witness, nodes, classes, "optimal")
 
@@ -151,31 +162,16 @@ def exact_g_integers(n: int, k: int, l: int, max_value: int) -> OracleResult:
     nodes_explored and canonical_classes still count every node and leaf
     of the same tree.
     """
-    if not 2 <= k <= n:
-        raise LocalLabError(f"need 2 <= k <= n, got k={k}, n={n}")
-    if l < 1:
-        raise LocalLabError(f"need l >= 1, got {l}")
-    if max_value < n - 1:
-        return OracleResult(None, None, 0, 0, "infeasible")
-    if l > k * (k - 1) // 2:
+    _check_args(n, k, l)
+    if max_value < n - 1 or l > k * (k - 1) // 2:
         return OracleResult(None, None, 0, 0, "infeasible")
 
-    # the C(n, k) getters are built before the first node, so they count against the node budget
-    node_budget = config.check_budget(config.ORACLE_NODE_BUDGET,
-                                      math.comb(n, k) if l > 1 else 0, f"{k}-subset getters")
+    # ending_at[j]: per k-subset of positions ending at j, a getter of its `differences` slots
+    node_budget, ending_at = _getter_table(n, k, l, n, lambda subset, slots: (subset[-1], slots))
     best = max_value * (max_value + 1)
     best_set = None
     nodes = classes = 0
     chosen = [0]
-    # ending_at[j]: a getter of the pair slots, in the order `differences`
-    # lists them, of each k-subset of positions whose largest position is j;
-    # with l = 1 every set passes, and k >= 3 gives every getter at least
-    # three slots, so it yields a tuple
-    ending_at = [[] for _ in range(n)]
-    if l > 1:
-        for subset, slots in _subset_slots(n, k):
-            ending_at[subset[-1]].append(operator.itemgetter(*slots))
-
     exceeded = f"exact_g_integers({n},{k},{l},{max_value}) exceeded the {node_budget} node budget"
 
     def extend(seen, mirror, passed, differences):
@@ -225,7 +221,7 @@ def exact_g_integers(n: int, k: int, l: int, max_value: int) -> OracleResult:
     if best_set is None:
         return OracleResult(None, None, nodes, classes, "infeasible")
     witness = RealSet(best_set)
-    if not check_g_property(witness, k, l).holds:
+    if witness_failures(coloring_from_set(witness), n, k, l, best):
         raise LocalLabError("oracle witness failed re-validation")
     return OracleResult(best, witness, nodes, classes, "optimal")
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from locallab import (
+    BudgetExceededError,
     CliqueWitness,
     DifferenceEquality,
     LocalLabError,
@@ -362,11 +363,11 @@ VERIFIER_FAILURES = {
     "oracle-f-infeasible-below-the-pairs": ("oracle-f", {("status",): "infeasible"},
                                             "infeasible status but l <= C(k,2)"),
     "oracle-f-witness-violates": ("oracle-f", {("witness", "edges", 4): [1, 2, 0]},
-                                  "witness coloring violates the (3,3) property"),
+                                  "witness violates the (3,3) property"),
     "oracle-g-witness-out-of-range": ("oracle-g", {("witness", "elements", 3): 7},
                                       "witness leaves the normalized range 0..6"),
     "oracle-g-witness-violates": ("oracle-g", {("l",): 4},
-                                  "witness set violates the (4,4) property"),
+                                  "witness violates the (4,4) property"),
 }
 
 
@@ -381,6 +382,19 @@ def test_each_verifier_failure_gives_its_own_message(case):
         record[last] = value
     ok, messages = verify_certificate(cert, **context)
     assert not ok and message in messages, messages
+
+
+def test_oversized_oracle_g_witness_builds_no_coloring():
+    cert, _ = issued("oracle-g")
+    # a witness of the wrong size is invalid at once, however long it is
+    cert["witness"]["elements"] = list(range(50_000))
+    assert verify_certificate(cert) == (False, ["witness has 50000 elements, not 4"])
+    # 4473 fraction elements make C(4473, 2) = 10,001,628 exact pairs, past the 10^7 ceiling
+    n = 4473
+    cert.update(n=n, max_value=n)
+    cert["witness"]["elements"] = [exact_to_json(Fraction(i, 2)) for i in range(n)]
+    with pytest.raises(BudgetExceededError, match="10001628 witness pairs exceed"):
+        verify_certificate(cert)
 
 
 def equalities_hold(cert, n, vertices, value_of, claim_of):

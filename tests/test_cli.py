@@ -509,6 +509,64 @@ def test_energy_past_the_printable_digits_exits_2(tmp_path, capsys, int_digits_4
     assert len(capsys.readouterr().out.split()[2]) == 4302
 
 
+def test_budget_counts_past_the_printable_digits_exit_3(tmp_path, capsys, int_digits_4300):
+    # 30^2912 ordered tuples and C(20000, 10000) getters have 4302 and 6019 digits
+    mono = mono_file(tmp_path, 30)
+    assert run(["energy", "--input", str(mono), "--r", "1456", "--bruteforce"]) == 3
+    assert capsys.readouterr().err == ("error: at least 10^4300 ordered tuples exceed "
+                                       "the budget 1000000000\n")
+    assert run(["oracle-g", "--n", "20000", "--k", "10000", "--l", "2",
+                "--max-value", "30000"]) == 3
+    assert capsys.readouterr().err == ("error: at least 10^4300 10000-subset getters exceed "
+                                       "the budget 100000000\n")
+    # 30^2910 has 4299 digits and is given in full
+    assert run(["energy", "--input", str(mono), "--r", "1455", "--bruteforce"]) == 3
+    assert capsys.readouterr().err == f"error: {30**2910} ordered tuples exceed the budget 1000000000\n"
+
+
+WIDE = 5 * 10**4299  # 4300 digits, so it reads; the difference 10^4300 of -WIDE and WIDE does not
+# 2201-digit terms whose difference, about 2, has a 4401-digit numerator and denominator
+NARROW = [f"-{10**2200}/{10**2200 + 1}", f"{10**2200 + 2}/{10**2200 + 3}"]
+
+
+@pytest.mark.parametrize("elements", [
+    lambda: [-WIDE, WIDE],
+    # 21 smaller differences come first, so the wide one is only in --out
+    lambda: [-WIDE, 0, 1, 3, 7, 12, 20, 30, WIDE],
+    lambda: NARROW,
+], ids=["printed", "past-the-printed", "fractions"])
+@pytest.mark.parametrize("out", [False, True], ids=["stdout", "out"])
+def test_diffset_past_the_printable_digits_exits_2(tmp_path, capsys, int_digits_4300,
+                                                   elements, out):
+    path, written = tmp_path / "v.json", tmp_path / "d.json"
+    path.write_text(json.dumps({"elements": elements()}))
+    argv = ["diffset", "--input", str(path)] + (["--out", str(written)] if out else [])
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "error: a difference has more digits than the 4300 this interpreter prints\n")
+    assert not written.exists()
+
+
+@pytest.mark.parametrize("preset, fixed, extra", [
+    ("pair-cycle", 2, ["--k", "2"]),
+    ("triple-cycle", 3, []),
+])
+def test_a_preset_refuses_another_order(tmp_path, capsys, preset, fixed, extra):
+    coloring, graph = tmp_path / "c.json", tmp_path / "g.json"
+    save_coloring(random_coloring(30, 4, seed=5), coloring)
+    base = ["energy-graph", "--input", str(coloring), "--preset", preset, *extra,
+            "--out", str(graph)]
+    for r in (fixed - 1, fixed + 1, 5):
+        assert run(base + ["--r", str(r)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: the {preset} preset builds r={fixed}, not --r {r}\n")
+        assert not graph.exists()
+    for argv in (base, base + ["--r", str(fixed)]):
+        assert run(argv) == 0
+        assert f"(r={fixed})" in capsys.readouterr().out
+
+
 def test_verify_of_an_unknown_certificate_type_exits_2(tmp_path, capsys):
     cert = tmp_path / "x.json"
     cert.write_text('{"type": "mystery"}')

@@ -53,6 +53,7 @@ from locallab.forbidden import (
     _search_cycle,
     _UnionFind,
     clique_equality_edges,
+    witness_request,
 )
 
 
@@ -614,6 +615,18 @@ def third_order_pipeline(n, seed):
     eg = halve_parts_prune(eg, seed=seed)
     eg = prune_coordinate_neighbors(eg)
     return g, eg
+
+
+def test_an_unknown_witness_kind_is_refused():
+    # the triple audits all pass on this graph, so only the kind can refuse it
+    g, eg = third_order_pipeline(30, 0)
+    cycle = find_cycle(eg, 8)
+    assert witness_request(g, eg, "triple") == (8, 24, 16)
+    for kind in ("tuple", "Triple", ""):
+        with pytest.raises(WitnessError, match=f"^unknown witness kind {kind!r}$"):
+            witness_request(g, eg, kind)
+        with pytest.raises(WitnessError, match=f"^unknown witness kind {kind!r}$"):
+            witness_from_cycle(g, eg, cycle, kind)
 
 
 def test_witness_from_third_order_cycle():

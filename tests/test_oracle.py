@@ -12,12 +12,14 @@ from locallab import (
     RealSet,
     check_g_property,
     check_local_property,
+    coloring_from_set,
     exact_f,
     exact_g_integers,
     new_coloring,
     upper_bound_exponent,
 )
 from locallab import config
+from locallab.oracle import witness_failures
 
 # values confirmed against the full enumeration; f(6,3,2)=3 reflects the
 # two-coloring of K_5 avoiding monochromatic triangles having no analogue
@@ -97,6 +99,27 @@ def test_exact_f_respects_budget(monkeypatch):
     monkeypatch.setenv("LOCALLAB_BUDGET", "50")
     with pytest.raises(BudgetExceededError):
         exact_f(6, 3, 2)
+
+
+@pytest.mark.parametrize("make_witness, n, k, l, value", [
+    # f(5,3,3) = 5: a proper coloring of K_5 in five colors spans at most 5 of a
+    # 4-set's 6 pairs
+    (lambda: exact_f(5, 3, 3).witness, 5, 4, 6, 5),
+    # g(4,4,3) over 0..6 = 3: three differences cannot make four
+    (lambda: coloring_from_set(exact_g_integers(4, 4, 3, 6).witness), 4, 4, 4, 3),
+], ids=["coloring", "set"])
+def test_witness_rule_lists_each_failure(make_witness, n, k, l, value):
+    witness = make_witness()
+    assert witness_failures(witness, n, k, l - 1, value) == []
+    assert witness_failures(witness, n + 1, k, l - 1, value) == [
+        f"witness is on {n} vertices, not {n + 1}"]
+    assert witness_failures(witness, n, k, l - 1, value + 1) == [
+        f"witness has {value} colors, not {value + 1}"]
+    assert witness_failures(witness, n, k, l, value) == [
+        f"witness violates the ({k},{l}) property"]
+    assert witness_failures(witness, n, k, l, value - 1) == [
+        f"witness has {value} colors, not {value - 1}",
+        f"witness violates the ({k},{l}) property"]
 
 
 def test_exact_g_frozen_values():
