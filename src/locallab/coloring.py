@@ -48,6 +48,44 @@ def pair_index(n: int, u: int, v: int) -> int:
     return u * (2 * n - u - 1) // 2 + (v - u - 1)
 
 
+# Per-edge kernels run in blocks of this many entries.  numpy gathers and
+# scatters fast only through an intp index, which a block gets as a copy
+# that stays in cache where a whole index would double its memory; and it
+# divides by a scalar fast (libdivide) where its remainder is slow.
+BLOCK = 1 << 15
+
+
+def gather(table, index) -> np.ndarray:
+    """table.ravel()[index], shaped as index, block by block through an
+    intp copy of each block of the index; raises IndexError as that does.
+    A non-contiguous table or index is copied whole first."""
+    flat, where = table.ravel(), index.ravel()
+    out = np.empty(where.shape, flat.dtype)
+    for start in range(0, len(where), BLOCK):
+        out[start:start + BLOCK] = flat[where[start:start + BLOCK].astype(np.intp, copy=False)]
+    return out.reshape(index.shape)
+
+
+def mark(mask, index) -> None:
+    """mask[index] = True for a 1-D index, block by block as gather reads."""
+    for start in range(0, len(index), BLOCK):
+        mask[index[start:start + BLOCK].astype(np.intp, copy=False)] = True
+
+
+def divmod_into(keys, divisor: int, quotient, remainder) -> None:
+    """np.divmod(keys, divisor, out=(quotient, remainder)) for 1-D keys and
+    a positive int divisor, block by block: a floor division and a
+    subtraction.  Either output may be None, and then is not written, or
+    keys itself."""
+    for start in range(0, len(keys), BLOCK):
+        block = slice(start, start + BLOCK)
+        q = keys[block] // divisor
+        if remainder is not None:
+            np.subtract(keys[block], q * divisor, out=remainder[block])
+        if quotient is not None:
+            quotient[block] = q
+
+
 @dataclass(frozen=True)
 class EdgeColoring:
     """An edge-colored K_n.
@@ -401,7 +439,7 @@ def _scan(g, k, cap, trials=None, seed=None):
         slots = wide[first]
         slots *= g.n
         slots += wide[second]
-        spans = matrix[slots]
+        spans = gather(matrix, slots)
         # a pair adds a color when it differs from every earlier pair
         counts = np.ones(len(rows), dtype=np.intp)
         for j in range(1, len(spans)):

@@ -32,7 +32,7 @@ import numpy as np
 
 from .arithmetic import RealSet, coloring_from_set
 from .config import ENERGY_GRAPH_EDGE_BUDGET, check_budget
-from .coloring import EdgeColoring, pair_cells
+from .coloring import BLOCK, EdgeColoring, divmod_into, gather, mark, pair_cells
 from .errors import (
     BudgetExceededError,
     EnergyGraphError,
@@ -68,9 +68,10 @@ def _rank(xs, ys) -> tuple:
     m = len(xs)
     if m and ys.max() < 8 * m:  # codes are dense enough to mark them
         seen = np.zeros(ys.max() + 1, dtype=bool)
-        seen[xs] = seen[ys] = True
+        mark(seen, xs)
+        mark(seen, ys)
         rank = np.cumsum(seen, dtype=xs.dtype) - 1
-        return np.flatnonzero(seen).astype(xs.dtype), rank[xs], rank[ys]
+        return np.flatnonzero(seen).astype(xs.dtype), gather(rank, xs), gather(rank, ys)
     codes = np.unique(np.concatenate((xs, ys)))
     return codes, np.searchsorted(codes, xs), np.searchsorted(codes, ys)
 
@@ -85,7 +86,7 @@ def _csr_rows(codes, keys) -> tuple:
     c = len(codes)
     keys.sort()
     indptr = np.searchsorted(keys, np.arange(c + 1, dtype=keys.dtype) * c)
-    np.remainder(keys, c, out=keys)
+    divmod_into(keys, c, None, keys)
     return codes, indptr, keys
 
 
@@ -166,8 +167,15 @@ class EnergyGraph:
 
 
 def _digits(codes, n: int, r: int) -> list:
-    """Coordinate j of every code in `codes` below n^r, one array per j."""
-    return [codes // n ** (r - 1 - j) % n for j in range(r)]
+    """Coordinate j of every code in `codes` below n^r, one array per j:
+    the remainders of r floor divisions by n, the last coordinate's first,
+    each quotient written over the one before."""
+    rest, digits = np.array(codes), []
+    for _ in range(r - 1):
+        digits.append(np.empty_like(rest))
+        divmod_into(rest, n, rest, digits[-1])
+    divmod_into(rest, n, None, rest)
+    return [rest, *digits[::-1]]
 
 
 def _code_dtype(n: int, r: int):
@@ -229,12 +237,12 @@ def _product_graph(g: EdgeColoring, parts, cells, columns, stage: str) -> Energy
         size, m = sizes[:, j], listed[:, j]
         pool = _ranges(np.stack((starts[:, j], starts[:, j] + len(us)), 1).ravel(),
                        np.stack((m, size - m), 1).ravel())
-        reps = size[color]
+        reps = gather(size, color)
         at = _ranges((np.cumsum(size) - size)[color], reps)
         weight = g.n ** (r - 1 - j)
         xs, ys = np.repeat(xs, reps), np.repeat(ys, reps)
-        xs += (a[pool] * weight).astype(dtype)[at]
-        ys += (b[pool] * weight).astype(dtype)[at]
+        xs += gather((gather(a, pool) * weight).astype(dtype), at)
+        ys += gather((gather(b, pool) * weight).astype(dtype), at)
         if j < r - 1:
             color = np.repeat(color, reps)
     top, codes = g.n**r, None
@@ -245,9 +253,9 @@ def _product_graph(g: EdgeColoring, parts, cells, columns, stage: str) -> Energy
     del xs, ys  # freed before the sorted ends are written
     keys.sort()
     xs, ys = np.empty(len(keys), dtype), np.empty(len(keys), dtype)
-    np.divmod(keys, top, out=(xs, ys))
+    divmod_into(keys, top, xs, ys)
     if codes is not None:
-        xs, ys = codes[xs], codes[ys]
+        xs, ys = gather(codes, xs), gather(codes, ys)
     return EnergyGraph(r, g.n, parts, xs, ys, (stage,))
 
 
@@ -276,7 +284,13 @@ def prune_diagonal(eg: EnergyGraph) -> EnergyGraph:
     if eg.r != 2 or eg.parts is not None:
         raise EnergyGraphError("diagonal pruning applies to the full second energy graph")
     # (a, a) has the code a * (n + 1), and no other code below n^2 is a multiple of it
-    return eg._replaced((eg.xs % (eg.n + 1) != 0) | (eg.ys % (eg.n + 1) != 0), "prune_diagonal")
+    rest = np.empty_like(eg.xs)
+    divmod_into(eg.xs, eg.n + 1, None, rest)
+    keep = rest != 0
+    divmod_into(eg.ys, eg.n + 1, None, rest)
+    keep |= rest != 0
+    del rest  # freed before the kept edges are copied
+    return eg._replaced(keep, "prune_diagonal")
 
 
 def check_same_n(eg: EnergyGraph, g: EdgeColoring) -> None:
@@ -297,12 +311,16 @@ def edge_colors(eg: EnergyGraph, g: EdgeColoring) -> np.ndarray:
     """Color id in g of every edge of eg, read at its first coordinate
     pair; raises unless eg and g have the same n."""
     check_same_n(eg, g)
-    return g.color_matrix()[eg.xs // eg.n ** (eg.r - 1), eg.ys // eg.n ** (eg.r - 1)]
+    first = eg.n ** (eg.r - 1)
+    cell = eg.xs // first  # the color matrix's flat cell x_1 * n + y_1, built in place
+    cell *= eg.n
+    cell += eg.ys // first
+    return gather(g.color_matrix(), cell)
 
 
 def colors_at_least(eg: EnergyGraph, g: EdgeColoring, threshold: int) -> np.ndarray:
     """Mask of the edges of eg whose color has `threshold` or more base edges in g."""
-    return (np.bincount(g.colors) >= threshold)[edge_colors(eg, g)]
+    return gather(np.bincount(g.colors) >= threshold, edge_colors(eg, g))
 
 
 def prune_rare_colors(eg: EnergyGraph, g: EdgeColoring, threshold: int) -> EnergyGraph:
@@ -338,7 +356,7 @@ def halve_parts_prune(eg: EnergyGraph, seed: int) -> EnergyGraph:
             side[order] = np.arange(len(order)) < (len(order) + 1) // 2
         keep = np.ones(total, dtype=bool)
         for a, b in coordinates:
-            keep &= side[a] != side[b]
+            keep &= gather(side, a) != gather(side, b)
         count = int(np.count_nonzero(keep))
         if count > best_count:
             best_count, best_keep = count, keep
@@ -377,8 +395,10 @@ def coordinate_neighbor_violations(eg: EnergyGraph):
     vertex agree, once per neighbor past the first, sorted; empty after
     prune_coordinate_neighbors."""
     marks = np.sort(_coordinate_marks(eg), axis=None)
-    position, rest = np.divmod(marks[1:][marks[1:] == marks[:-1]], eg.r * eg.n)
-    j, value = np.divmod(rest, eg.n)
+    position = marks[1:][marks[1:] == marks[:-1]]
+    j, value = np.empty_like(position), np.empty_like(position)
+    divmod_into(position, eg.r * eg.n, position, value)
+    divmod_into(value, eg.n, j, value)
     return list(zip(eg.vertices(eg.ranks()[0][position]), j.tolist(), value.tolist()))
 
 
@@ -413,13 +433,20 @@ def sign_decompose(eg: EnergyGraph, values: RealSet) -> dict:
     if not isinstance(values, RealSet):
         raise EnergyGraphError("sign classes need a RealSet, whose order is its values' order")
     check_same_size(eg, values)
-    color = coloring_from_set(values).color_matrix()
+    color, n = coloring_from_set(values).color_matrix(), eg.n
     (a1, *a), (b1, *b) = eg.digits(eg.xs), eg.digits(eg.ys)
-    c1, down, bad = color[a1, b1], a1 > b1, a1 == b1  # bad: a zero first difference
+    down, bad = a1 > b1, a1 == b1  # bad: a zero first difference
+    cell = a1  # from here the color matrix's flat cell a_j * n + b_j, built in place
+    cell *= n
+    cell += b1
+    c1 = gather(color, cell)
     index = np.zeros(eg.num_edges, dtype=np.int64)  # '-' is bit 1, coordinate 2 the top bit
     for aj, bj in zip(a, b):
-        bad |= color[aj, bj] != c1
-        index = 2 * index + ((aj > bj) != down)
+        np.multiply(aj, n, out=cell)
+        cell += bj
+        bad |= gather(color, cell) != c1
+        index *= 2
+        index += (aj > bj) != down
     if bad.any():  # edge_sign_vector raises the error of the first bad edge
         i = int(np.argmax(bad))
         edge_sign_vector(eg.vertices(eg.xs[i:i + 1])[0], eg.vertices(eg.ys[i:i + 1])[0], values)
@@ -487,31 +514,39 @@ def energy_graph_from_dict(data: dict) -> EnergyGraph:
     counts = counts.astype(np.int64)
     if len(counts) != c or counts.sum() != len(neighbors):
         raise EnergyGraphError("counts must hold one entry per code and sum to len(neighbors)")
-    # intp positions, for numpy's fast gathers: gaps plus 1, summed, where each
-    # row's first term swaps the last neighbor of the row before for the row
+    # positions as wide as the keys: gaps plus 1, summed, where each row's
+    # first term swaps the last neighbor of the row before for the row; a
+    # row sums at most (c - 1) * c, which the keys' dtype holds
     filled = np.flatnonzero(counts)
-    firsts = (np.cumsum(counts) - counts)[filled]
-    neighbors = np.add(neighbors, 1, dtype=np.intp)
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    firsts = indptr[filled]
+    neighbors = neighbors.astype(_index_dtype(c * c))
+    neighbors += 1
     ends = filled + np.add.reduceat(neighbors, firsts)  # each row's last neighbor
     if (ends >= c).any():
         raise EnergyGraphError(past)
     neighbors[firsts] += filled - np.append(0, ends[:-1])
-    np.cumsum(neighbors, out=neighbors)
-    rows = np.repeat(np.arange(c, dtype=_index_dtype(c * c)), counts)
+    np.cumsum(neighbors, dtype=neighbors.dtype, out=neighbors)
+    rows = np.repeat(np.arange(c, dtype=neighbors.dtype), counts)
     keys = _pair_keys(rows, neighbors, c, both=True)
-    del rows, filled, firsts, ends  # freed before the per-edge temporaries of the checks below
+    del rows, filled, firsts, ends  # freed before the per-edge arrays below
     on_edge = counts > 0
-    on_edge[neighbors] = True
+    mark(on_edge, neighbors)
     if not on_edge.all():
         raise EnergyGraphError("every code must lie on an edge")
     parts = None if parts is None else tuple(tuple(p) for p in parts)
     part_of = None if parts is None else _part_index(parts, r, n)
+    # rows in blocks of about BLOCK edges; coordinates outside, so the first
+    # fault reported is that of the lowest coordinate
+    cuts = [0, *np.searchsorted(indptr, range(BLOCK, len(neighbors), BLOCK)).tolist(), c]
     for j, d in enumerate(_digits(codes, n, r)):  # per code, then compared per edge
-        if (np.repeat(d, counts) == d[neighbors]).any():
-            raise EnergyGraphError(f"an edge repeats its base vertex in coordinate {j + 1}")
+        for lo, hi in zip(cuts, cuts[1:]):
+            if (np.repeat(d[lo:hi], counts[lo:hi])
+                    == gather(d, neighbors[indptr[lo]:indptr[hi]])).any():
+                raise EnergyGraphError(f"an edge repeats its base vertex in coordinate {j + 1}")
         if part_of is not None and (part_of[d] != j).any():
             raise EnergyGraphError(f"an edge leaves part {j + 1} in coordinate {j + 1}")
-    ys = codes[neighbors]
+    ys = gather(codes, neighbors)
     del neighbors
     eg = EnergyGraph(r, n, parts, np.repeat(codes, counts), ys, tuple(provenance))
     eg._keep("_adjacency", _csr_rows(codes, keys))

@@ -27,7 +27,7 @@ from locallab import (
     random_coloring,
     save_coloring,
 )
-from locallab.coloring import _upper_pairs, pair_cells
+from locallab.coloring import BLOCK, _upper_pairs, divmod_into, gather, mark, pair_cells
 
 
 def complete_assignments(n, label=0):
@@ -289,3 +289,65 @@ def test_random_corpus_round_trips():
         c = rng.randrange(1, n * (n - 1) // 2 + 1)
         g = random_coloring(n, c, seed=rng.randrange(10**6))
         assert coloring_from_dict(coloring_to_dict(g)) == g
+
+
+INDEX_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+# empty, short, and on both sides of one and two blocks
+LENGTHS = st.sampled_from([0, 1, 5, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]) | st.integers(0, 40)
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(dtype=st.sampled_from(INDEX_DTYPES), length=LENGTHS, rows=st.sampled_from([None, 1, 2]),
+       table_size=st.integers(1, 300), layout=st.sampled_from(["flat", "rows", "columns"]),
+       seed=st.integers(0, 2**32 - 1), fault=st.booleans())
+def test_gather_and_mark_match_fancy_indexing(dtype, length, rows, table_size, layout, seed,
+                                              fault):
+    rng = np.random.default_rng(seed)
+    top = min(table_size, np.iinfo(dtype).max + 1)
+    bottom = -top if np.iinfo(dtype).min < 0 else 0  # negative entries count from the end
+    index = rng.integers(bottom, top, length).astype(dtype)
+    if fault and length and top <= np.iinfo(dtype).max:
+        index[rng.integers(length)] = top  # one past the table
+    if rows:
+        index = index[:length - length % rows].reshape(rows, -1)
+    table = rng.integers(-99, 99, top).astype(np.int16)
+    if top % 3 == 0 and layout != "flat":  # a matrix, or a transposed view of one
+        table = table.reshape(-1, 3) if layout == "rows" else table.reshape(3, -1).T
+    try:
+        expected = table.ravel()[index]
+    except IndexError:
+        with pytest.raises(IndexError):
+            gather(table, index)
+        if index.ndim == 1:
+            with pytest.raises(IndexError):
+                mark(np.zeros(top, dtype=bool), index)
+        return
+    got = gather(table, index)
+    assert got.dtype == table.dtype and got.shape == index.shape
+    assert np.array_equal(got, expected)
+    if index.ndim == 1:
+        mask, expected_mask = np.zeros(top, dtype=bool), np.zeros(top, dtype=bool)
+        mark(mask, index)
+        expected_mask[index] = True
+        assert np.array_equal(mask, expected_mask)
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(dtype=st.sampled_from([np.int32, np.int64]), length=LENGTHS,
+       divisor=st.integers(1, 10**5) | st.sampled_from([1, 2, 7, 31, 901]),
+       seed=st.integers(0, 2**32 - 1), outputs=st.sampled_from(["new", "quotient-in-keys",
+                                                                   "remainder-in-keys", "quotient",
+                                                                   "remainder"]))
+def test_divmod_into_matches_np_divmod(dtype, length, divisor, seed, outputs):
+    keys = np.random.default_rng(seed).integers(0, np.iinfo(dtype).max, length, endpoint=True)
+    keys = keys.astype(dtype)
+    expected_q, expected_r = np.divmod(keys, divisor)
+    q, r = np.full_like(keys, -1), np.full_like(keys, -1)
+    if outputs == "quotient-in-keys":
+        q = keys
+    elif outputs == "remainder-in-keys":
+        r = keys
+    divmod_into(keys, divisor, None if outputs == "remainder" else q,
+                None if outputs == "quotient" else r)
+    assert np.array_equal(q, np.full_like(keys, -1) if outputs == "remainder" else expected_q)
+    assert np.array_equal(r, np.full_like(keys, -1) if outputs == "quotient" else expected_r)

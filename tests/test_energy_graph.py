@@ -34,7 +34,7 @@ from locallab import (
     sign_decompose,
 )
 from locallab.coloring import pair_cells
-from locallab.energy_graph import _part_index, colors_at_least, edge_colors
+from locallab.energy_graph import _digits, _part_index, colors_at_least, edge_colors
 from locallab.jsonio import code_width, read_json, write_json
 
 
@@ -821,17 +821,45 @@ def test_graph_file_peaks_per_edge(tmp_path):
     # 405,120 edges of 1,600 codes, int32 codes and keys: the writer holds
     # its int32 neighbor gaps, then the blobs; the reader keeps 16 bytes per
     # edge (both ends' codes and the keys of both directions, sorted into
-    # the CSR indices) and peaks about 9 above it, in the coordinate checks
+    # the CSR indices) and peaks about 1 above it: its int32 positions are
+    # freed as the last end codes are written, and its checks run in blocks
     eg = prune_diagonal(build_second_energy_graph(random_coloring(40, 3, 1)))
     eg.ranks()  # cached by the graph, so the writer's peak is its own
     data, written = traced_peak(energy_graph_to_dict, eg)
     back, read = traced_peak(energy_graph_from_dict, data)
     assert back.num_edges == eg.num_edges == 405_120
-    assert written < 10 * eg.num_edges and read < 26 * eg.num_edges
+    assert written < 10 * eg.num_edges and read < 21 * eg.num_edges
     # each row's gaps fit one byte where the positions among 1,600 codes need two
     assert data["widths"][2] == 1 and len(base64.b64decode(data["neighbors"])) == eg.num_edges
     write_json(data, tmp_path / "g.json")
     assert (tmp_path / "g.json").stat().st_size < 600_000
+
+
+def built_pruned_written(g):
+    eg = prune_rare_colors(prune_diagonal(build_second_energy_graph(g)), g, 5)
+    return energy_graph_to_dict(eg)
+
+
+def test_build_prune_and_write_peak_per_edge():
+    # each stage frees the graph before it, so the peak is the writer's on
+    # top of the pruned graph it writes, 23.83 bytes per built edge; the
+    # build and the prunes peak 6 or more below it, over the graph they read
+    g = random_coloring(40, 3, 1)
+    built = build_second_energy_graph(g).num_edges
+    _, peak = traced_peak(built_pruned_written, g)
+    assert built == 405_900 and peak <= 23.84 * built
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(n=st.integers(2, 50), r=st.integers(1, 5), data=st.data())
+def test_digits_match_the_quotients_reduced_by_n(n, r, data):
+    dtype = np.int32 if n**r <= np.iinfo(np.int32).max else np.int64
+    codes = np.array(data.draw(st.lists(st.integers(0, n**r - 1), max_size=30)), dtype=dtype)
+    digits = _digits(codes, n, r)
+    assert len(digits) == r
+    for j, d in enumerate(digits):
+        assert d.dtype == codes.dtype
+        assert np.array_equal(d, codes // n ** (r - 1 - j) % n)
 
 
 @pytest.mark.parametrize("n, r, width", [(16, 2, 1), (17, 2, 2), (6, 3, 1), (7, 3, 2),
