@@ -3,9 +3,9 @@
 These searches are the ground truth the rest of the package is tested
 against.  Colorings are enumerated as set partitions of the edge list
 (colors are interchangeable, so only the partition matters), sets as
-sorted integer tuples anchored at 0 with bitmask difference sets; both
-searches are exhaustive within an explicit node budget and return
-canonically least witnesses.
+sorted integer tuples anchored at 0 with bitmask difference sets.  Both
+searches walk an explicit path, so a node budget is their only ceiling;
+they are exhaustive within it and return canonically least witnesses.
 """
 
 from __future__ import annotations
@@ -33,9 +33,6 @@ class OracleResult:
     nodes_explored: int
     canonical_classes: int
     status: str
-
-
-_EXACT_F_MAX_N = 6
 
 
 def _check_args(n: int, k: int, l: int) -> None:
@@ -82,10 +79,6 @@ def exact_f(n: int, k: int, l: int) -> OracleResult:
     that cannot beat the incumbent are cut.
     """
     _check_args(n, k, l)
-    if n > _EXACT_F_MAX_N:
-        raise LocalLabError(
-            f"n={n} has too many edge partitions; the search is guarded at n <= {_EXACT_F_MAX_N}"
-        )
     if l > k * (k - 1) // 2:
         return OracleResult(None, None, 0, 0, "infeasible")
 
@@ -98,38 +91,44 @@ def exact_f(n: int, k: int, l: int) -> OracleResult:
     best = len(edges) + 1
     best_assignment = None
     nodes = classes = 0
-
-    def place(i, used):
-        nonlocal nodes, classes, best, best_assignment
+    exceeded = f"exact_f({n},{k},{l}) exceeded the {node_budget} node budget"
+    # path[i]: edge i of the current branch, as [next color to try, colors in use, banned colors]
+    path = []
+    used = 0
+    while True:
         nodes += 1
         if nodes > node_budget:
-            raise BudgetExceededError(
-                f"exact_f({n},{k},{l}) exceeded the {node_budget} node budget"
-            )
-        if used >= best:
-            return
-        if i == len(edges):
+            raise BudgetExceededError(exceeded)
+        i = len(path)
+        if used < best and i == len(edges):
             classes += 1
             best = used
             best_assignment = list(assignment)
-            return
-        banned = set()
-        for others in finished_at[i]:
-            seen = set(others(assignment))
-            if len(seen) < l - 1:
-                return
-            if len(seen) == l - 1:
-                banned |= seen
-        for color in range(used + 1):
-            if color == used and used + 1 >= best:
+        elif used < best:
+            banned = set()
+            for others in finished_at[i]:
+                seen = set(others(assignment))
+                if len(seen) < l - 1:
+                    break
+                if len(seen) == l - 1:
+                    banned |= seen
+            else:
+                path.append([0, used, banned])
+        # the deepest edge's next color: an earlier one not banned, or a new one that can beat best
+        while path:
+            frame = path[-1]
+            color, used, banned = frame
+            while color in banned:
+                color += 1
+            if color < used or color == used and used + 1 < best:
                 break
-            if color not in banned:
-                assignment[i] = color
-                place(i + 1, used + (1 if color == used else 0))
-
-    place(0, 0)
-    if best_assignment is None:
-        raise LocalLabError(f"no coloring of K_{n} satisfies ({k},{l})")
+            path.pop()
+        else:
+            break
+        frame[0] = color + 1
+        assignment[len(path) - 1] = color
+        if color == used:
+            used += 1
     witness = new_coloring(n, [(u, v, c) for (u, v), c in zip(edges, best_assignment)])
     if witness_failures(witness, n, k, l, best):
         raise LocalLabError("oracle witness failed re-validation")
@@ -173,51 +172,51 @@ def exact_g_integers(n: int, k: int, l: int, max_value: int) -> OracleResult:
     nodes = classes = 0
     chosen = [0]
     exceeded = f"exact_g_integers({n},{k},{l},{max_value}) exceeded the {node_budget} node budget"
-
-    def extend(seen, mirror, passed, differences):
-        nonlocal nodes, classes, best, best_set
+    # path[d]: chosen[:d + 1]'s node, as [next value, last value, seen, mirror, passed, differences]
+    path = []
+    room = max_value - n + 1  # a node holding m values tries up to room + m: n - 1 - m stay above
+    seen, mirror, passed, differences = 0, 1, True, []
+    while True:
         nodes += 1
         if nodes > node_budget:
             raise BudgetExceededError(exceeded)
         size = seen.bit_count()
-        if size >= best:
-            return
         m = len(chosen)
-        if passed and l > 1:
-            # the parent's differences, then the m - 1 new ones
-            differences = differences + [chosen[-1] - a for a in chosen[:-1]]
-            for slots in ending_at[m - 1]:
-                if len(set(slots(differences))) < l:
-                    passed = False
-                    break
-        if m == n:
-            classes += 1
-            if passed:
-                best = size
-                best_set = tuple(chosen)
-            return
-        if not passed and best_set is None:
-            # nothing below can pass, and until a set passes no size is cut,
-            # so the walk would only count the subtree
-            subtree, leaves = _subtree(n, m, max_value - chosen[-1])
-            nodes += subtree
-            classes += leaves
-            if nodes > node_budget:
-                raise BudgetExceededError(exceeded)
-            return
-        for x in range(chosen[-1] + 1, max_value + 1):
-            if max_value - x < n - 1 - m:
+        if size < best:
+            if passed and l > 1:
+                # the parent's differences, then the m - 1 new ones
+                differences = differences + [chosen[-1] - a for a in chosen[:-1]]
+                for slots in ending_at[m - 1]:
+                    if len(set(slots(differences))) < l:
+                        passed = False
+                        break
+            if m == n:
+                classes += 1
+                if passed:
+                    best = size
+                    best_set = tuple(chosen)
+            elif not passed and best_set is None:
+                # nothing below can pass, and until a set passes no size is cut,
+                # so the walk would only count the subtree
+                subtree, leaves = _subtree(n, m, max_value - chosen[-1])
+                nodes += subtree
+                classes += leaves
+                if nodes > node_budget:
+                    raise BudgetExceededError(exceeded)
+            else:
+                path.append([chosen[-1] + 1, room + m, seen, mirror, passed, differences])
+        while path:
+            frame = path[-1]
+            x, last, seen, mirror, passed, differences = frame
+            if x <= last:
                 break
-            reach = mirror << (x - chosen[-1])
-            chosen.append(x)
-            extend(seen | reach, reach | 1, passed, differences)
-            chosen.pop()
-
-    try:
-        extend(0, 1, True, [])
-    except RecursionError:
-        raise BudgetExceededError(f"exact_g_integers({n},{k},{l},{max_value}) would recurse "
-                                  f"{n} levels, past the interpreter's recursion limit") from None
+            path.pop()
+        else:
+            break
+        frame[0] = x + 1
+        reach = mirror << (x - chosen[len(path) - 1])
+        chosen[len(path):] = [x]
+        seen, mirror = seen | reach, reach | 1
     if best_set is None:
         return OracleResult(None, None, nodes, classes, "infeasible")
     witness = RealSet(best_set)

@@ -130,13 +130,14 @@ def test_oracle_g_budget_caps_a_huge_range(monkeypatch, capsys):
     assert "exceeded the 1000 node budget" in capsys.readouterr().err
 
 
-def test_oracle_g_deeper_than_the_recursion_limit_exits_3(capsys):
-    # one call level per chosen value: 1200 levels pass the default limit of 1000
+def test_oracle_g_deeper_than_the_recursion_limit_exits_3_at_the_budget(monkeypatch, capsys):
+    # 1200 levels pass the default recursion limit of 1000; the search runs on to its budget
+    monkeypatch.setenv("LOCALLAB_BUDGET", "100000")
     assert run(["oracle-g", "--n", "1200", "--k", "2", "--l", "1", "--max-value", "1300"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert ("error: exact_g_integers(1200,2,1,1300) would recurse 1200 levels, "
-            "past the interpreter's recursion limit") in captured.err
+    assert captured.err == ("error: exact_g_integers(1200,2,1,1300) exceeded the 100000 "
+                            "node budget\n")
 
 
 def test_forged_infeasible_oracle_g_record_is_invalid(tmp_path, capsys):
@@ -992,6 +993,16 @@ def arith_of_another_set(tmp_path):
             "the energy graph has n=120 but the element set 7 values")
 
 
+def arith_k_below_2(tmp_path):
+    values = tmp_path / "values.json"
+    save_real_set(real_set([0, 1, 2, 3, 10, 11, 12, 13]), values)
+    assert run(["energy-graph", "--values", str(values), "--preset", "sign-split", "--seed", "6",
+                "--out", str(tmp_path / "sign.json")]) == 0
+    # k = 1 asks for a 2-cycle, which the cycle search would refuse in other words
+    return (["--kind", "arith", "--k", "1", "--values", str(values),
+             "--graph", str(tmp_path / "sign.p.json")], "k=1 must be at least 2")
+
+
 def triple_never_halved(tmp_path):
     coloring, graph = rainbow_file(tmp_path, 24), tmp_path / "g.json"
     assert run(["energy-graph", "--input", str(coloring), "--r", "3", "--partitioned",
@@ -1002,7 +1013,7 @@ def triple_never_halved(tmp_path):
 
 
 @pytest.mark.parametrize("case", [triple_of_another_n, pair_of_another_n,
-                                  arith_of_another_set, triple_never_halved])
+                                  arith_of_another_set, arith_k_below_2, triple_never_halved])
 def test_witness_rejects_inputs_that_do_not_match_before_the_search(tmp_path, capsys, case):
     argv, message = case(tmp_path)
     capsys.readouterr()

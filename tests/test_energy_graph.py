@@ -407,6 +407,18 @@ def test_halving_keeps_cross_half_edges_only():
         assert all(x[j] != y[j] for j in range(2))
 
 
+def test_halving_keeps_the_best_split_when_every_trial_misses(monkeypatch):
+    # six edges; the first split at seed 1 keeps none of them, the second keeps 4 >= 6 / 3^2
+    g = random_coloring(6, 3, seed=1)
+    eg = build_rth_energy_graph(g, 2, partition_for_rth_energy(g, 2, seed=0).parts)
+    assert halve_parts_prune(eg, seed=1).provenance[-1] == (
+        "halve_parts(seed=1,trials=2,kept=4/6,met=True)")
+    monkeypatch.setattr("locallab.energy_graph.MAX_TRIALS", 1)
+    halved = halve_parts_prune(eg, seed=1)
+    assert halved.provenance[-1] == "halve_parts(seed=1,trials=1,kept=0/6,met=False)"
+    assert halved.num_edges == 0
+
+
 def test_halving_needs_partitioned_graph():
     g = mono(6)
     eg = build_second_energy_graph(g)

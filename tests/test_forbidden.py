@@ -398,6 +398,10 @@ def test_find_subdivision_skips_small_classes():
             check_subdivision(g, color, emb, 3)
     with pytest.raises(LocalLabError):
         find_subdivision(g, 0, 2)
+    # color ids run over the palette only
+    for color in (-1, g.num_colors):
+        with pytest.raises(LocalLabError, match=f"^color id {color} not in the palette$"):
+            find_subdivision(g, color, 3)
 
 
 def reference_midpoints(branch, neighbors):

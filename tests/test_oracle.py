@@ -1,4 +1,6 @@
 import itertools
+import math
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -36,6 +38,10 @@ FROZEN_F = {
     (5, 4, 2): 2,
     (6, 3, 2): 3,
     (6, 4, 3): 3,
+    (7, 3, 2): 3,
+    (7, 3, 3): 7,
+    (7, 4, 4): 4,
+    (7, 4, 5): 7,
 }
 
 FROZEN_G = {
@@ -85,8 +91,6 @@ def test_exact_f_proper_coloring_regime():
 def test_exact_f_infeasible_and_guards():
     res = exact_f(4, 3, 4)
     assert res.status == "infeasible" and res.value is None
-    with pytest.raises(LocalLabError):
-        exact_f(7, 3, 2)  # beyond the guarded range
     with pytest.raises(LocalLabError):
         exact_f(4, 1, 1)
     with pytest.raises(LocalLabError):
@@ -179,6 +183,86 @@ def test_search_accounting_is_pinned():
     res = exact_g_integers(7, 4, 5, 18)
     assert res.status == "infeasible"
     assert (res.nodes_explored, res.canonical_classes) == (27132, 18564)
+    # and on seven vertices, each tree pinned node for node
+    for args, value, nodes in [((7, 3, 2), 3, 284), ((7, 4, 4), 4, 263),
+                               ((7, 4, 5), 7, 39064), ((7, 3, 3), 7, 48058)]:
+        res = exact_f(*args)
+        assert (res.value, res.nodes_explored) == (value, nodes), args
+
+
+# -- values that theorems fix, whatever the search does ----------------------
+
+R33, R333, R44 = 6, 17, 18  # Ramsey numbers (Greenwood-Gleason 1955)
+GOLOMB = {4: 6, 5: 11, 6: 17, 7: 25}  # the shortest Golomb ruler with n marks
+# r_3(N), the largest 3-AP-free subset of N consecutive integers (OEIS A003002)
+R_3 = dict(enumerate([1, 2, 2, 3, 4, 4, 4, 4, 5, 5, 6, 6, 7, 8], start=1))
+
+THEOREM_F = (
+    # (3,3): every triangle rainbow, so a proper edge coloring; the chromatic index
+    # of K_n is n for odd n and n - 1 for even n
+    [(f"chromatic-index-{n}", (n, 3, 3), n if n % 2 else n - 1) for n in range(3, 8)]
+    # (3,2): no monochromatic triangle, in two colors exactly when n < R(3,3) and in
+    # three when n < R(3,3,3)
+    + [(f"ramsey-3-3-{n}", (n, 3, 2), 2 if n < R33 else 3) for n in range(3, 8) if n < R333]
+    # (4,2): no monochromatic K_4, in two colors when n < R(4,4)
+    + [(f"ramsey-4-4-{n}", (n, 4, 2), 2) for n in range(4, 8) if n < R44]
+    # (4,6): every two edges lie in a common 4-set, so all edges differ
+    + [(f"all-distinct-{n}", (n, 4, 6), math.comb(n, 2)) for n in range(4, 8)]
+    # (k,1): one color serves
+    + [(f"one-color-{n}-{k}", (n, k, 1), 1) for n, k in [(3, 2), (5, 3), (7, 4), (8, 5), (12, 6)]]
+)
+
+
+@pytest.mark.parametrize("args, value", [case[1:] for case in THEOREM_F],
+                         ids=[case[0] for case in THEOREM_F])
+def test_exact_f_meets_its_theorem(args, value):
+    res = exact_f(*args)
+    assert (res.value, res.status) == (value, "optimal")
+    assert witness_failures(res.witness, *args, value) == []
+
+
+def golomb_cases():
+    # (4,6): two pairs with one difference span at most four elements, so the sets
+    # are exactly the Sidon sets, each with C(n, 2) differences
+    for n, length in GOLOMB.items():
+        yield f"golomb-{n}", (n, 4, 6, length), math.comb(n, 2)
+        yield f"golomb-{n}-short", (n, 4, 6, length - 1), None
+
+
+def ap_free_cases():
+    # (3,3): a 3-subset spans three differences unless it is a 3-AP, so a set
+    # fits in 0..m exactly when r_3(m + 1) >= n
+    for n in range(4, 9):
+        m = min(size for size, r in R_3.items() if r >= n) - 1
+        yield f"ap-free-{n}", (n, 3, 3, m), "optimal"
+        yield f"ap-free-{n}-short", (n, 3, 3, m - 1), "infeasible"
+
+
+@pytest.mark.parametrize("args, value", [case[1:] for case in golomb_cases()],
+                         ids=[case[0] for case in golomb_cases()])
+def test_exact_g_sidon_sets_meet_the_golomb_lengths(args, value):
+    res = exact_g_integers(*args)
+    assert res.value == value
+    assert res.status == ("infeasible" if value is None else "optimal")
+
+
+@pytest.mark.parametrize("args, status", [case[1:] for case in ap_free_cases()],
+                         ids=[case[0] for case in ap_free_cases()])
+def test_exact_g_ap_free_sets_meet_r3(args, status):
+    res = exact_g_integers(*args)
+    assert res.status == status
+    if status == "optimal":
+        assert check_g_property(res.witness, 3, 3).holds
+
+
+def test_searches_deeper_than_the_recursion_limit():
+    # a level per chosen value or colored edge; hypothesis raises the limit, so read it here
+    limit = sys.getrecursionlimit()
+    res = exact_g_integers(limit + 1, 2, 1, limit)
+    assert (res.value, res.nodes_explored) == (limit, limit + 1)
+    n = next(n for n in itertools.count(2) if math.comb(n, 2) > limit)
+    res = exact_f(n, 3, 1)
+    assert (res.value, res.nodes_explored) == (1, math.comb(n, 2) + 1)
 
 
 # -- the searches before their incremental checks ----------------------------
