@@ -72,11 +72,13 @@ def exact_f(n: int, k: int, l: int) -> OracleResult:
 
     Enumerates colorings modulo color renaming: edge i may only reuse
     an earlier color or open color max+1, which is exactly one coloring
-    per edge-partition.  A k-subset is checked the moment its last edge
-    (in the (max, min) edge order) is colored: its other edges, already
-    colored, either ban the colors they hold (when they span exactly
-    l-1), ban nothing, or leave no color for the last edge.  Branches
-    that cannot beat the incumbent are cut.
+    per edge-partition.  A k-subset is checked when its last edge (in
+    the (max, min) edge order) is colored: its other edges either ban
+    the colors they hold (when they span exactly l-1), ban nothing, or
+    leave no color for the last edge.  The node coloring the edge before
+    runs those checks for all its colors at once: a child left with no
+    color is counted there, never walked, and a live child takes its ban
+    set from that rule.  Branches that cannot beat the incumbent are cut.
     """
     _check_args(n, k, l)
     if l > k * (k - 1) // 2:
@@ -84,7 +86,7 @@ def exact_f(n: int, k: int, l: int) -> OracleResult:
 
     edges = [(u, v) for v in range(n) for u in range(v)]
     # finished_at[i]: per k-subset whose last edge is slot i, a getter of its other slots
-    node_budget, finished_at = _getter_table(n, k, l, len(edges),
+    node_budget, finished_at = _getter_table(n, k, l, len(edges) + 1,
                                              lambda _, slots: (slots[-1], slots[:-1]))
 
     assignment = [0] * len(edges)
@@ -92,9 +94,11 @@ def exact_f(n: int, k: int, l: int) -> OracleResult:
     best_assignment = None
     nodes = classes = 0
     exceeded = f"exact_f({n},{k},{l}) exceeded the {node_budget} node budget"
-    # path[i]: edge i of the current branch, as [next color to try, colors in use, banned colors]
+    # path[i]: edge i of the current branch, as [next color to try, colors in use, banned colors,
+    # rule]; rule (ban, dead, keyed) bans edge i + 1 the colors `ban`, edge i's color too if
+    # `dead`, and each set in `keyed` that holds edge i's color
     path = []
-    used = 0
+    used, banned = 0, set()
     while True:
         nodes += 1
         if nodes > node_budget:
@@ -105,19 +109,45 @@ def exact_f(n: int, k: int, l: int) -> OracleResult:
             best = used
             best_assignment = list(assignment)
         elif used < best:
-            banned = set()
-            for others in finished_at[i]:
+            if i:  # `frame` and `color`: the parent's frame and edge i - 1's color, set below
+                ban, dead, keyed = frame[3]
+                banned = {color, *ban} if dead else ban
+                for colors in keyed:
+                    if color in colors:
+                        banned = banned | colors
+            # edge i + 1's rule from the subsets it finishes, edge i read as -1: beside it, l - 2
+            # colors are dead for edge i, else banned with its color; l - 1, banned if it takes one
+            assignment[i] = -1
+            ban, dead, keyed = set(), set(), []
+            for others in finished_at[i + 1]:
                 seen = set(others(assignment))
-                if len(seen) < l - 1:
+                size = len(seen)
+                if size < l - 1:
+                    # no color of edge i leaves one for edge i + 1: count every child
+                    nodes += used - len(banned) + (used + 1 < best)
                     break
-                if len(seen) == l - 1:
-                    banned |= seen
+                if -1 not in seen:
+                    if size == l - 1:
+                        ban |= seen
+                elif size == l - 1:
+                    dead |= seen
+                elif size == l:
+                    seen.discard(-1)
+                    keyed.append(seen)
             else:
-                path.append([0, used, banned])
+                if dead:
+                    dead.discard(-1)
+                    ban |= dead
+                    dead |= banned
+                    nodes += len(dead) - len(banned)
+                    banned = dead
+                path.append([0, used, banned, (ban, dead, keyed)])
+            if nodes > node_budget:
+                raise BudgetExceededError(exceeded)
         # the deepest edge's next color: an earlier one not banned, or a new one that can beat best
         while path:
             frame = path[-1]
-            color, used, banned = frame
+            color, used, banned, _ = frame
             while color in banned:
                 color += 1
             if color < used or color == used and used + 1 < best:

@@ -84,6 +84,42 @@ def test_energy_graph_pipeline_and_witness(tmp_path, capsys):
     assert run(["verify", "--cert", str(cert), "--input", str(mono)]) == 0
 
 
+# colors spanned by the pair witness (k = 8) of random_coloring(30, c, seed), seeds 0..7,
+# against its bound C(8, 2) - 4 = 24; None: the witness cannot be completed
+TIGHT_PALETTE_SPANS = {60: [19, 18, 20, 19, 20, 18, 19, 18],
+                       100: [21, 24, 20, 22, None, 22, 22, 22]}
+
+
+def test_pair_witnesses_at_tight_palettes(tmp_path, capsys):
+    coloring, graph, cert = (str(tmp_path / name) for name in ("c.json", "g.json", "w.json"))
+    for c, spans in TIGHT_PALETTE_SPANS.items():
+        for seed, span in enumerate(spans):
+            save_coloring(random_coloring(30, c, seed), coloring)
+            assert run(["energy-graph", "--input", coloring, "--stages", "diagonal",
+                        "--out", graph]) == 0
+            got = run(["witness", "--kind", "pair", "--input", coloring, "--graph", graph,
+                       "--k", "8", "--cert", cert])
+            out, err = capsys.readouterr()
+            if span is None:
+                assert got == 2, (c, seed)
+                assert "padding needs 1 more unused edge(s) of color 30" in err
+                continue
+            assert got == 1, (c, seed)
+            assert f"repetitions: 4, colors spanned: {span} (bound 24)" in out.splitlines()
+            assert run(["verify", "--cert", cert, "--input", coloring]) == 0, (c, seed)
+            if span == 24:
+                # no slack: one more claimed repetition puts the span over the bound
+                with open(cert) as f:
+                    record = json.load(f)
+                record["claimed_repetitions"] += 1
+                with open(cert, "w") as f:
+                    json.dump(record, f)
+                assert run(["verify", "--cert", cert, "--input", coloring]) == 1
+                lines = capsys.readouterr().out.splitlines()
+                assert "certificate witness-set: INVALID" in lines
+                assert "  set spans 24 colors, more than the implied bound 23" in lines
+
+
 def test_energy_graph_preset_empties_small_instances(tmp_path, capsys):
     mono = mono_file(tmp_path, 12)
     graph = tmp_path / "preset.json"

@@ -380,13 +380,17 @@ def outcome(search, *args):
 def test_exact_f_matches_the_reference_search(monkeypatch):
     monkeypatch.setenv("LOCALLAB_BUDGET", "20000")
     trips = 0
-    for n in range(2, 6):
+    for n in range(2, 7):
         for k in range(2, n + 1):
             for l in range(1, k * (k - 1) // 2 + 2):
                 got = outcome(exact_f, n, k, l)
                 assert got == outcome(reference_exact_f, n, k, l), (n, k, l)
                 trips += got[0] == "budget"
     assert trips  # the grid reaches the budget at least once
+    # the pinned trees, whole, at the default budget
+    monkeypatch.delenv("LOCALLAB_BUDGET")
+    for case in [(6, 5, 7), (7, 3, 2), (7, 3, 3), (7, 4, 4), (7, 4, 5)]:
+        assert outcome(exact_f, *case) == outcome(reference_exact_f, *case), case
 
 
 def test_exact_g_matches_the_reference_search(monkeypatch):
@@ -472,6 +476,10 @@ def test_exact_f_setup_counts_against_the_node_budget(monkeypatch):
     (exact_g_integers, (5, 4, 3, 10), 132),
     # feasible, with subtrees counted in closed form before the first set
     (exact_g_integers, (6, 4, 5, 14), 3003),
+    # the last node of these two is a child with no color left, counted at its
+    # parent; f(6,3,3) = 5 is the chromatic index of K_6
+    (exact_f, (6, 3, 3), 360),
+    (exact_f, (7, 3, 3), 48058),
 ])
 def test_node_budget_is_checked_at_every_node(monkeypatch, search, args, nodes):
     # a budget one short of the tree trips on its last node; the exact size passes
